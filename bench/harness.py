@@ -9,7 +9,6 @@ import json
 import os
 import platform
 import resource
-import shutil
 import statistics
 import subprocess
 import sys
@@ -34,18 +33,16 @@ class Record:
     reason: str | None
     traced: bool
     exit: int | None = None
-    ref: bool = False        # op at the re-anchor point (10, 2)
-    main: bool = True        # one of the workload's own ops, not an added reference op
-    calib: float | None = None   # calibrate() next to a reference op, before and after
+    ref: bool = False        # op of a reference set, not one of the workload's seeded ops
 
 
 @dataclass
 class Run:
     records: list = field(default_factory=list)
-    setup_failures: list = field(default_factory=list)
     timed_s: float = 0.0
     main_s: float = 0.0
     calib_s: dict = field(default_factory=dict)   # kind -> {start, end}
+    calib_loops: list = field(default_factory=list)   # loop times next to reference ops
     peak_rss_mb: float = 0.0
     traced: bool = False
     warnings: Counter = field(default_factory=Counter)
@@ -53,15 +50,21 @@ class Run:
 
     @property
     def attempted(self) -> int:
-        return len(self.records) + len(self.setup_failures)
-
-    @property
-    def gated(self) -> int:
-        return sum(r.ok or r.reason is not None for r in self.records) + len(self.setup_failures)
+        return len(self.records)
 
     @property
     def failed(self) -> int:
-        return sum(not r.ok for r in self.records) + len(self.setup_failures)
+        return sum(not r.ok for r in self.records)
+
+    @property
+    def correct(self) -> bool:
+        """Every op of the reference set passed its gate.
+
+        The reference inputs are fixed and pass at the baseline, so a failed
+        reference op is a fault of the program.  Seeded ops may fail at some
+        window points; those count in `failed` and `fail_ratio`.
+        """
+        return all(r.ok for r in self.records if r.ref)
 
 
 def _calib_ode():
@@ -82,22 +85,33 @@ def _calib_numpy():
         y = np.sqrt(np.exp(-y) + y * y)
 
 
-CALIBRATIONS = {"ode": _calib_ode, "numpy": _calib_numpy}
+def _calib_spawn():
+    """A fresh interpreter that imports numpy and scipy.integrate: the start-up every
+    CLI command pays, which an in-process loop does not track."""
+    subprocess.run([sys.executable, "-c", "import numpy, scipy.integrate"], check=True,
+                   timeout=60)
 
 
-def calibrate(kind: str) -> float:
-    """Median time of a fixed loop that runs no biharmlab code: a gauge of machine speed.
+# kind -> (loop, runs of it before each reference op)
+CALIBRATIONS = {"ode": (_calib_ode, 6), "numpy": (_calib_numpy, 6), "spawn": (_calib_spawn, 1)}
+# loops timed at the start and the end of every run, so machine-speed drift shows
+MACHINE_GAUGES = ("ode", "numpy")
 
-    Other tenants slow interpreter-bound and array-bound work by different
-    amounts at different times, so each workload's reference op is divided
-    by the loop of its own kind (Workload.calib).
+
+def calibration_loops(kind: str, runs: int | None = None) -> list:
+    """Times of runs of a fixed loop that runs no biharmlab code: a gauge of machine speed.
+
+    Other tenants slow interpreter-bound work, array-bound work and process
+    start-up by different amounts at different times, so each workload's
+    reference set is divided by the loop of its own kind (Workload.calib).
     """
+    loop, default_runs = CALIBRATIONS[kind]
     times = []
-    for _ in range(3):
+    for _ in range(runs or default_runs):
         t = time.perf_counter()
-        CALIBRATIONS[kind]()
+        loop()
         times.append(time.perf_counter() - t)
-    return statistics.median(times)
+    return times
 
 
 def run_setup(workload, tracer):
@@ -121,7 +135,7 @@ def _replay(records):
         warnings.warn_explicit(msg, category, filename, lineno)
 
 
-def _execute(op, tracer, op_id, run: Run, main: bool):
+def _execute(op, tracer, op_id, run: Run):
     """Run one op (traced when a tracer is given), then gate its result."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -160,65 +174,52 @@ def _execute(op, tracer, op_id, run: Run, main: bool):
         run.warnings.update(counts)
     reason = error if error is not None else op.gate(result)
     rec = Record(op.kind, seconds, reason is None, reason, tracer is not None,
-                 getattr(result, "returncode", None), op.ref, main)
+                 getattr(result, "returncode", None), op.ref)
     run.records.append(rec)
     return rec
 
 
 def run_timed(workload, seconds: float, tracer) -> Run:
-    """Closed loop: ops back to back until `seconds` have passed.
+    """Closed loop over the ops the seed fixes, then the reference set again until `seconds`.
 
-    Workloads with a reference op alternate between their own ops and the
-    reference op so that each gets half of the busy time, which spreads the
-    reference samples over the whole run.  Workloads whose passes must stay
-    whole (no separate reference op) check the clock before a pass and start
-    another only if one more pass as long as the last would still end in
-    time.  Traced runs execute each op plain and traced, alternating which
-    goes first.
+    Which ops a run executes never depends on how fast they ran: the
+    workload's seeded ops and its reference set, one op of each in turn,
+    so the same seed gives the same ops, `attempted` and `failed`.  Should
+    they end before `seconds` have passed, the reference set runs again,
+    whole, until the time is up.  In untraced runs the calibration loop
+    runs before each reference op.  Traced runs execute each op plain and
+    traced, alternating which goes first.
     """
-    run = Run(setup_failures=list(workload.setup_failures), traced=tracer is not None)
-    calib_start = {kind: calibrate(kind) for kind in CALIBRATIONS}
+    run = Run(traced=tracer is not None)
+    calib_start = {kind: statistics.median(calibration_loops(kind, 3))
+                   for kind in MACHINE_GAUGES}
     t0 = time.perf_counter()
-    deadline = t0 + seconds
     op_id = 0
-    busy = {True: 0.0, False: 0.0}   # seconds spent on workload ops / reference ops
 
-    def execute(op, main):
+    def execute(op):
         nonlocal op_id
         order = (None, tracer) if op_id % 2 == 0 else (tracer, None)
         for tr in (order if tracer is not None else (None,)):
-            before = calibrate(workload.calib) if op.ref else None
-            rec = _execute(op, tr, op_id, run, main)
-            if op.ref:
-                rec.calib = 0.5 * (before + calibrate(workload.calib))
-            busy[main] += rec.seconds
+            if op.ref and tracer is None:
+                run.calib_loops += calibration_loops(workload.calib)
+            rec = _execute(op, tr, op_id, run)
+            if not (op.ref or rec.traced):
+                run.main_s += rec.seconds
         op_id += 1
 
-    if workload.whole_passes:
-        pass_start = t0
-        for ops in workload.passes():
-            now = time.perf_counter()
-            if run.records and now + (now - pass_start) > deadline:
-                break
-            pass_start = now
-            for op in ops:
-                execute(op, True)
-    else:
-        ops = itertools.chain.from_iterable(workload.passes())
-        while not run.records or time.perf_counter() < deadline:
-            op = next(ops, None) if busy[True] <= busy[False] else None
+    for pair in itertools.zip_longest(workload.reference(0), workload.seeded()):
+        for op in pair:
             if op is not None:
-                execute(op, True)
-                continue
-            refs = workload.reference()
-            if not refs:   # no reference op and no workload op left
-                break
-            for ref in refs:
-                execute(ref, False)
-    run.main_s = busy[True]
+                execute(op)
+    k = 1
+    while time.perf_counter() < t0 + seconds:
+        for op in workload.reference(k):
+            execute(op)
+        k += 1
     run.timed_s = time.perf_counter() - t0
-    run.calib_s = {kind: {"start": calib_start[kind], "end": calibrate(kind)}
-                   for kind in CALIBRATIONS}
+    run.calib_s = {kind: {"start": calib_start[kind],
+                          "end": statistics.median(calibration_loops(kind, 3))}
+                   for kind in MACHINE_GAUGES}
     who = resource.RUSAGE_CHILDREN if workload.name == "cli_report" else resource.RUSAGE_SELF
     run.peak_rss_mb = resource.getrusage(who).ru_maxrss / 1024.0
     return run
@@ -230,12 +231,6 @@ def child_setup(cmd, timeout: float) -> float:
     if proc.returncode != 0:
         raise RuntimeError(f"set-up child failed ({proc.returncode}): {proc.stderr[-2000:]}")
     return float(json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"])
-
-
-def close(workload, workdir):
-    if hasattr(workload, "close"):
-        workload.close()
-    shutil.rmtree(workdir, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +245,9 @@ def tail(times):
 
 
 def end_to_end(run: Run, setups) -> dict:
-    main = [r for r in run.records if not r.traced and r.main]
+    main = [r for r in run.records if not r.traced and not r.ref]
     ok = [r.seconds for r in main if r.ok]
-    refs = [r for r in run.records if not r.traced and r.ref]
-    refs = [r for r in refs if r.ok] or refs
+    refs = [r for r in run.records if not r.traced and r.ref and r.ok]
     return {
         "setup_s": statistics.median(setups),
         "ok_per_s": len(ok) / run.main_s if run.main_s else 0.0,
@@ -262,14 +256,28 @@ def end_to_end(run: Run, setups) -> dict:
         "op_tail_s": tail(ok)[0],
         "fail_ratio": run.failed / run.attempted,
         "peak_rss_mb": run.peak_rss_mb,
-        # the reference op alone, and in units of the calibration loop timed
-        # next to each execution: the machine's speed swings between runs, the
-        # program's cost does not.  A ratio of sums, so every reference op
-        # counts, whatever its size (None when no reference op ran).
         "ref_op_p50_s": statistics.median([r.seconds for r in refs]) if refs else None,
-        "ref_op_rel": (sum(r.seconds for r in refs) / sum(r.calib for r in refs)
-                       if refs else None),
+        "ref_op_rel": ref_op_rel(refs, run.calib_loops),
     }
+
+
+def ref_op_rel(refs, loops):
+    """Time of the reference set in units of the calibration loop.
+
+    The machine's speed swings between runs, the program's cost does not.
+    The loop's time is averaged over every run of it next to the reference
+    ops: a shared machine has fast and slow spells, and the mean weighs
+    them as the ops meet them.  Each reference op counts once, at its mean
+    time over its executions in the run (the README commands run twice).
+    Passing ops only; a run with a failed reference op is not correct
+    (None when none passed).
+    """
+    times = {}
+    for r in refs:
+        times.setdefault(r.kind, []).append(r.seconds)
+    if not times:
+        return None
+    return sum(statistics.fmean(t) for t in times.values()) / statistics.fmean(loops)
 
 
 def per_layer(run: Run, tracer: Tracer, import_s: float) -> dict:
@@ -395,7 +403,7 @@ UNITS = {"setup_s": "s", "ok_per_s": "1/s", "op_p50_s": "s", "op_tail_s": "s",
 
 def print_report(args, run: Run, setups, metrics, wanted, prov):
     plain = [r for r in run.records if not r.traced]
-    main = [r for r in plain if r.main]
+    main = [r for r in plain if not r.ref]
     ok = [r for r in main if r.ok]
     refs = [r for r in plain if r.ref]
     print(f"{args.workload} seed={args.seed} trace={args.trace}: {run.attempted} ops attempted, "
@@ -413,8 +421,9 @@ def print_report(args, run: Run, setups, metrics, wanted, prov):
             "fail_ratio": f"{run.failed} of {run.attempted} ops",
             "peak_rss_mb": "largest child process" if args.workload == "cli_report"
                            else "this process",
-            "ref_op_p50_s": f"median of {sum(r.ok for r in refs)} ok ops at (N, p) = (10, 2)",
-            "ref_op_rel": "their total over that of the calibration loops timed next to them",
+            "ref_op_p50_s": f"median of {sum(r.ok for r in refs)} ok reference ops",
+            "ref_op_rel": f"their time over the mean of {len(run.calib_loops)} "
+                          "calibration loops run next to them",
         }
         for name, unit in UNITS.items():
             v = metrics[name]
@@ -429,17 +438,16 @@ def print_report(args, run: Run, setups, metrics, wanted, prov):
               "sizes and the angular rule, not measured)")
     kinds = {}
     for r in plain:
-        label = r.kind.split("@")[0] + (" (10, 2)" if r.ref else "")
+        label = r.kind.split("@")[0] + (" (ref)" if r.ref else "")
         kinds.setdefault(label, []).append(r)
     for kind, recs in kinds.items():
         good = [r.seconds for r in recs if r.ok]
         p50 = f"{statistics.median(good):.4g} s" if good else "n/a"
         print(f"  op {kind:<40} n={len(recs):<4} ok={len(good):<4} p50={p50}")
-    for f in run.setup_failures:
-        print(f"  FAIL set-up {f.kind} after {f.seconds:.2f} s: {f.reason[:160]}")
     for r in plain:
         if not r.ok:
-            print(f"  FAIL {r.kind} after {r.seconds:.2f} s: {(r.reason or '')[:160]}")
+            print(f"  FAIL {r.kind}{' (ref)' if r.ref else ''} after {r.seconds:.2f} s: "
+                  f"{(r.reason or '')[:160]}")
     if run.warnings:
         print("  fp warnings by layer: " + ", ".join(f"{k}={v}" for k, v in
                                                      sorted(run.warnings.items())))

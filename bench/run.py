@@ -1,11 +1,13 @@
-"""biharmlab benchmark: one closed-loop client runs a named workload for a fixed time.
+"""biharmlab benchmark: one closed-loop client runs the ops of a named workload.
 
     python3 bench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run from the root of a checkout; the library is imported from ./src.  The
-workloads (see workloads.py) are window_sweep, mode_scan, ball_continuation
-and cli_report.  Inputs come from --seed only.  Every op is checked by its
-gate; failed ops are counted, never dropped.
+workloads (see workloads.py) are window_sweep, ball_continuation and
+cli_report.  Inputs come from --seed only, and so does the list of ops a
+run executes (see harness.run_timed).  Every op is checked by its gate;
+failed ops are counted, never dropped.  `correct` is false, and the exit
+code 1, when an op of a reference set fails (see harness.Run.correct).
 
 --trace 0 prints the end-to-end metrics, --trace 1 the per-layer metrics
 (spans recorded around biharmlab's public functions, see tracing.py).  In a
@@ -20,12 +22,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SETUP_REPEATS = 3          # set-ups per run (this process plus fresh children)
+SETUP_REPEATS = 5          # set-ups per run (this process plus fresh children)
 CHILD_TIMEOUT_S = 170.0
 
 
@@ -40,7 +43,7 @@ def process_age() -> float:
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True,
-                    choices=("window_sweep", "mode_scan", "ball_continuation", "cli_report"))
+                    choices=("window_sweep", "ball_continuation", "cli_report"))
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -75,12 +78,12 @@ def main(argv=None) -> int:
     with open(spec_path) as fh:
         spec = json.load(fh)
     workdir = os.path.join(ROOT, ".bench_state", f"{args.workload}-{os.getpid()}")
-    workload = WORKLOADS[args.workload](args.seed, Path(workdir))
+    workload = WORKLOADS[args.workload](args.seed, Path(workdir), bool(args.trace))
     tracer = harness.Tracer() if args.trace else None
     harness.run_setup(workload, tracer)
     setup_main = process_age()
     if args.setup_only:
-        harness.close(workload, workdir)
+        shutil.rmtree(workdir, ignore_errors=True)
         print(json.dumps({"setup_s": setup_main}))
         return 0
 
@@ -89,7 +92,7 @@ def main(argv=None) -> int:
                  "--seed", str(args.seed), "--seconds", str(args.seconds), "--setup-only"]
     setups = [setup_main] + [harness.child_setup(child_cmd, CHILD_TIMEOUT_S)
                              for _ in range(SETUP_REPEATS - 1)]
-    harness.close(workload, workdir)
+    shutil.rmtree(workdir, ignore_errors=True)
 
     prov = harness.provenance(ROOT, args.seed, nproc, run)
     if args.trace:
@@ -100,13 +103,16 @@ def main(argv=None) -> int:
         metrics = harness.end_to_end(run, setups)
         wanted = spec["end_to_end"]
     harness.print_report(args, run, setups, metrics, wanted, prov)
+    if not any(r.ok for r in run.records if r.ref):
+        sys.stderr.write("bench: no reference op passed its gate\n")
+        return 1
     out = {}
     for m in wanted:
         if metrics.get(m["name"]) is None:
             sys.stderr.write(f"bench: metric {m['name']} was not computed\n")
             return 1
         out[m["name"]] = {"value": metrics[m["name"]], "unit": m["unit"]}
-    print(json.dumps({"correct": run.gated == run.attempted, "attempted": run.attempted,
+    print(json.dumps({"correct": run.correct, "attempted": run.attempted,
                       "failed": run.failed, "metrics": out}))
     return 0
 

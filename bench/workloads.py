@@ -1,4 +1,4 @@
-"""The four benchmark workloads: seeded inputs, timed ops and their correctness gates.
+"""The benchmark workloads: seeded inputs, timed ops and their correctness gates.
 
 Load is a closed loop with one client: the next op starts when the previous
 one returns.  Every op has a gate that decides pass or fail from numbers the
@@ -7,7 +7,15 @@ library returned; each gate is written so that NaN fails (`x <= tol` together wi
 p = serrin + f (sobolev - serrin) with f ~ U(0.02, 0.98), the 2% pad of the
 verify suites; where a run draws several points, f is stratified (one
 draw per equal slice of the range, slices in seeded order) so that every
-run covers the whole window.
+run covers the whole window, and N takes distinct values of 5..14.  A
+run's seeded ops are a fixed list drawn from the seed, so the same seed
+always fails the same ops.
+
+Besides its seeded ops, every workload has a reference set: ops at fixed
+inputs that do not depend on the seed, run whole in every run, each
+between two runs of a calibration loop.  The benchmark's gated timing
+comes from the reference set alone, so it moves with the program and the
+machine but not with the points a seed draws.
 """
 
 from __future__ import annotations
@@ -18,16 +26,27 @@ import os
 import re
 import subprocess
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-REF_POINT = (10, 2.0)                        # the ROADMAP re-anchor point
-EPS_LIST = [2.0**-k for k in range(3, 8)]   # the CLI's default dilations
+# fixed window points of the reference sets, one per N = 5..14: f = 0.25
+# for even N and 0.75 for odd N, so that both halves of the window are
+# covered at every part of the dimension range
+REF_POINTS = [(N, 0.25 if N % 2 == 0 else 0.75) for N in range(5, 15)]
+# the ball's reference points, N = 5..14 at f = 0.75: Picard and Pohozaev hold
+# there at every N (at f = 0.25 Pohozaev misses 1e-3 at every N).  Blow-up
+# meets its gate only at N = 8 and 9 of these, so only those two points
+# carry it; the seeded ops run it everywhere and count its failures.
+BALL_REF_F = 0.75
+BALL_REF_BLOWUP = (8, 9)
 AMPLITUDES = [1e2, 1e3, 1e4, 1e5, 1e6]
+# seeded window points per run; the window sweep takes half of 5..14 per run
+# (the reference set already solves at every N), which keeps a run near 30 s
+SWEEP_POINTS = 5
+BALL_POINTS = 4
 CLI_TIMEOUT_S = 150.0
 
 
@@ -40,9 +59,8 @@ class Op:
     for in-process ops; subprocess ops switch to the traced launcher.  Ops
     that leave files keep plain and traced executions in separate
     directories, so the second of a pair never reads what the first wrote.
-    `gate(result)`
-    returns None on pass or the reason for failure.  `ref` marks ops at the
-    re-anchor point (N, p) = (10, 2), whose inputs do not depend on the seed.
+    `gate(result)` returns None on pass or the reason for failure.  `ref`
+    marks the ops of a reference set, whose inputs do not depend on the seed.
     """
 
     kind: str
@@ -51,13 +69,6 @@ class Op:
     layer: str
     in_process: bool = True
     ref: bool = False
-
-
-@dataclass
-class SetupFailure:
-    kind: str
-    seconds: float
-    reason: str
 
 
 def window_p(N: int, f: float) -> float:
@@ -69,20 +80,10 @@ def stratified_f(rng, n: int) -> np.ndarray:
     return 0.02 + 0.96 * (rng.permutation(n) + rng.random(n)) / n
 
 
-def draw_points(rng, n: int, dims=None):
-    """n window points: N from seeded shuffles of 5..14, f stratified.
-
-    `dims` is an iterator of dimensions shared across calls, so consecutive
-    draws visit every N before any N repeats.
-    """
-    dims = dims if dims is not None else shuffled_dims(rng)
-    # the finite sequence first, so zip never takes an N it does not use
-    return [(N, window_p(N, float(f))) for f, N in zip(stratified_f(rng, n), dims)]
-
-
-def shuffled_dims(rng):
-    while True:
-        yield from (int(N) for N in rng.permutation(np.arange(5, 15)))
+def draw_points(rng, n: int):
+    """n <= 10 window points at distinct N of 5..14, in seeded order, f stratified."""
+    dims = rng.permutation(np.arange(5, 15))[:n]
+    return [(int(N), window_p(int(N), float(f))) for f, N in zip(stratified_f(rng, n), dims)]
 
 
 def _within(x, tol) -> bool:
@@ -107,29 +108,23 @@ def _unit_load_error(kernel, N: int):
 # ---------------------------------------------------------------------------
 
 class WindowSweep:
-    """One window point per N = 5..14 per pass, in seeded order; each op is one
-    profile solve plus its checks."""
+    """SWEEP_POINTS seeded window points; each op is one profile solve plus its
+    checks.  The reference set solves at REF_POINTS."""
 
     name = "window_sweep"
-    calib = "ode"   # machine-speed gauge the reference op is divided by
-    whole_passes = False
+    calib = "ode"   # machine-speed gauge the reference set is divided by
 
-    def __init__(self, seed: int, workdir: Path):
+    def __init__(self, seed: int, workdir: Path, traced: bool):
         self.rng = np.random.default_rng(seed)
-        self.setup_failures: list[SetupFailure] = []
 
     def setup(self):
         pass
 
-    def passes(self):
-        while True:
-            fs = stratified_f(self.rng, 10)
-            order = self.rng.permutation(10)   # a pass cut short still samples every N alike
-            yield [self._op(N, window_p(N, float(fs[i]))) for i, N in
-                   ((i, 5 + int(i)) for i in order)]
+    def seeded(self):
+        return [self._op(N, p) for N, p in draw_points(self.rng, SWEEP_POINTS)]
 
-    def reference(self):
-        return [self._op(*REF_POINT, ref=True)]
+    def reference(self, k):
+        return [self._op(N, window_p(N, f), ref=True) for N, f in REF_POINTS]
 
     @staticmethod
     def _op(N, p, ref=False):
@@ -155,144 +150,34 @@ class WindowSweep:
         return Op(f"solve_singular@N{N}", fn, gate, "delaunay", ref=ref)
 
 
-class ModeScan:
-    """Four window points whose profiles are solved in set-up; ops scan modes and fit decay."""
-
-    name = "mode_scan"
-    calib = "ode"   # machine-speed gauge the reference op is divided by
-    whole_passes = False
-
-    def __init__(self, seed: int, workdir: Path):
-        self.seed = seed
-        self.points = draw_points(np.random.default_rng(seed), 4)
-        self.setup_failures: list[SetupFailure] = []
-
-    def setup(self):
-        self.profiles = [pr for pr in map(self._solve, self.points) if pr]
-        self.ref_profile = [pr for pr in [self._solve(REF_POINT)] if pr]
-
-    def _solve(self, point):
-        from biharmlab.core import validate_params
-        from biharmlab.delaunay import solve_singular
-
-        N, p = point
-        t0 = time.perf_counter()
-        try:
-            params = validate_params(N, p)
-            return params, solve_singular(params, beta=1.0, tol=1e-4, t_tail=22.0,
-                                          t_left=float(np.log(min(EPS_LIST) / 4.0)))
-        except (ValueError, RuntimeError) as exc:
-            self.setup_failures.append(SetupFailure(
-                f"profile@N{N}", time.perf_counter() - t0,
-                f"{type(exc).__name__}: {exc}"))
-            return None
-
-    def reference(self):
-        return [self._scan(params, prof, ref=True) for params, prof in self.ref_profile]
-
-    def passes(self):
-        k = 0
-        while True:
-            ops = []
-            for params, prof in self.profiles:
-                ops += [self._scan(params, prof), self._kernel_residual(params, prof),
-                        self._fit(params, prof, "points", self.seed * 1000 + k),
-                        self._fit(params, prof, "flat_edge", self.seed * 1000 + k)]
-            if not ops:
-                return
-            yield ops
-            k += 1
-
-    @staticmethod
-    def _scan(params, prof, ref=False):
-        def fn(_):
-            from biharmlab.linearized import injectivity_scan
-
-            return injectivity_scan(params, prof, range(0, 5))
-
-        def gate(entries):
-            exps = [v for e in entries for v in e.branch_exponents.values()]
-            if not entries or not _finite(exps):
-                return "non-finite scan exponents"
-            return None
-
-        return Op(f"injectivity_scan@N{params.N}", fn, gate, "linearized", ref=ref)
-
-    @staticmethod
-    def _kernel_residual(params, prof):
-        def fn(_):
-            from biharmlab.linearized import translation_kernel_residual
-
-            r = np.geomspace(np.exp(-prof.t_hi + 0.5), np.exp(-prof.t_lo - 0.5), 600)
-            return translation_kernel_residual(prof, r)
-
-        def gate(resid):
-            return None if _within(resid, 1e-6) else \
-                f"translation kernel residual {np.max(resid):.3e} > 1e-6"
-
-        return Op(f"translation_kernel_residual@N{params.N}", fn, gate, "linearized")
-
-    @staticmethod
-    def _fit(params, prof, mode, seed):
-        N, p = params.N, params.p
-        if mode == "points":
-            gamma_w = 0.5 * (4.0 - N)                               # window (4-N, 0)
-        else:
-            gamma_w = 0.5 * (-4.0 / (p - 1.0) + (p - 5.0) / (p - 1.0))  # (-4/(p-1), (p-5)/(p-1))
-
-        def fn(_):
-            from biharmlab.gluing import decay_fit
-
-            return decay_fit(params, prof, EPS_LIST, gamma_w, mode=mode, edge_k=2,
-                             alpha_h=0.5, seed=seed)
-
-        def gate(fit):
-            if not _finite(fit.slope, fit.norms):
-                return "non-finite decay fit"
-            # points: +-0.3 about the nominal; flat edge: the nominal is the
-            # curved-edge rate, an extrapolated target the flat model decays no
-            # slower than, so only the lower side binds
-            off = fit.slope - fit.nominal
-            ok = abs(off) <= 0.3 if mode == "points" else -off <= 0.3
-            return None if ok else f"slope {fit.slope:.3f} vs nominal {fit.nominal:.3f}"
-
-        return Op(f"decay_fit_{mode}@N{N}", fn, gate, "gluing")
-
-
 class BallContinuation:
-    """Four new window points per pass; per point cold kernel builds, a cache read,
-    Picard and blow-up.  Kernel cost depends on N, so passes walk through every N
-    before one repeats."""
+    """BALL_POINTS seeded window points; per point cold kernel builds, a cache
+    read, Picard and blow-up.  The reference set runs the same ops at N = 5..14,
+    f = BALL_REF_F, blow-up at BALL_REF_BLOWUP only.  Every point builds its
+    kernels into a fresh cache directory."""
 
     name = "ball_continuation"
-    calib = "numpy"   # machine-speed gauge the reference op is divided by
-    whole_passes = False
+    calib = "numpy"   # machine-speed gauge the reference set is divided by
 
-    def __init__(self, seed: int, workdir: Path):
+    def __init__(self, seed: int, workdir: Path, traced: bool):
         self.rng = np.random.default_rng(seed)
-        self.dims = shuffled_dims(self.rng)
         self.workdir = workdir
-        self.n_ref = 0
-        self.setup_failures: list[SetupFailure] = []
 
     def setup(self):
         self.workdir.mkdir(parents=True, exist_ok=True)
 
-    def reference(self):
-        """A cold M=320 kernel build at the re-anchor point, in a fresh cache directory."""
-        self.n_ref += 1
-        cold_320 = self._point_ops(*REF_POINT, self.workdir / f"ref{self.n_ref}")[1]
-        cold_320.ref = True
-        return [cold_320]
+    def reference(self, k):
+        ops = []
+        for N in range(5, 15):
+            point = self._point_ops(N, window_p(N, BALL_REF_F), self.workdir / f"ref{k}-N{N}")
+            ops += point if N in BALL_REF_BLOWUP else point[:-1]
+        for op in ops:
+            op.ref = True
+        return ops
 
-    def passes(self):
-        k = 0
-        while True:
-            ops = []
-            for i, (N, p) in enumerate(draw_points(self.rng, 4, self.dims)):
-                ops += self._point_ops(N, p, self.workdir / f"pass{k}-point{i}")
-            yield ops
-            k += 1
+    def seeded(self):
+        return [op for i, (N, p) in enumerate(draw_points(self.rng, BALL_POINTS))
+                for op in self._point_ops(N, p, self.workdir / f"point{i}")]
 
     @staticmethod
     def _point_ops(N, p, cache_dir: Path):
@@ -386,6 +271,46 @@ README_COMMANDS = [
                     "--cache-dir", ".cache"], "report.json"),
 ]
 CLI_KINDS = tuple(k for k, _, _ in README_COMMANDS) + ("verify-all-window",)
+
+
+def _gate_delaunay(res):
+    if not _within(res["max_scaled_residual"], 1e-7):
+        return f"scaled residual {res['max_scaled_residual']:.3e} > 1e-7"
+    if not _within(res["endpoint_rel"], 1e-4):
+        return f"endpoint error {res['endpoint_rel']:.3e} > 1e-4"
+    return None
+
+
+def _gate_modes(rows):
+    summary = rows[-1]
+    exps = [v for e in summary["scan"] for v in e["exponents"].values()]
+    if not summary["scan"] or not _finite(exps):
+        return "non-finite scan exponents"
+    if not _within(summary["translation_kernel_residual"], 1e-6):
+        return f"translation kernel residual {summary['translation_kernel_residual']:.3e} > 1e-6"
+    return None
+
+
+def _gate_auxball(res):
+    if not _within(res["green_oracle_rel"], 1e-4):
+        return f"unit-load error {res['green_oracle_rel']:.3e} > 1e-4"
+    if not _within(res.get("pohozaev_residual", float("nan")), 1e-3):
+        return f"Pohozaev residual {res.get('pohozaev_residual')} > 1e-3"
+    if not _within(res["blowup_tail_exponent"] - res["blowup_tail_nominal"], 0.1):
+        return (f"tail {res['blowup_tail_exponent']:.3f} vs nominal "
+                f"{res['blowup_tail_nominal']:.3f}")
+    return None
+
+
+def _gate_glue(res):
+    if not (_finite(res["norms"]) and _within(res["slope"] - res["nominal"], 0.3)):
+        return f"slope {res['slope']} vs nominal {res['nominal']}"
+    return None
+
+
+# checks of a report's numbers, beyond exit code, finiteness and sha256
+CLI_GATES = {"delaunay": _gate_delaunay, "modes": _gate_modes, "auxball": _gate_auxball,
+             "glue": _gate_glue}
 WARNING_LINE = re.compile(r"^(.+?):(\d+): (\w*Warning): (.*)$", re.MULTILINE)
 
 
@@ -399,61 +324,55 @@ class CliResult:
 
 
 class CliReport:
-    """The README invocations at (10, 2) plus one verify-all at a seeded window point.
+    """The README invocations at (10, 2), in two rounds, as the reference set; one
+    verify-all at a seeded window point as the workload's own op.
 
     Each op is a fresh `python -m biharmlab.cli` process, so every op pays the
-    interpreter start and the package import a user pays.  auxball --blowup
-    and the verify-all runs share one --cache-dir per pass, so verify-all
-    reads kernels that auxball wrote.  A report's sha256 must match every
-    earlier report of the same command line, in this run and in earlier runs
-    in the same checkout (kept in `sha_file`).
+    interpreter start and the package import a user pays.  Each round runs in
+    a directory of its own, where auxball --blowup and verify-all share one
+    --cache-dir, so verify-all reads kernels that auxball wrote; the window
+    verify-all starts from an empty directory.  A report's sha256 must match
+    every earlier report of the same command line in the run, so every run
+    checks that each command prints the same bytes twice.  A traced run
+    executes each op plain and traced, which already runs every command
+    twice, so it takes one round.
     """
 
     name = "cli_report"
-    calib = "ode"   # machine-speed gauge the reference op is divided by
-    whole_passes = True
+    calib = "spawn"   # machine-speed gauge the reference set is divided by
 
-    def __init__(self, seed: int, workdir: Path):
+    def __init__(self, seed: int, workdir: Path, traced: bool):
         rng = np.random.default_rng(seed)
         N = int(rng.integers(5, 15))
         self.seed = seed
         self.window = (N, window_p(N, float(rng.uniform(0.02, 0.98))))
         self.workdir = workdir
-        self.sha_file = workdir.parent / "cli_sha256.json"
-        self.setup_failures: list[SetupFailure] = []
+        self.rounds = 1 if traced else 2
         self.root = Path(__file__).resolve().parent.parent
+        self.known = {}   # command line -> sha256 of its first report
 
     def setup(self):
         self.workdir.mkdir(parents=True, exist_ok=True)
-        self.known = json.loads(self.sha_file.read_text()) if self.sha_file.exists() else {}
-        self.loaded = dict(self.known)
 
-    def commands(self):
+    def seeded(self):
         N, p = self.window
-        window = ("verify-all-window", ["verify-all", "--N", str(N), "--p", repr(p),
-                                        "--out", "report-window.json", "--cache-dir", ".cache"],
-                  "report-window.json")
-        return [(kind, args + ["--seed", str(self.seed)], out)
-                for kind, args, out in README_COMMANDS + [window]]
+        args = ["verify-all", "--N", str(N), "--p", repr(p), "--out", "report-window.json",
+                "--cache-dir", ".cache", "--seed", str(self.seed)]
+        return [self._op("verify-all-window", args, "report-window.json", self.workdir / "window")]
 
-    def passes(self):
-        k = 0
-        while True:
-            cwd = self.workdir / f"pass{k}"
-            cwd.mkdir(parents=True, exist_ok=True)
-            yield [self._op(kind, args, out, cwd) for kind, args, out in self.commands()]
-            k += 1
+    def reference(self, k):
+        return [self._op(kind, args + ["--seed", str(self.seed)], out,
+                         self.workdir / f"round{r}", ref=True)
+                for r in range(k * self.rounds, (k + 1) * self.rounds)
+                for kind, args, out in README_COMMANDS]
 
-    def reference(self):
-        return []   # the README commands run at (10, 2) inside every pass
-
-    def _op(self, kind, args, out, cwd: Path):
+    def _op(self, kind, args, out, cwd: Path, ref=False):
         env = dict(os.environ, PYTHONPATH=str(self.root / "src"))
         launcher = str(self.root / "bench" / "cli_launch.py")
 
         def fn(tracer):
             run_dir = cwd / ("traced" if tracer is not None else "plain")
-            run_dir.mkdir(exist_ok=True)
+            run_dir.mkdir(parents=True, exist_ok=True)
             spans_file = run_dir / f"spans-{kind}.json"
             if tracer is None:
                 cmd = [sys.executable, "-m", "biharmlab.cli", *args]
@@ -484,23 +403,22 @@ class CliReport:
                 raise ValueError(f"non-finite {tok}")
 
             try:
-                json.loads(report, parse_constant=reject)
+                parsed = json.loads(report, parse_constant=reject)
             except ValueError as exc:
                 return f"report unreadable: {exc}"
-            key = " ".join(args)
+            if kind in CLI_GATES:
+                try:
+                    reason = CLI_GATES[kind](parsed["results"])
+                except (KeyError, IndexError, TypeError) as exc:
+                    reason = f"report lacks {exc!r}"
+                if reason is not None:
+                    return reason
             digest = hashlib.sha256(report).hexdigest()
-            if self.known.setdefault(key, digest) != digest:
-                return "report sha256 differs from an earlier run"
+            if self.known.setdefault(" ".join(args), digest) != digest:
+                return "report sha256 differs from an earlier run of the command"
             return None
 
-        return Op(kind, fn, gate, "cli", in_process=False, ref=kind != "verify-all-window")
-
-    def close(self):
-        if self.known == self.loaded:
-            return
-        tmp = self.sha_file.with_suffix(".tmp")
-        tmp.write_text(json.dumps(self.known, indent=1, sort_keys=True))
-        tmp.replace(self.sha_file)
+        return Op(kind, fn, gate, "cli", in_process=False, ref=ref)
 
 
-WORKLOADS = {w.name: w for w in (WindowSweep, ModeScan, BallContinuation, CliReport)}
+WORKLOADS = {w.name: w for w in (WindowSweep, BallContinuation, CliReport)}
