@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--xi-points", type=int, default=100)
     sp.set_defaults(fn=cmd_symbol)
 
-    sp = sub.add_parser("delaunay", help="singular radial profile by shooting")
+    sp = sub.add_parser("delaunay", help="singular radial profile by gauged collocation")
     common(sp)
     sp.add_argument("--beta", type=float, default=1.0)
     sp.add_argument("--tol", type=float, default=1e-4)

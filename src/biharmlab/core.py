@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
+import numpy as np
+
 __all__ = [
     "Params",
     "EmdenCoeffs",
@@ -33,6 +35,7 @@ __all__ = [
     "k_of",
     "validate_params",
     "emden_coeffs",
+    "equilibrium_spectrum",
     "special_exponents",
 ]
 
@@ -194,6 +197,16 @@ def emden_coeffs(params: Params) -> EmdenCoeffs:
         f"K0={K0} disagrees with k(p,N)={params.k_const}"
     )
     return EmdenCoeffs(K0=K0, K1=K1, K2=K2, K3=K3)
+
+
+def equilibrium_spectrum(coeffs: EmdenCoeffs, p: float) -> np.ndarray:
+    """Rates of the Emden-Fowler linearization at the equilibrium ubar = c_p.
+
+    Roots of lambda^4 + K3 lambda^3 + K2 lambda^2 + K1 lambda + (1-p) K0,
+    in numpy.roots order: one unstable rate and three stable ones (a complex
+    pair wherever the j=0 indicial pair is complex).
+    """
+    return np.roots([1.0, coeffs.K3, coeffs.K2, coeffs.K1, (1.0 - p) * coeffs.K0])
 
 
 @dataclass(frozen=True)

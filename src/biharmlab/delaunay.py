@@ -1,4 +1,4 @@
-"""Singular radial profile of Delta^2 u = u^p via Emden-Fowler shooting.
+"""Singular radial profile of Delta^2 u = u^p as an Emden-Fowler heteroclinic.
 
 In the coordinates t = log r, ubar(t) = r^{-4/(p-1)} u(1/r), the radial
 equation becomes the autonomous system
@@ -11,16 +11,21 @@ and the singular profile is the heteroclinic orbit connecting the origin
 rates mu_slow = N-4-4/(p-1) and mu_fast = N-2-4/(p-1); the slow amplitude
 is exactly the far-field coefficient beta of r^{N-4} u(r).
 
-Solution strategy (the connection is the common boundary of the overshoot
-and undershoot basins, so a single bracket suffices):
+Solution strategy (one collocation boundary-value solve):
 
-1. seed on the linearized unstable manifold at offset h = 1e-6 c_p along
-   the slow eigenvector, with the fast amplitude s as shooting parameter;
-2. classify orbits via terminal events (ubar reaching B_max = overshoot,
-   ubar crossing zero = undershoot) and bisect s;
-3. polish with a collocation boundary-value pass on [t_left, t_arr + tail]
-   whose boundary conditions kill the stable components on the left, pin
-   the slow amplitude, and kill the unstable component at the c_p end.
+1. rescale the state by the logistic gauge D(t) = c_p w/(1+w),
+   w = (h/c_p) e^{mu_slow t} with h = 1e-6 c_p, so the unknown z = y/D is
+   O(1) from the far-field tail to the c_p plateau and the collocation error
+   control is relative everywhere;
+2. start Newton from the logistic transition itself, y = D (so
+   z_k = D^(k)/D), on [t_left, t_cross + tail] where t_cross is the time
+   the gauge reaches c_p/2;
+3. impose boundary conditions that kill the two stable components at the
+   origin and pin the slow amplitude to h on the left, and kill the unstable
+   component at c_p on the right.
+
+`shoot_once` is kept as a standalone overshoot/undershoot classifier of
+single orbits seeded on the unstable manifold; the solver does not use it.
 
 The approach to c_p is oscillatory (the j=0 indicial pair is complex), so
 convergence is always measured through the full state distance.
@@ -35,7 +40,7 @@ import numpy as np
 from scipy.integrate import simpson, solve_bvp, solve_ivp
 from scipy.interpolate import BPoly
 
-from .core import EmdenCoeffs, Params, emden_coeffs
+from .core import EmdenCoeffs, Params, emden_coeffs, equilibrium_spectrum
 from .cutoff import annulus_bump
 from .radial import bilap_radial, dlap_radial, lap_radial
 
@@ -58,7 +63,7 @@ __all__ = [
     "import_profile",
 ]
 
-H_REL = 1e-6          # unstable-manifold offset, relative to c_p
+H_REL = 1e-6          # slow amplitude at the anchor frame's t = 0, relative to c_p
 BVP_TOL = 3e-9        # collocation tolerance of the polish pass
 MAX_BVP_NODES = 120000
 
@@ -68,7 +73,7 @@ class ProfileRangeError(ValueError):
 
 
 class ShootingError(RuntimeError):
-    """Bracket or bisection failure in the shooting stage."""
+    """Failure of the profile solve; the message names the stage that failed."""
 
 
 def _eigvec(m: float) -> np.ndarray:
@@ -208,7 +213,7 @@ class RadialProfile:
 
 
 # ---------------------------------------------------------------------------
-# shooting stage
+# single-shot classifier
 # ---------------------------------------------------------------------------
 
 def _rhs_factory(coeffs: EmdenCoeffs, p: float):
@@ -254,7 +259,7 @@ def shoot_once(params: Params, coeffs: EmdenCoeffs, amp_slow: float, s: float,
     if sol.t_events[1].size:
         return ShotOutcome("undershoot", float(sol.t_events[1][0]), sol.y_events[1][0]), sol
     # no escape within t_max: check dwell near the equilibrium
-    lam = np.roots([1.0, coeffs.K3, coeffs.K2, coeffs.K1, (1.0 - p) * coeffs.K0])
+    lam = equilibrium_spectrum(coeffs, p)
     slowest = min(abs(l.real) for l in lam if l.real < 0)
     dwell = 5.0 / slowest
     tt = np.linspace(max(0.0, t_max - dwell), t_max, 201)
@@ -263,41 +268,8 @@ def shoot_once(params: Params, coeffs: EmdenCoeffs, amp_slow: float, s: float,
     return ShotOutcome(cls, float(sol.t[-1]), sol.y[:, -1]), sol
 
 
-def _bisect_bracket(params, coeffs, amp_slow, max_bisect):
-    lo, hi = -0.5 * amp_slow, 0.5 * amp_slow
-    out_lo, sol_lo = shoot_once(params, coeffs, amp_slow, lo)
-    out_hi, sol_hi = shoot_once(params, coeffs, amp_slow, hi)
-    widen = 0
-    while out_lo.classification == out_hi.classification:
-        lo *= 2.0
-        hi *= 2.0
-        widen += 1
-        if widen > 20:
-            raise ShootingError(
-                "no overshoot/undershoot sign change within the shooting parameter range"
-            )
-        out_lo, sol_lo = shoot_once(params, coeffs, amp_slow, lo)
-        out_hi, sol_hi = shoot_once(params, coeffs, amp_slow, hi)
-    best = None
-    for it in range(max_bisect):
-        mid = 0.5 * (lo + hi)
-        out_m, sol_m = shoot_once(params, coeffs, amp_slow, mid)
-        best = (mid, out_m, sol_m)
-        if out_m.classification == "converged":
-            break
-        if out_m.classification == out_lo.classification:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * np.spacing(max(abs(lo), abs(hi))):
-            break
-    else:
-        raise ShootingError(f"bisection did not resolve the bracket in {max_bisect} steps")
-    return best, it + 1
-
-
 # ---------------------------------------------------------------------------
-# collocation polish
+# gauged collocation
 # ---------------------------------------------------------------------------
 
 class _ScaledSpline:
@@ -335,9 +307,8 @@ class _ScaledSplineDeriv:
         return dD * p._z(t) + D * p._dz(t)
 
 
-def _bvp_polish(params, coeffs, amp_anchor, t_left_pad, shot_sol, s_star, t_off,
-                t_tail, tol_bvp):
-    """Boundary-value refinement of the bisected orbit, in gauged variables.
+def _bvp_polish(params, coeffs, amp_anchor, t_left_pad, t_tail, tol_bvp):
+    """Collocation solve of the connection, in gauged variables.
 
     The unknown is z = y / D(t) with D(t) = c_p w/(1+w), w = (h/c_p) e^{mu_s t},
     which is O(1) from the deep tail to the plateau; the collocation error
@@ -347,9 +318,9 @@ def _bvp_polish(params, coeffs, amp_anchor, t_left_pad, shot_sol, s_star, t_off,
     eigen-components vanish and the slow component equals the manifold
     amplitude; right boundary: the unstable eigen-component at c_p vanishes.
 
-    The anchor frame puts slow amplitude amp_anchor at t = 0; the shooting
-    orbit may have been seeded at a larger amplitude and lives at the frame
-    offset t_off >= 0 (shot time 0 corresponds to frame time t_off).
+    The anchor frame puts slow amplitude amp_anchor at t = 0.  Newton starts
+    from the smooth logistic transition y = D itself: the gauged system is
+    well-conditioned enough to converge from it.
     """
     p = params.p
     cp = params.c_p
@@ -363,18 +334,12 @@ def _bvp_polish(params, coeffs, amp_anchor, t_left_pad, shot_sol, s_star, t_off,
         _eigvec(-2.0 - params.singular_rate),
     ])
     V0inv = np.linalg.inv(V0)
-    lam = np.roots([1.0, K3, K2, K1, (1.0 - p) * K0])
+    lam = equilibrium_spectrum(coeffs, p)
     iu = int(np.argmax(lam.real))
     W = np.column_stack([_eigvec(l) for l in lam])
     w_u = np.linalg.inv(W)[iu].real
     w_u /= np.linalg.norm(w_u)
     rate_slowest = min(abs(l.real) for l in lam if l.real < 0)
-
-    # arrival time at the equilibrium neighborhood (frame time)
-    tt = np.linspace(shot_sol.t[0], shot_sol.t[-1], 4000)
-    dist = np.linalg.norm(shot_sol.sol(tt) - xstar[:, None], axis=0) / cp
-    i_arr = int(np.argmin(dist))
-    dist_arr = float(dist[i_arr])
 
     w0 = amp_anchor / cp
 
@@ -382,51 +347,21 @@ def _bvp_polish(params, coeffs, amp_anchor, t_left_pad, shot_sol, s_star, t_off,
         w = w0 * np.exp(mu_s * np.asarray(t, dtype=float))
         return cp * w / (1.0 + w), w
 
-    if dist_arr <= 0.2:
-        # shot-based guess: left linear-tail pad, orbit, spiral-decay pad
-        t_arr = float(tt[i_arr]) + t_off
-        need = math.log(max(dist_arr, 1e-3) / 5e-6) / rate_slowest
-        t_end = t_arr + max(t_tail, need)
-        n_orbit = 600
-        tg = []
-        if t_left_pad > 0:
-            tg.append(np.linspace(-t_left_pad, 0.0, max(8, int(4 * t_left_pad)), endpoint=False))
-        if t_off > 0:
-            tg.append(np.linspace(0.0, t_off, max(8, int(4 * t_off)), endpoint=False))
-        tg.append(np.linspace(t_off, t_arr, n_orbit, endpoint=False))
-        tg.append(np.linspace(t_arr, t_end, 260))
-        tg = np.concatenate(tg)
-        yg = np.empty((4, tg.size))
-        inside = (tg >= t_off) & (tg <= t_arr)
-        yg[:, inside] = shot_sol.sol(tg[inside] - t_off)
-        left = tg < t_off
-        if np.any(left):
-            for k in range(4):
-                yg[k, left] = (amp_anchor * _eigvec(params.slow_rate)[k]
-                               * np.exp(params.slow_rate * tg[left])
-                               + s_star * _eigvec(params.fast_rate)[k]
-                               * np.exp(params.fast_rate * (tg[left] - t_off)))
-        right = tg > t_arr
-        y_arr = shot_sol.sol(t_arr - t_off)
-        for k in range(4):
-            yg[k, right] = xstar[k] + (y_arr[k] - xstar[k]) * np.exp(-rate_slowest * (tg[right] - t_arr))
-        zg = yg / gauge(tg)[0][None, :]
-    else:
-        # strongly repelling spirals defeat double-precision shooting before
-        # the orbit parks; the gauged system is well-conditioned enough that
-        # Newton converges from the smooth logistic transition itself
-        t_cross = math.log(1.0 / w0) / mu_s
-        t_arr = t_cross + 3.0 / rate_slowest
-        need = math.log(1.0 / 5e-6) / rate_slowest
-        t_end = t_cross + max(t_tail, need)
-        tg = np.linspace(-t_left_pad, t_end, 1600)
-        _, w = gauge(tg)
-        zg = np.vstack([
-            np.ones_like(tg),
-            mu_s / (1.0 + w),
-            mu_s**2 * (1.0 - w) / (1.0 + w) ** 2,
-            mu_s**3 * (1.0 - 4.0 * w + w * w) / (1.0 + w) ** 3,
-        ])
+    # the gauge crosses c_p/2 at t_cross; the window runs on until the slowest
+    # stable decay at c_p has had time to shrink an O(1) deviation to 5e-6
+    # (or t_tail, if longer); t_arr marks three of its e-foldings past t_cross
+    t_cross = math.log(1.0 / w0) / mu_s
+    t_arr = t_cross + 3.0 / rate_slowest
+    need = math.log(1.0 / 5e-6) / rate_slowest
+    t_end = t_cross + max(t_tail, need)
+    tg = np.linspace(-t_left_pad, t_end, 1600)
+    _, w = gauge(tg)
+    zg = np.vstack([
+        np.ones_like(tg),
+        mu_s / (1.0 + w),
+        mu_s**2 * (1.0 - w) / (1.0 + w) ** 2,
+        mu_s**3 * (1.0 - 4.0 * w + w * w) / (1.0 + w) ** 3,
+    ])
 
     def fun(t, z):
         D, w = gauge(t)
@@ -467,20 +402,24 @@ def _bvp_polish(params, coeffs, amp_anchor, t_left_pad, shot_sol, s_star, t_off,
         dyb[3] = w_u * float(D_right) / cp
         return dya, dyb
 
-    res = solve_bvp(fun, bc, tg, zg, fun_jac=fun_jac, bc_jac=bc_jac,
-                    tol=tol_bvp, max_nodes=MAX_BVP_NODES)
+    try:
+        res = solve_bvp(fun, bc, tg, zg, fun_jac=fun_jac, bc_jac=bc_jac,
+                        tol=tol_bvp, max_nodes=MAX_BVP_NODES)
+    except ValueError as exc:  # mesh refinement collapsed nodes
+        raise ShootingError(f"collocation polish: {exc}") from exc
     return res, t_arr, _ScaledSpline(res.sol, cp, w0, mu_s)
 
 
 def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4,
-                   t_left: float | None = None, t_tail: float = 16.0,
-                   max_bisect: int = 200) -> RadialProfile:
+                   t_left: float | None = None, t_tail: float = 16.0) -> RadialProfile:
     """Compute the singular radial profile with far-field coefficient beta.
 
     tol controls the asymptotic-fit guarantees at both ends of the window
-    (it must exceed the 1e-6 manifold-truncation floor of the left seed);
+    (it must exceed the 1e-6 manifold-truncation floor of the left boundary
+    condition);
     the ODE-residual quality is fixed by the collocation tolerance and is
-    reported in profile.diagnostics.
+    reported in profile.diagnostics.  Every gate fails on NaN, so a solve
+    either meets them or raises ShootingError naming the stage.
     """
     if beta <= 0.0:
         raise ValueError(f"beta={beta} must be positive")
@@ -488,15 +427,6 @@ def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4,
         raise ValueError(f"tol={tol} below the manifold-truncation floor ~2e-6")
     coeffs = emden_coeffs(params)
     h = H_REL * params.c_p
-
-    # Bisection amplitude: double-precision tuning of the fast coefficient
-    # drifts by e^{(mu_f - mu_s) T} over the transit T ~ log(c_p/h)/mu_s, so
-    # slow-rate parameter points must shoot from a larger seed; the gauged
-    # collocation pass then re-anchors the slow amplitude at h.
-    kappa = params.slow_rate / (params.fast_rate - params.slow_rate)
-    h_shoot = params.c_p * min(1e-2, max(H_REL, math.exp(-30.0 * kappa)))
-    (s_star, outcome, shot_sol), n_bisect = _bisect_bracket(params, coeffs, h_shoot, max_bisect)
-    t_off = math.log(h_shoot / h) / params.slow_rate
 
     # anchor frame: slow amplitude h at t = 0, shifted to the requested beta after
     t0_frame = math.log(h / beta) / params.slow_rate  # canonical time of the anchor point
@@ -509,22 +439,23 @@ def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4,
     # fit meets the contract (near-resonant parameter points need extra room).
     pad_extra = 0.0
     for _ in range(4):
-        res, t_arr, ysol = _bvp_polish(params, coeffs, h, pad + pad_extra, shot_sol,
-                                       s_star, t_off, t_tail, BVP_TOL)
+        res, t_arr, ysol = _bvp_polish(params, coeffs, h, pad + pad_extra, t_tail, BVP_TOL)
         if res.status != 0:
             grid_res = float(np.max(res.rms_residuals)) if res.rms_residuals.size else math.inf
-            if grid_res > 1e-7:
+            if not (grid_res <= 1e-7):
                 raise ShootingError(f"collocation polish failed: {res.message} (rms {grid_res:.2e})")
         t_l = float(res.x[0])
         beta_fit_rel = abs(float(ysol(t_l)[0]) * math.exp(-params.slow_rate * t_l) / h - 1.0)
         if beta_fit_rel <= 0.9 * tol:
             break
+        if not math.isfinite(beta_fit_rel):
+            raise ShootingError(f"far-field fit: coefficient error is {beta_fit_rel}")
         pad_extra += math.log(beta_fit_rel / (0.3 * tol)) / (params.fast_rate - params.slow_rate)
     else:
-        raise ShootingError(f"far-field coefficient off by {beta_fit_rel:.2e} > tol")
+        raise ShootingError(f"far-field fit: coefficient off by {beta_fit_rel:.2e} > tol")
     endpoint_rel = float(abs(ysol(res.x[-1])[0] - params.c_p) / params.c_p)
-    if endpoint_rel > tol:
-        raise ShootingError(f"c_p endpoint off by {endpoint_rel:.2e} > tol")
+    if not (endpoint_rel <= tol):
+        raise ShootingError(f"c_p endpoint: off by {endpoint_rel:.2e} > tol")
 
     prof = RadialProfile(
         params=params,
@@ -535,8 +466,9 @@ def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4,
         _dsol=ysol.derivative(),
         t_shift=0.0,
         diagnostics={
-            "bisections": n_bisect,
-            "s_star": s_star,
+            # always 0: the solver no longer shoots or bisects.  The key stays
+            # because the CLI report and bench/tracing.py read it.
+            "bisections": 0,
             "bvp_nodes": int(res.x.size),
             "bvp_rms": float(np.max(res.rms_residuals)),
             "t_arrival": t_arr,

@@ -202,8 +202,3 @@ def weight_window(params: Params) -> WeightWindow:
         )
     return WeightWindow(nu_lo=nu_lo, nu_hi=nu_hi, mu_lo=mu_lo, nu=nu, mu=mu)
 
-
-def roots_grid_scan(params: Params, A_values: np.ndarray, j: int = 0) -> list[tuple[complex, ...]]:
-    """Root families along a scan of potential strengths A (continuity checks)."""
-    lam = sphere_eigenvalue(j, params.N)
-    return [indicial_roots_for(params.N, lam, float(A)) for A in A_values]

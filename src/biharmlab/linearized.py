@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
-from .core import Params
+from .core import Params, equilibrium_spectrum
 from .delaunay import ProfileRangeError, RadialProfile
 from .indicial import indicial_polynomial, indicial_roots, sphere_eigenvalue
 
@@ -101,7 +101,7 @@ def _stable_pair_amplitude(profile: RadialProfile):
     last stretch of the computed window.
     """
     par, K = profile.params, profile.coeffs
-    lam = np.roots([1.0, K.K3, K.K2, K.K1, (1.0 - par.p) * K.K0])
+    lam = equilibrium_spectrum(K, par.p)
     stable = [l for l in lam if l.real < 0]
     lam_s = max(stable, key=lambda l: l.real)
     t1 = profile.t_hi

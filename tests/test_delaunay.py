@@ -1,21 +1,27 @@
 """Singular-profile construction: endpoint asymptotics, residuals, identities.
 
-The session profile (beta = 1, window [-16, ~21]) is shared; tests that
+The session profile (beta = 1, window [-18, ~24.6]) is shared; tests that
 need a different frame build cheap shifted copies.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
-from biharmlab.delaunay import (ProfileRangeError, dissipation_check, energy,
-                                export_profile, hamiltonian, import_profile,
-                                kelvin_transform, monotonicity_report,
-                                normalize_small_tail, scale_to_beta,
-                                shoot_once, solve_singular)
+import biharmlab
+from biharmlab import delaunay
+from biharmlab.core import validate_params
+from biharmlab.delaunay import (ProfileRangeError, ShootingError,
+                                dissipation_check, energy, export_profile,
+                                hamiltonian, import_profile, kelvin_transform,
+                                monotonicity_report, normalize_small_tail,
+                                scale_to_beta, shoot_once, solve_singular)
 
 
 def test_endpoint_convergence(params10, profile10):
@@ -227,3 +233,58 @@ def test_range_errors(profile10):
         profile10.r_view(np.array([1e12]))
     with pytest.raises(ProfileRangeError):
         profile10.ensure_covers(1e-12, 1.0)
+
+
+def test_solver_never_shoots(monkeypatch, params10):
+    def no_shot(*args, **kwargs):
+        raise AssertionError("solve_singular called shoot_once")
+
+    monkeypatch.setattr(delaunay, "shoot_once", no_shot)
+    prof = solve_singular(params10, beta=1.0, tol=1e-4)
+    assert prof.diagnostics["bisections"] == 0
+    assert "s_star" not in prof.diagnostics
+
+
+def _window_p(N, f):
+    lo, hi = N / (N - 4.0), (N + 4.0) / (N - 4.0)
+    return lo + f * (hi - lo)
+
+
+@pytest.mark.parametrize("N", [5, 8, 11, 14])
+def test_window_points(N):
+    # f = 0.25 for even N and 0.75 for odd N covers both halves of the window
+    tol = 1e-4
+    prof = solve_singular(validate_params(N, _window_p(N, 0.25 if N % 2 == 0 else 0.75)),
+                          beta=1.0, tol=tol)
+    tt = np.linspace(prof.t_lo + 0.1, prof.t_hi - 0.1, 4001)
+    assert float(np.max(prof.scaled_residual(tt))) <= 1e-7
+    assert prof.diagnostics["endpoint_rel"] <= tol
+    assert prof.diagnostics["beta_fit_rel"] <= tol
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("p", [2.32, 2.30])
+def test_near_sobolev_raises_typed_error(p):
+    # the logistic gauge overflows on the long tail these points need; the
+    # NaN it produces must fail the gates instead of reaching the profile
+    with pytest.raises(ShootingError, match="collocation polish"):
+        solve_singular(validate_params(10, p), beta=1.0, tol=1e-4)
+
+
+def test_mesh_collapse_raises_typed_error(monkeypatch, params10):
+    def collapsed(*args, **kwargs):
+        raise ValueError("`x` must be strictly increasing or decreasing.")
+
+    monkeypatch.setattr(delaunay, "solve_bvp", collapsed)
+    with pytest.raises(ShootingError, match="collocation polish: `x` must be strictly"):
+        solve_singular(params10, beta=1.0, tol=1e-4)
+
+
+def test_cli_reports_solver_failure_without_traceback():
+    src = os.path.dirname(os.path.dirname(biharmlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "biharmlab.cli", "delaunay", "--N", "10",
+                           "--p", "2.32"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error: collocation polish" in proc.stderr
