@@ -6,7 +6,8 @@ All sampled quantities take their randomness from --seed, and reports carry
 no timestamps, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 verification failure (a PASS-expected check failed),
-2 usage error.
+2 usage error, 3 numerical failure (a solver raised ShootingError naming the
+stage that failed).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import emden_coeffs, special_exponents, validate_params
+from .core import ShootingError, emden_coeffs, origin_spectrum, special_exponents, validate_params
 from .indicial import indicial_roots, verify_ordering, weight_window
 
 DEFAULT_EPS = "0.125,0.0625,0.03125,0.015625,0.0078125"
@@ -95,7 +96,7 @@ def cmd_constants(args) -> int:
         "serrin": sp.serrin, "sobolev": sp.sobolev,
         "p0": sp.p0, "p1_plus": sp.p1_plus, "p1_minus": sp.p1_minus,
         "p2_plus": sp.p2_plus, "p2_minus": sp.p2_minus,
-        "char_roots": sorted(np.roots([1.0, K.K3, K.K2, K.K1, K.K0]).real.tolist()),
+        "char_roots": sorted(origin_spectrum(K).real.tolist()),
     }
     emit(_config_echo(args, ["N", "p", "format", "out"]), results, args)
     return 0
@@ -146,7 +147,7 @@ def cmd_delaunay(args) -> int:
     from .delaunay import export_profile, monotonicity_report, solve_singular
 
     params = validate_params(args.N, args.p)
-    prof = solve_singular(params, beta=args.beta, tol=args.tol, t_left=args.t_left)
+    prof = solve_singular(params, beta=args.beta, tol=args.tol)
     rep = monotonicity_report(prof)
     tt = np.linspace(prof.t_lo + 0.2, prof.t_hi - 0.2, 4001)
     results = {
@@ -179,7 +180,7 @@ def cmd_modes(args) -> int:
     for j in range(args.jmax + 1):
         C, Cbar = quadratic_certificates(params, j)
         rows.append({"j": j, "C": C, "Cbar": Cbar, "certified": bool(Cbar < 1.0 and j >= 2)})
-    prof = solve_singular(params, beta=args.beta, tol=args.tol, t_tail=22.0)
+    prof = solve_singular(params, beta=args.beta, tol=args.tol)
     r = np.geomspace(np.exp(-prof.t_hi + 0.5), np.exp(-prof.t_lo - 0.5), 400)
     resid = float(np.max(translation_kernel_residual(prof, r)))
     scan = injectivity_scan(params, prof, range(0, min(args.jmax, 4) + 1))
@@ -234,8 +235,7 @@ def cmd_glue(args) -> int:
 
     params = validate_params(args.N, args.p)
     eps_list = [float(tok) for tok in args.eps_list.split(",")]
-    prof = solve_singular(params, beta=1.0, tol=args.tol,
-                          t_left=np.log(min(eps_list) / 4.0))
+    prof = solve_singular(params, beta=1.0, tol=args.tol)
     fit = decay_fit(params, prof, eps_list, args.gamma_w, mode=args.mode,
                     edge_k=args.k, seed=args.seed)
     results = {
@@ -302,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--beta", type=float, default=1.0)
     sp.add_argument("--tol", type=float, default=1e-4)
-    sp.add_argument("--t-left", type=float, default=None)
     sp.add_argument("--profile-out", default=None)
     sp.set_defaults(fn=cmd_delaunay)
 
@@ -350,7 +349,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return 3 if isinstance(exc, ShootingError) else 2
 
 
 if __name__ == "__main__":

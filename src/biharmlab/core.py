@@ -29,15 +29,24 @@ import numpy as np
 __all__ = [
     "Params",
     "EmdenCoeffs",
+    "ShootingError",
     "SpecialExponents",
     "serrin_exponent",
     "sobolev_exponent",
     "k_of",
     "validate_params",
     "emden_coeffs",
+    "origin_spectrum",
     "equilibrium_spectrum",
     "special_exponents",
 ]
+
+
+class ShootingError(RuntimeError):
+    """Failure of the profile solve; the message names the stage that failed.
+
+    Lives here so the CLI maps it to an exit code without importing scipy.
+    """
 
 
 def serrin_exponent(N: int) -> float:
@@ -197,6 +206,11 @@ def emden_coeffs(params: Params) -> EmdenCoeffs:
         f"K0={K0} disagrees with k(p,N)={params.k_const}"
     )
     return EmdenCoeffs(K0=K0, K1=K1, K2=K2, K3=K3)
+
+
+def origin_spectrum(coeffs: EmdenCoeffs) -> np.ndarray:
+    """Rates at the origin ubar = 0: roots of the characteristic polynomial, numpy.roots order."""
+    return np.roots([1.0, coeffs.K3, coeffs.K2, coeffs.K1, coeffs.K0])
 
 
 def equilibrium_spectrum(coeffs: EmdenCoeffs, p: float) -> np.ndarray:

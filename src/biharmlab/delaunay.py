@@ -18,11 +18,17 @@ Solution strategy (one collocation boundary-value solve):
    O(1) from the far-field tail to the c_p plateau and the collocation error
    control is relative everywhere;
 2. start Newton from the logistic transition itself, y = D (so
-   z_k = D^(k)/D), on [t_left, t_cross + tail] where t_cross is the time
+   z_k = D^(k)/D), on [-pad, t_cross + tail] where t_cross is the time
    the gauge reaches c_p/2;
 3. impose boundary conditions that kill the two stable components at the
    origin and pin the slow amplitude to h on the left, and kill the unstable
    component at c_p on the right.
+
+The profile is defined on all of R: the collocation spline on the mesh
+[t_lo, t_hi]; before t_lo the origin's unstable manifold (slow and fast
+modes plus the first nonlinear term); past t_hi c_p plus the stable modes
+at c_p.  The tails are the eigen-projections the boundary conditions impose,
+taken from the end states, so an imported profile has them too.
 
 `shoot_once` is kept as a standalone overshoot/undershoot classifier of
 single orbits seeded on the unstable manifold; the solver does not use it.
@@ -39,8 +45,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.integrate import simpson, solve_bvp, solve_ivp
 from scipy.interpolate import BPoly
+from scipy.special import exprel
 
-from .core import EmdenCoeffs, Params, emden_coeffs, equilibrium_spectrum
+from .core import EmdenCoeffs, Params, ShootingError, emden_coeffs, equilibrium_spectrum
 from .cutoff import annulus_bump
 from .radial import bilap_radial, dlap_radial, lap_radial
 
@@ -48,7 +55,6 @@ __all__ = [
     "RadialProfile",
     "RadialView",
     "ShotOutcome",
-    "ProfileRangeError",
     "ShootingError",
     "solve_singular",
     "shoot_once",
@@ -66,18 +72,57 @@ __all__ = [
 H_REL = 1e-6          # slow amplitude at the anchor frame's t = 0, relative to c_p
 BVP_TOL = 3e-9        # collocation tolerance of the polish pass
 MAX_BVP_NODES = 120000
-
-
-class ProfileRangeError(ValueError):
-    """Evaluation outside the computed orbit; re-solve with a wider window."""
-
-
-class ShootingError(RuntimeError):
-    """Failure of the profile solve; the message names the stage that failed."""
+TAIL = 16.0           # least mesh length past the gauge's c_p/2 crossing
 
 
 def _eigvec(m: float) -> np.ndarray:
     return np.array([1.0, m, m * m, m**3])
+
+
+def _eigbasis(rates) -> np.ndarray:
+    """Columns v(lam) = (1, lam, lam^2, lam^3): the states of the modes e^{lam t}."""
+    return np.column_stack([_eigvec(l) for l in rates])
+
+
+def _origin_rates(params: Params) -> np.ndarray:
+    """Rates at the origin: slow and fast (unstable), then the stable pair."""
+    a = params.singular_rate
+    return np.array([params.slow_rate, params.fast_rate, -a, -2.0 - a])
+
+
+def _divided_differences(a: float, b: float, d) -> np.ndarray:
+    """[x^k e^{x d}] over the nodes a, b for k = 0..4, shape (5, m); finite at a = b."""
+    lo, hi = min(a, b), max(a, b)
+    ea = np.exp(a * d)
+    dd = np.exp(lo * d) * d * exprel((hi - lo) * d)  # (e^{ad} - e^{bd}) / (a - b)
+    out, h = [], 0.0  # h = (a^k - b^k) / (a - b)
+    for k in range(5):
+        out.append(h * ea + b**k * dd)
+        h = a * h + b**k
+    return np.array(out)
+
+
+class _ModeTail:
+    """The state past a mesh end s0: base + Re sum_k c_k e^{lam_k d} v(lam_k), d = s - s0.
+
+    amp != 0 adds the origin's first nonlinear term: the slow mode c_s e^{mu_s d}
+    forces (c_s e^{mu_s d})^p, answered by amp = c_s^p / Q(a) times the divided
+    differences over a = p mu_s and b = mu_f, where Q(x) = P(x)/(x - mu_f).
+    They stay finite at the resonance a = b, where (N, p) = (10, 2) sits.
+    """
+
+    def __init__(self, s0, base, lam, c, amp=0.0, a=0.0, b=0.0):
+        self.s0, self.base, self.lam, self.c = s0, base, lam, c
+        self.amp, self.a, self.b = amp, a, b
+        self._V = _eigbasis(lam)
+
+    def __call__(self, s, deriv: bool = False) -> np.ndarray:
+        d = np.asarray(s) - self.s0
+        c = self.c * self.lam if deriv else self.c
+        y = (self._V @ (c[:, None] * np.exp(np.outer(self.lam, d)))).real
+        if self.amp:
+            y += self.amp * _divided_differences(self.a, self.b, d)[int(deriv):int(deriv) + 4]
+        return y if deriv else y + self.base[:, None]
 
 
 @dataclass(frozen=True)
@@ -106,12 +151,14 @@ class RadialView:
 
 @dataclass
 class RadialProfile:
-    """Sampled connecting orbit with spline evaluation in both coordinates.
+    """Connecting orbit on all of R: spline on the mesh, mode tails beyond it.
 
     The stored interpolant lives in a fixed internal frame; `t_shift`
     realizes dilations (time translations), so `ubar(t)` evaluates the
     interpolant at t + t_shift.  beta is the slow-mode amplitude in the
     *current* frame: ubar(t) ~ beta e^{mu_slow t} as t -> -infinity.
+    `_sol(s, deriv)` interpolates the state (or its derivative) on the mesh
+    [t_lo, t_hi]; the tails beyond it are projected from its end states.
     """
 
     params: Params
@@ -119,9 +166,25 @@ class RadialProfile:
     beta: float
     t_grid: np.ndarray
     _sol: object
-    _dsol: object
     t_shift: float = 0.0
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        par = self.params
+        s_lo, s_hi = float(self.t_grid[0]), float(self.t_grid[-1])
+        # far field, in passes: the nonlinear term depends on the slow amplitude it corrects
+        rates = _origin_rates(par)
+        a, b = par.p * rates[0], rates[1]
+        q = np.prod(a - rates[[0, 2, 3]])
+        y0, amp = self._sol(s_lo), 0.0
+        for _ in range(3):
+            c = np.linalg.solve(_eigbasis(rates), y0 - amp * _divided_differences(a, b, 0.0)[:4])
+            amp = abs(c[0]) ** (par.p - 1.0) * c[0] / q
+        self._left = _ModeTail(s_lo, np.zeros(4), rates[:2], c[:2], amp, a, b)
+        lam = equilibrium_spectrum(self.coeffs, par.p)
+        xstar = np.array([par.c_p, 0.0, 0.0, 0.0])
+        c = np.linalg.solve(_eigbasis(lam), self._sol(s_hi) - xstar)
+        self._right = _ModeTail(s_hi, xstar, lam[lam.real < 0], c[lam.real < 0])
 
     # -- frame handling ----------------------------------------------------
     @property
@@ -139,46 +202,47 @@ class RadialProfile:
                        diagnostics=dict(self.diagnostics))
 
     # -- evaluation ---------------------------------------------------------
-    def _check_t(self, t: np.ndarray):
-        tmin, tmax = float(np.min(t)), float(np.max(t))
-        eps = 1e-9 * (1.0 + abs(self.t_lo) + abs(self.t_hi))
-        if tmin < self.t_lo - eps or tmax > self.t_hi + eps:
-            raise ProfileRangeError(
-                f"t in [{tmin:.6g}, {tmax:.6g}] outside computed window "
-                f"[{self.t_lo:.6g}, {self.t_hi:.6g}]; re-solve with a wider t-span"
-            )
+    def _evaluate(self, t, deriv: bool) -> np.ndarray:
+        """State (or its derivative) at t; within 1e-9 of the mesh ends the spline holds."""
+        s = np.asarray(t, dtype=float) + self.t_shift
+        lo, hi = self.t_grid[0], self.t_grid[-1]
+        eps = 1e-9 * (1.0 + abs(lo) + abs(hi))
+        out = np.asarray(self._sol(np.clip(s, lo - eps, hi + eps), deriv))
+        for beyond, tail in ((s < lo - eps, self._left), (s > hi + eps, self._right)):
+            if beyond.any():
+                out[..., beyond] = tail(s[beyond], deriv)
+        return out
 
     def ubar_state(self, t) -> np.ndarray:
         """State (ubar, ubar', ubar'', ubar''') at Emden-Fowler times t, shape (4, m)."""
-        t = np.asarray(t, dtype=float)
-        self._check_t(t)
-        return np.asarray(self._sol(t + self.t_shift))
+        return self._evaluate(t, False)
 
     def ubar(self, t) -> np.ndarray:
         return self.ubar_state(t)[0]
 
     def scaled_residual(self, t) -> np.ndarray:
         """|ubar'''' + K3 ubar''' + ... - ubar^p| / (1 + ubar^p) using the dense state."""
-        t = np.asarray(t, dtype=float)
-        self._check_t(t)
-        y = self._sol(t + self.t_shift)
-        d4 = self._dsol(t + self.t_shift)[3]
+        y = self._evaluate(t, False)
+        d4 = self._evaluate(t, True)[3]
         K = self.coeffs
         u = y[0]
         res = d4 + K.K3 * y[3] + K.K2 * y[2] + K.K1 * y[1] + K.K0 * u - np.abs(u) ** (self.params.p - 1.0) * u
         return np.abs(res) / (1.0 + np.abs(u) ** self.params.p)
 
-    def r_range(self) -> tuple[float, float]:
-        """Covered radii (r = e^{-t}): (e^{-t_hi}, e^{-t_lo})."""
-        return math.exp(-self.t_hi), math.exp(-self.t_lo)
+    @property
+    def far_field_beta(self) -> float:
+        """Slow amplitude of the left tail: ubar(t) e^{-mu_slow t} as t -> -infinity."""
+        return float(self._left.c[0]) * math.exp(-self.params.slow_rate * self.t_lo)
 
-    def ensure_covers(self, r_lo: float, r_hi: float):
-        lo, hi = self.r_range()
-        if r_lo < lo or r_hi > hi:
-            raise ProfileRangeError(
-                f"profile covers r in [{lo:.3g}, {hi:.3g}], need [{r_lo:.3g}, {r_hi:.3g}]; "
-                "extend the profile (re-solve with a wider t-span)"
-            )
+    def plateau_decay(self) -> tuple[complex, complex]:
+        """Slowest approach to c_p: (C, lam) with ubar(t) - c_p ~ Re(C e^{lam t}).
+
+        A complex lam's conjugate carries the conjugate amplitude; C counts both.
+        """
+        tail = self._right
+        k = int(np.argmax(tail.lam.real))
+        C = (2.0 if tail.lam[k].imag else 1.0) * tail.c[k] * np.exp(-tail.lam[k] * self.t_hi)
+        return complex(C), complex(tail.lam[k])
 
     def r_view(self, r) -> RadialView:
         """u(r) and radial derivatives through order five, assembled from the state.
@@ -272,6 +336,12 @@ def shoot_once(params: Params, coeffs: EmdenCoeffs, amp_slow: float, s: float,
 # gauged collocation
 # ---------------------------------------------------------------------------
 
+def _gauge(t, cp, w0, mu):
+    """Logistic gauge D(t) = c_p w/(1+w) with w = w0 e^{mu t}; returns (D, w)."""
+    w = w0 * np.exp(mu * np.asarray(t, dtype=float))
+    return cp * w / (1.0 + w), w
+
+
 class _ScaledSpline:
     """State interpolant y(t) = D(t) z(t) with scalar amplitude gauge D.
 
@@ -279,35 +349,18 @@ class _ScaledSpline:
     exponential tail, so relative accuracy is uniform down to the far field.
     """
 
-    def __init__(self, zsol, cp, w0, mu, dzsol=None):
-        self._z = zsol
-        self._dz = zsol.derivative() if dzsol is None else dzsol
+    def __init__(self, zsol, cp, w0, mu):
+        self._z, self._dz = zsol, zsol.derivative()
         self.cp, self.w0, self.mu = cp, w0, mu
 
-    def _D(self, t):
-        w = self.w0 * np.exp(self.mu * np.asarray(t, dtype=float))
-        return self.cp * w / (1.0 + w), w
-
-    def __call__(self, t):
-        D, _ = self._D(t)
+    def __call__(self, t, deriv: bool = False):
+        D, w = _gauge(t, self.cp, self.w0, self.mu)
+        if deriv:
+            return D * self.mu / (1.0 + w) * self._z(t) + D * self._dz(t)
         return D * self._z(t)
 
-    def derivative(self):
-        return _ScaledSplineDeriv(self)
 
-
-class _ScaledSplineDeriv:
-    def __init__(self, parent):
-        self._p = parent
-
-    def __call__(self, t):
-        p = self._p
-        D, w = p._D(t)
-        dD = D * p.mu / (1.0 + w)
-        return dD * p._z(t) + D * p._dz(t)
-
-
-def _bvp_polish(params, coeffs, amp_anchor, t_left_pad, t_tail, tol_bvp):
+def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp):
     """Collocation solve of the connection, in gauged variables.
 
     The unknown is z = y / D(t) with D(t) = c_p w/(1+w), w = (h/c_p) e^{mu_s t},
@@ -318,44 +371,33 @@ def _bvp_polish(params, coeffs, amp_anchor, t_left_pad, t_tail, tol_bvp):
     eigen-components vanish and the slow component equals the manifold
     amplitude; right boundary: the unstable eigen-component at c_p vanishes.
 
-    The anchor frame puts slow amplitude amp_anchor at t = 0.  Newton starts
-    from the smooth logistic transition y = D itself: the gauged system is
-    well-conditioned enough to converge from it.
+    The anchor frame puts slow amplitude amp_anchor at t = 0, and the mesh
+    starts at t = -pad.  Newton starts from the smooth logistic transition
+    y = D itself: the gauged system is well-conditioned enough to converge
+    from it.
     """
     p = params.p
     cp = params.c_p
     mu_s = params.slow_rate
     xstar = np.array([cp, 0.0, 0.0, 0.0])
     K0, K1, K2, K3 = coeffs.as_tuple()
-    V0 = np.column_stack([
-        _eigvec(params.slow_rate),
-        _eigvec(params.fast_rate),
-        _eigvec(-params.singular_rate),
-        _eigvec(-2.0 - params.singular_rate),
-    ])
-    V0inv = np.linalg.inv(V0)
+    V0inv = np.linalg.inv(_eigbasis(_origin_rates(params)))
     lam = equilibrium_spectrum(coeffs, p)
     iu = int(np.argmax(lam.real))
-    W = np.column_stack([_eigvec(l) for l in lam])
-    w_u = np.linalg.inv(W)[iu].real
+    w_u = np.linalg.inv(_eigbasis(lam))[iu].real
     w_u /= np.linalg.norm(w_u)
     rate_slowest = min(abs(l.real) for l in lam if l.real < 0)
 
     w0 = amp_anchor / cp
-
-    def gauge(t):
-        w = w0 * np.exp(mu_s * np.asarray(t, dtype=float))
-        return cp * w / (1.0 + w), w
-
     # the gauge crosses c_p/2 at t_cross; the window runs on until the slowest
     # stable decay at c_p has had time to shrink an O(1) deviation to 5e-6
-    # (or t_tail, if longer); t_arr marks three of its e-foldings past t_cross
+    # (or `tail`, if longer); t_arr marks three of its e-foldings past t_cross
     t_cross = math.log(1.0 / w0) / mu_s
     t_arr = t_cross + 3.0 / rate_slowest
     need = math.log(1.0 / 5e-6) / rate_slowest
-    t_end = t_cross + max(t_tail, need)
-    tg = np.linspace(-t_left_pad, t_end, 1600)
-    _, w = gauge(tg)
+    t_end = t_cross + max(tail, need)
+    tg = np.linspace(-pad, t_end, 1600)
+    _, w = _gauge(tg, cp, w0, mu_s)
     zg = np.vstack([
         np.ones_like(tg),
         mu_s / (1.0 + w),
@@ -364,15 +406,18 @@ def _bvp_polish(params, coeffs, amp_anchor, t_left_pad, t_tail, tol_bvp):
     ])
 
     def fun(t, z):
-        D, w = gauge(t)
+        D, w = _gauge(t, cp, w0, mu_s)
         dl = mu_s / (1.0 + w)
         z0, z1, z2, z3 = z
         f4 = (D ** (p - 1.0) * np.abs(z0) ** (p - 1.0) * z0
               - K3 * z3 - K2 * z2 - K1 * z1 - K0 * z0)
         return np.vstack([z1 - dl * z0, z2 - dl * z1, z3 - dl * z2, f4 - dl * z3])
 
+    nodes = [tg.size]  # largest mesh Newton has linearized on, for the memory error
+
     def fun_jac(t, z):
-        D, w = gauge(t)
+        nodes[0] = max(nodes[0], t.size)
+        D, w = _gauge(t, cp, w0, mu_s)
         dl = mu_s / (1.0 + w)
         J = np.zeros((4, 4, t.size))
         for i in range(4):
@@ -384,9 +429,8 @@ def _bvp_polish(params, coeffs, amp_anchor, t_left_pad, t_tail, tol_bvp):
         J[3, 3] = -K3 - dl
         return J
 
-    t_left = -t_left_pad
-    D_left, w_left = gauge(t_left)
-    D_right, _ = gauge(t_end)
+    _, w_left = _gauge(-pad, cp, w0, mu_s)
+    D_right, _ = _gauge(t_end, cp, w0, mu_s)
 
     def bc(za, zb):
         cL = V0inv @ za
@@ -407,19 +451,21 @@ def _bvp_polish(params, coeffs, amp_anchor, t_left_pad, t_tail, tol_bvp):
                         tol=tol_bvp, max_nodes=MAX_BVP_NODES)
     except ValueError as exc:  # mesh refinement collapsed nodes
         raise ShootingError(f"collocation polish: {exc}") from exc
+    except MemoryError as exc:  # the sparse LU of the Newton step outgrew memory
+        raise ShootingError(f"collocation polish: out of memory at {nodes[0]} nodes") from exc
     return res, t_arr, _ScaledSpline(res.sol, cp, w0, mu_s)
 
 
-def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4,
-                   t_left: float | None = None, t_tail: float = 16.0) -> RadialProfile:
+def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4) -> RadialProfile:
     """Compute the singular radial profile with far-field coefficient beta.
 
-    tol controls the asymptotic-fit guarantees at both ends of the window
+    tol controls the asymptotic-fit guarantees at both ends of the mesh
     (it must exceed the 1e-6 manifold-truncation floor of the left boundary
     condition);
     the ODE-residual quality is fixed by the collocation tolerance and is
     reported in profile.diagnostics.  Every gate fails on NaN, so a solve
-    either meets them or raises ShootingError naming the stage.
+    either meets them or raises ShootingError naming the stage.  The mesh
+    is chosen here; the returned profile evaluates every t through its tails.
     """
     if beta <= 0.0:
         raise ValueError(f"beta={beta} must be positive")
@@ -428,54 +474,45 @@ def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4,
     coeffs = emden_coeffs(params)
     h = H_REL * params.c_p
 
-    # anchor frame: slow amplitude h at t = 0, shifted to the requested beta after
-    t0_frame = math.log(h / beta) / params.slow_rate  # canonical time of the anchor point
+    # anchor frame: slow amplitude h at t = 0, shifted to the requested beta after.
+    # Extend the pad until two far-field errors meet the contract: the fit
+    # r^{N-4} u -> beta at the mesh start (fast-mode content, decays at rate
+    # mu_f - mu_s) and the left tail's slow amplitude (off by the nonlinear
+    # term the linear boundary condition leaves out, decays at (p-1) mu_s).
+    rates = (params.fast_rate - params.slow_rate, (params.p - 1.0) * params.slow_rate)
     pad = 0.0
-    if t_left is not None and t_left < t0_frame:
-        pad = t0_frame - t_left
-
-    # The far-field fit at the left end carries the connection's fast-mode
-    # content, which decays like e^{(mu_f - mu_s) t}; extend the pad until the
-    # fit meets the contract (near-resonant parameter points need extra room).
-    pad_extra = 0.0
     for _ in range(4):
-        res, t_arr, ysol = _bvp_polish(params, coeffs, h, pad + pad_extra, t_tail, BVP_TOL)
+        res, t_arr, ysol = _bvp_polish(params, coeffs, h, pad, TAIL, BVP_TOL)
         if res.status != 0:
             grid_res = float(np.max(res.rms_residuals)) if res.rms_residuals.size else math.inf
             if not (grid_res <= 1e-7):
                 raise ShootingError(f"collocation polish failed: {res.message} (rms {grid_res:.2e})")
+        prof = RadialProfile(params=params, coeffs=coeffs, beta=h, t_grid=res.x, _sol=ysol)
         t_l = float(res.x[0])
-        beta_fit_rel = abs(float(ysol(t_l)[0]) * math.exp(-params.slow_rate * t_l) / h - 1.0)
+        errs = (abs(float(ysol(t_l)[0]) * math.exp(-params.slow_rate * t_l) / h - 1.0),
+                abs(prof.far_field_beta / h - 1.0))
+        beta_fit_rel = float(np.max(errs))  # NaN-propagating
         if beta_fit_rel <= 0.9 * tol:
             break
         if not math.isfinite(beta_fit_rel):
             raise ShootingError(f"far-field fit: coefficient error is {beta_fit_rel}")
-        pad_extra += math.log(beta_fit_rel / (0.3 * tol)) / (params.fast_rate - params.slow_rate)
+        pad += max(math.log(e / (0.3 * tol)) / k for e, k in zip(errs, rates) if e > 0.3 * tol)
     else:
         raise ShootingError(f"far-field fit: coefficient off by {beta_fit_rel:.2e} > tol")
     endpoint_rel = float(abs(ysol(res.x[-1])[0] - params.c_p) / params.c_p)
     if not (endpoint_rel <= tol):
         raise ShootingError(f"c_p endpoint: off by {endpoint_rel:.2e} > tol")
 
-    prof = RadialProfile(
-        params=params,
-        coeffs=coeffs,
-        beta=h,
-        t_grid=res.x,
-        _sol=ysol,
-        _dsol=ysol.derivative(),
-        t_shift=0.0,
-        diagnostics={
-            # always 0: the solver no longer shoots or bisects.  The key stays
-            # because the CLI report and bench/tracing.py read it.
-            "bisections": 0,
-            "bvp_nodes": int(res.x.size),
-            "bvp_rms": float(np.max(res.rms_residuals)),
-            "t_arrival": t_arr,
-            "endpoint_rel": endpoint_rel,
-            "beta_fit_rel": beta_fit_rel,
-        },
-    )
+    prof.diagnostics = {
+        # always 0: the solver no longer shoots or bisects.  The key stays
+        # because the CLI report and bench/tracing.py read it.
+        "bisections": 0,
+        "bvp_nodes": int(res.x.size),
+        "bvp_rms": float(np.max(res.rms_residuals)),
+        "t_arrival": t_arr,
+        "endpoint_rel": endpoint_rel,
+        "beta_fit_rel": beta_fit_rel,
+    }
     # shift the frame so the slow amplitude equals the requested beta
     prof = prof.shifted(math.log(beta / h) / params.slow_rate)
     prof.beta = beta  # exact by construction; avoids exp/log roundoff
@@ -508,15 +545,14 @@ def normalize_small_tail(profile: RadialProfile, alpha_norm: float) -> RadialPro
     if alpha_norm <= 0.0:
         raise ValueError(f"alpha_norm={alpha_norm} must be positive")
     pm1 = profile.params.p - 1.0
-    tt = np.linspace(profile.t_lo, profile.t_hi, 6000)
+    # start where the slow mode beta e^{mu_slow t} alone is a factor e below alpha_norm^{1/(p-1)}
+    t_start = (math.log(alpha_norm) / pm1 - math.log(profile.beta) - 1.0) / profile.params.slow_rate
+    tt = np.linspace(min(profile.t_lo, t_start), profile.t_hi, 6000)
     vals = profile.ubar(tt) ** pm1
     running = np.maximum.accumulate(vals)
     ok = running <= alpha_norm
     if ok[-1]:
         return profile.shifted(0.0)
-    if not ok[0]:
-        raise ProfileRangeError(
-            "left tail already exceeds alpha_norm; re-solve with a wider left window")
     idx = int(np.argmin(ok))  # first failure
     t_alpha = float(tt[max(idx - 1, 0)])
     delta = min(t_alpha, 0.0)
@@ -586,14 +622,17 @@ class MonotonicityReport:
         return err
 
 
-def monotonicity_report(profile: RadialProfile, n_r: int = 600, margin: float = 1.0,
+def monotonicity_report(profile: RadialProfile, r=None,
                         fit_decades: float = 1.0) -> MonotonicityReport:
-    """Verify u' < 0, Delta u < 0, (Delta u)' > 0 and fit the eight end rates."""
+    """Verify u' < 0, Delta u < 0, (Delta u)' > 0 and fit the eight end rates.
+
+    The increasing radii r default to 600 points one unit inside the mesh ends.
+    """
     N = profile.params.N
     a = profile.params.singular_rate
-    r_lo = math.exp(-(profile.t_hi - margin))
-    r_hi = math.exp(-(profile.t_lo + margin))
-    r = np.geomspace(r_lo, r_hi, n_r)
+    if r is None:
+        r = np.geomspace(math.exp(-(profile.t_hi - 1.0)), math.exp(-(profile.t_lo + 1.0)), 600)
+    r_lo, r_hi = r[0], r[-1]
     v = profile.r_view(r)
     violations = []
     if not np.all(v.du < 0):
@@ -654,9 +693,6 @@ class KelvinProfile:
         p = self.params
         return -(4.0 + p.alpha_w) / (p.p - 1.0)
 
-    def rho_range(self) -> tuple[float, float]:
-        return math.exp(self.profile.t_lo), math.exp(self.profile.t_hi)
-
     def value(self, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
         p = self.params
@@ -664,7 +700,7 @@ class KelvinProfile:
         return rho**expo * self.profile.ubar(np.log(rho))
 
     def tail_slope(self, decades: float = 1.0) -> float:
-        lo, hi = self.rho_range()
+        hi = math.exp(self.profile.t_hi)
         rho = np.geomspace(hi / 10**decades, hi / 1.05, 200)
         return _loglog_slope(rho, self.value(rho))
 
@@ -675,9 +711,6 @@ class KelvinProfile:
         psi supported in [rho_lo, rho_hi]; all derivatives land on psi.
         """
         p = self.params
-        lo, hi = self.rho_range()
-        if rho_lo < lo or rho_hi > hi:
-            raise ProfileRangeError(f"test annulus [{rho_lo}, {rho_hi}] outside [{lo}, {hi}]")
         rho = np.linspace(rho_lo, rho_hi, n)
         d = [annulus_bump(rho, rho_lo, rho_hi, k) for k in range(5)]
         bilap_psi = bilap_radial(p.N, rho, d[1], d[2], d[3], d[4])
@@ -749,20 +782,9 @@ def import_profile(path_or_file) -> RadialProfile:
     params = validate_params(int(header["N"]), float(header["p"]))
     beta = float(header["beta"])
     t = data[:, 0]
-    state = data[:, 1:5]
     # Hermite reconstruction: 3 derivatives of ubar known, lower orders for the rest
-    sol = _StateSpline(t, state)
-    prof = RadialProfile(
-        params=params,
-        coeffs=emden_coeffs(params),
-        beta=beta,
-        t_grid=t,
-        _sol=sol,
-        _dsol=sol.derivative(),
-        t_shift=0.0,
-        diagnostics={"imported": True},
-    )
-    return prof
+    return RadialProfile(params=params, coeffs=emden_coeffs(params), beta=beta, t_grid=t,
+                         _sol=_StateSpline(t, data[:, 1:5]), diagnostics={"imported": True})
 
 
 class _StateSpline:
@@ -773,16 +795,10 @@ class _StateSpline:
     """
 
     def __init__(self, t, state):
-        self.t = t
         cols = [state[:, 0:4], state[:, 1:4], state[:, 2:4], state[:, 3:4]]
         self._polys = [BPoly.from_derivatives(t, c) for c in cols]
+        self._dpolys = [pp.derivative() for pp in self._polys]
 
-    def __call__(self, tq):
+    def __call__(self, tq, deriv: bool = False):
         tq = np.asarray(tq, dtype=float)
-        return np.stack([pp(tq) for pp in self._polys])
-
-    def derivative(self):
-        out = _StateSpline.__new__(_StateSpline)
-        out.t = self.t
-        out._polys = [pp.derivative() for pp in self._polys]
-        return out
+        return np.stack([pp(tq) for pp in (self._dpolys if deriv else self._polys)])

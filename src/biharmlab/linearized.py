@@ -20,14 +20,13 @@ element at j = 1 and provides a closed-form residual test along the profile.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
-from .core import Params, equilibrium_spectrum
-from .delaunay import ProfileRangeError, RadialProfile
+from .core import Params
+from .delaunay import RadialProfile
 from .indicial import indicial_polynomial, indicial_roots, sphere_eigenvalue
 
 __all__ = [
@@ -93,28 +92,6 @@ def _log_coeffs(N: int, j: int) -> tuple[float, float, float, float]:
     return b3, b2, b1, a4
 
 
-def _stable_pair_amplitude(profile: RadialProfile):
-    """Complex amplitude C of ubar(t) - c_p ~ Re(C e^{lambda_s t}) on the tail.
-
-    lambda_s is the slowest stable rate at the c_p equilibrium (a complex
-    pair whenever the j=0 indicial roots are complex).  Least squares on the
-    last stretch of the computed window.
-    """
-    par, K = profile.params, profile.coeffs
-    lam = equilibrium_spectrum(K, par.p)
-    stable = [l for l in lam if l.real < 0]
-    lam_s = max(stable, key=lambda l: l.real)
-    t1 = profile.t_hi
-    tt = np.linspace(t1 - 6.0, t1 - 0.5, 400)
-    dev = profile.ubar(tt) - par.c_p
-    basis = np.column_stack([
-        np.exp(lam_s.real * tt) * np.cos(lam_s.imag * tt),
-        -np.exp(lam_s.real * tt) * np.sin(lam_s.imag * tt),
-    ])
-    coef, *_ = np.linalg.lstsq(basis, dev, rcond=None)
-    return complex(coef[0], coef[1]), lam_s
-
-
 @dataclass
 class ModeSolution:
     """Mode ODE solution sampled in tau = log r, with end-exponent fits."""
@@ -130,13 +107,16 @@ class ModeSolution:
 
 def mode_solve(mode: ModeData, gamma_seed: complex, start: str = "at_zero",
                potential: str = "profile", seed_rel: float = 1e-8,
-               rtol: float = 1e-10, n_out: int = 2000) -> ModeSolution:
-    """Integrate the mode ODE from an asymptotic seed across the profile window.
+               rtol: float = 1e-10, n_out: int = 2000,
+               tau_far: float | None = None) -> ModeSolution:
+    """Integrate the mode ODE from an asymptotic seed across the profile mesh.
 
     start='at_zero' seeds w ~ r^gamma at a radius small enough that
-    |V_p - A_p| <= seed_rel * A_p (with a one-term Frobenius correction from
-    the fitted potential tail), and integrates outward; start='at_infinity'
-    seeds against V_p ~ p beta^{p-1} r^{-(p-1) mu_slow} and integrates inward.
+    |V_p - A_p| <= seed_rel * A_p, on the mesh or past it on the profile's
+    right tail (with a one-term Frobenius correction from the tail's slowest
+    mode at c_p), and integrates outward to tau = tau_far; start='at_infinity'
+    seeds there against V_p ~ p beta^{p-1} r^{-(p-1) mu_slow} and integrates
+    inward.  tau_far = log r defaults to -t_lo - 0.2, just inside the mesh.
     gamma_seed must be an indicial root of the corresponding end.
     """
     prof = mode.profile
@@ -158,34 +138,36 @@ def mode_solve(mode: ModeData, gamma_seed: complex, start: str = "at_zero",
     gamma_seed = nearest  # snap to the exact branch value
 
     t_lo, t_hi = prof.t_lo, prof.t_hi
-    tau_min, tau_max = -t_hi, -t_lo   # tau = log r = -t
+    tau_min = -t_hi   # tau = log r = -t
+    if tau_far is None:
+        tau_far = -t_lo - 0.2
 
     if potential == "zero":
         # exact biharmonic kernel: monomials propagate unchanged
         if start == "at_zero":
-            tau0, tau1 = tau_min + 0.2, tau_max - 0.2
+            tau0, tau1 = tau_min + 0.2, tau_far
         else:
-            tau0, tau1 = tau_max - 0.2, tau_min + 0.2
+            tau0, tau1 = tau_far, tau_min + 0.2
         kappa = 1.0
         corr_amp = 0.0
     elif start == "at_zero":
-        # seed radius: potential within seed_rel of A_p from there inward
-        tt = np.linspace(t_lo, t_hi, 4000)
+        # seed radius: potential within seed_rel of A_p from there inward, searched
+        # over the mesh and 40 e-foldings of the right tail's slowest mode
+        C, lam_s = prof.plateau_decay()
+        tt = np.linspace(t_lo, t_hi + 40.0 / -lam_s.real, 10000)
         rel = np.abs(p * prof.ubar(tt) ** (p - 1.0) - A_p) / A_p
         ok = np.flip(np.maximum.accumulate(np.flip(rel))) <= seed_rel
-        if not np.any(ok):
-            raise ProfileRangeError(
-                f"potential correction stays above {seed_rel:g}; solve the profile deeper")
+        if not ok[-1]:
+            raise ValueError(f"seed_rel={seed_rel:g} is below the potential's round-off")
         t_seed = float(tt[np.argmax(ok)])
-        tau0, tau1 = -t_seed, tau_max - 0.2
-        # one-term Frobenius correction from the fitted stable-pair tail
-        C, lam_s = _stable_pair_amplitude(prof)
+        tau0, tau1 = -t_seed, tau_far
+        # one-term Frobenius correction from the tail's slowest mode at c_p
         c1 = p * (p - 1.0) * par.c_p ** (p - 2.0) * C
         kappa = -lam_s
         denom = indicial_polynomial(N, mode.lambda_j, gamma_seed + kappa, A_p)
         corr_amp = c1 / denom if abs(denom) > 1e-10 else 0.0
     else:
-        tau0, tau1 = tau_max - 0.2, tau_min + 0.2
+        tau0, tau1 = tau_far, tau_min + 0.2
         kappa = -(p - 1.0) * par.slow_rate
         c1 = p * prof.beta ** (p - 1.0)
         denom = indicial_polynomial(N, mode.lambda_j, gamma_seed + kappa, 0.0)
@@ -211,7 +193,7 @@ def mode_solve(mode: ModeData, gamma_seed: complex, start: str = "at_zero",
             return 0.0
     else:
         tau_tab = np.linspace(min(tau0, tau1) - 0.1, max(tau0, tau1) + 0.1, 40001)
-        V_tab = p * prof.ubar(np.clip(-tau_tab, t_lo, t_hi)) ** (p - 1.0)
+        V_tab = p * prof.ubar(-tau_tab) ** (p - 1.0)
 
         def pot(tau):
             return np.interp(tau, tau_tab, V_tab)
@@ -405,15 +387,11 @@ def injectivity_scan(params: Params, profile: RadialProfile, j_list,
         mode = make_mode(params, profile, j)
         exps = {}
         for g in admissible:
-            try:
-                ms = mode_solve(mode, g, start="at_zero", seed_rel=seed_rel)
-                exps[f"{g.real:+.4f}{g.imag:+.4f}i"] = ms.far_exponent
-            except ProfileRangeError:
-                exps[f"{g.real:+.4f}{g.imag:+.4f}i"] = math.nan
+            ms = mode_solve(mode, g, start="at_zero", seed_rel=seed_rel)
+            exps[f"{g.real:+.4f}{g.imag:+.4f}i"] = ms.far_exponent
         entry.branch_exponents = exps
         if entry.route == "integration":
-            grown = [e for e in exps.values() if not math.isnan(e)]
-            if not grown or not all(e > 0.0 for e in grown):
+            if not exps or not all(e > 0.0 for e in exps.values()):
                 entry.status = "NOT-CERTIFIED"
                 entry.note = entry.note or "some admissible branch failed to grow numerically"
         out.append(entry)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import emden_coeffs, k_of, serrin_exponent, sobolev_exponent, validate_params
+from .core import (emden_coeffs, k_of, origin_spectrum, serrin_exponent, sobolev_exponent,
+                   validate_params)
 from .indicial import indicial_roots, verify_ordering, weight_window
 
 ALL_SUITES = ("constants", "indicial", "symbol", "delaunay", "modes", "auxball", "glue")
@@ -61,7 +62,7 @@ def suite_constants(N, p, **_) -> list:
     checks.append(_check("constants.serrin_zero", serrin_ok,
                          "k(N, N/(N-4)) = 0 to 1e-10 for N=5..14"))
     # characteristic/indicial correspondence at (N, p)
-    mu = np.sort(np.roots([1.0, K.K3, K.K2, K.K1, K.K0]).real)
+    mu = np.sort(origin_spectrum(K).real)
     a = 4.0 / (params.p - 1.0)
     target = np.sort([-(g + a) for g in (0.0, 2.0, 2.0 - N, 4.0 - N)])
     err = float(np.max(np.abs(mu - target)))
@@ -145,13 +146,12 @@ def suite_symbol(N, p, **_) -> list:
     return checks
 
 
-def suite_delaunay(N, p, profile=None, **_) -> list:
-    from .delaunay import (dissipation_check, monotonicity_report, scale_to_beta,
-                           solve_singular)
+def suite_delaunay(N, p, profile, **_) -> list:
+    from .delaunay import dissipation_check, monotonicity_report, scale_to_beta
 
     checks = []
     params = validate_params(N, p)
-    prof = profile if profile is not None else solve_singular(params, beta=1.0, tol=1e-4)
+    prof = profile
     d = prof.diagnostics
     checks.append(_check("delaunay.endpoint", d["endpoint_rel"] <= 1e-4,
                          f"|ubar(end) - c_p|/c_p = {d['endpoint_rel']:.3e} (tol 1e-4)"))
@@ -183,15 +183,12 @@ def suite_delaunay(N, p, profile=None, **_) -> list:
     return checks
 
 
-def suite_modes(N, p, profile=None, seed=0, **_) -> list:
-    from .delaunay import solve_singular
+def suite_modes(N, p, profile, seed=0, **_) -> list:
     from .linearized import (hardy_chain_check, quadratic_certificates,
                              translation_kernel_residual)
 
     checks = []
-    params = validate_params(N, p)
-    prof = profile if profile is not None else solve_singular(params, beta=1.0, tol=1e-4,
-                                                              t_tail=22.0)
+    prof = profile
     r = np.geomspace(np.exp(-prof.t_hi + 0.5), np.exp(-prof.t_lo - 0.5), 600)
     resid = float(np.max(translation_kernel_residual(prof, r)))
     checks.append(_check("modes.translation_kernel", resid <= 1e-6,
@@ -262,15 +259,13 @@ def suite_auxball(N, p, grid_m=96, seed=0, cache_dir=None, **_) -> list:
     return checks
 
 
-def suite_glue(N, p, profile=None, seed=0, eps_list=None, **_) -> list:
-    from .delaunay import solve_singular
+def suite_glue(N, p, profile, seed=0, eps_list=None, **_) -> list:
     from .gluing import decay_fit, remainder_Q
 
     checks = []
     params = validate_params(N, p)
     eps_list = eps_list or [2.0**-k for k in range(3, 8)]
-    prof = profile if profile is not None else solve_singular(
-        params, beta=1.0, tol=1e-4, t_left=float(np.log(min(eps_list) / 4.0)))
+    prof = profile
     fit = decay_fit(params, prof, eps_list, -3.5, mode="points", seed=seed)
     checks.append(_check("glue.points_decay", 1.7 <= fit.slope <= 2.3,
                          f"fitted slope {fit.slope:.3f} vs nominal {fit.nominal:.3f} in [1.7, 2.3]"))
@@ -298,12 +293,9 @@ def run_suites(N, p, seed=0, suites=None, grid_m=96, eps_list=None, cache_dir=No
     checks = []
     profile = None
     if any(s in selected for s in ("delaunay", "modes", "glue")):
-        from .core import validate_params as _vp
         from .delaunay import solve_singular
 
-        eps_min = min(eps_list) if eps_list else 2.0**-7
-        profile = solve_singular(_vp(N, p), beta=1.0, tol=1e-4, t_tail=22.0,
-                                 t_left=float(np.log(eps_min / 4.0)))
+        profile = solve_singular(validate_params(N, p), beta=1.0, tol=1e-4)
     table = {
         "constants": suite_constants,
         "indicial": suite_indicial,

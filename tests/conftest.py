@@ -11,15 +11,15 @@ def params10():
 
 @pytest.fixture(scope="session")
 def profile10(params10):
-    """One deep solve shared by the profile-consuming tests.
+    """The default solve, shared by the profile-consuming tests.
 
-    t_left = -18 covers the far-field checks out to r ~ 1e6 even after the
-    small-tail normalization shift; t_tail = 22 reaches the 1e-8 potential
-    plateau the mode seeding needs.
+    Its mesh is [t_lo, t_hi] ~ [-4.28, 18.63]; the far-field checks out to
+    r ~ 1e6 and the mode seeding at the 1e-8 potential plateau evaluate the
+    profile's analytic tails beyond it.
     """
     from biharmlab.delaunay import solve_singular
 
-    return solve_singular(params10, beta=1.0, tol=1e-4, t_left=-18.0, t_tail=22.0)
+    return solve_singular(params10, beta=1.0, tol=1e-4)
 
 
 @pytest.fixture(scope="session")

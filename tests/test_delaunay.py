@@ -1,7 +1,9 @@
 """Singular-profile construction: endpoint asymptotics, residuals, identities.
 
-The session profile (beta = 1, window [-18, ~24.6]) is shared; tests that
-need a different frame build cheap shifted copies.
+The session profile (beta = 1, the default mesh [~-4.28, ~18.63]) is shared;
+tests that need a different frame build cheap shifted copies.  Checks over
+the whole orbit run on [T_LO, T_HI], past both mesh ends, so they cover the
+analytic tails with the tolerances the mesh meets.
 """
 
 import math
@@ -17,11 +19,13 @@ from scipy.optimize import brentq
 import biharmlab
 from biharmlab import delaunay
 from biharmlab.core import validate_params
-from biharmlab.delaunay import (ProfileRangeError, ShootingError,
-                                dissipation_check, energy, export_profile,
-                                hamiltonian, import_profile, kelvin_transform,
-                                monotonicity_report, normalize_small_tail,
-                                scale_to_beta, shoot_once, solve_singular)
+from biharmlab.delaunay import (ShootingError, dissipation_check, energy,
+                                export_profile, hamiltonian, import_profile,
+                                kelvin_transform, monotonicity_report,
+                                normalize_small_tail, scale_to_beta, shoot_once,
+                                solve_singular)
+
+T_LO, T_HI = -18.0, 24.63
 
 
 def test_endpoint_convergence(params10, profile10):
@@ -33,19 +37,30 @@ def test_endpoint_convergence(params10, profile10):
 
 
 def test_far_field_coefficient(params10, profile10):
-    # r^{N-4} u(r) -> beta at the largest represented radius
-    t0 = profile10.t_lo
+    # r^{N-4} u(r) -> beta at large radius, on the far-field tail
+    t0 = T_LO
     beta_fit = float(profile10.ubar(t0)) * math.exp(-params10.slow_rate * t0)
     assert abs(beta_fit - 1.0) <= 1e-4
 
 
+@pytest.mark.parametrize("N,p", [(12, 1.625), (14, 1.5)])
+def test_far_field_coefficient_past_mesh(N, p):
+    # r^{N-4} u(r) -> beta far out on the tail; the nonlinear term the linear
+    # left boundary condition leaves out is largest relative to tol here
+    params = validate_params(N, p)
+    prof = solve_singular(params, beta=1.0, tol=1e-4)
+    t = prof.t_lo - 20.0
+    assert abs(float(prof.ubar(t)) * math.exp(-params.slow_rate * t) - 1.0) <= 1e-4
+    assert prof.far_field_beta == pytest.approx(1.0, rel=1e-4)
+
+
 def test_ode_residual(profile10):
-    tt = np.linspace(profile10.t_lo + 0.05, profile10.t_hi - 0.05, 6001)
+    tt = np.linspace(T_LO + 0.05, T_HI - 0.05, 6001)
     assert float(np.max(profile10.scaled_residual(tt))) <= 1e-7
 
 
 def test_positivity_and_sup_bound(params10, profile10):
-    tt = np.linspace(profile10.t_lo, profile10.t_hi, 6001)
+    tt = np.linspace(T_LO, T_HI, 6001)
     ub = profile10.ubar(tt)
     assert np.all(ub > 0.0)
     bound = (params10.p + 1.0) / 2.0 * params10.k_const
@@ -86,6 +101,11 @@ def test_monotonicity_and_asymptotic_rates(profile10):
     assert rep.max_slope_error() <= 0.05
     assert rep.nominal_far == {"u": -6.0, "du": -7.0, "lap": -8.0, "dlap": -9.0}
     assert rep.nominal_near == {"u": -4.0, "du": -5.0, "lap": -6.0, "dlap": -7.0}
+    # the same at the radii of t in [T_LO + 1, T_HI - 1], deep in both tails
+    r = np.geomspace(math.exp(-(T_HI - 1.0)), math.exp(-(T_LO + 1.0)), 600)
+    rep = monotonicity_report(profile10, r=r)
+    assert rep.signs_ok, rep.violations
+    assert rep.max_slope_error() <= 0.05
 
 
 def test_r_view_system_consistency(profile10):
@@ -121,30 +141,30 @@ def test_r_view_system_consistency(profile10):
 def test_energy_endpoints(params10, profile10):
     K = profile10.coeffs
     cp = params10.c_p
-    e_left = float(energy(profile10, profile10.t_lo))
+    e_left = float(energy(profile10, T_LO))
     assert abs(e_left) <= 1e-6 * K.K0 * cp**2
-    e_right = float(energy(profile10, profile10.t_hi))
+    e_right = float(energy(profile10, T_HI))
     e_limit = cp ** (params10.p + 1.0) / (params10.p + 1.0) - 0.5 * K.K0 * cp**2
     assert e_right == pytest.approx(e_limit, rel=1e-6)
-    with pytest.raises(ProfileRangeError):
-        energy(profile10, profile10.t_hi + 1.0)
+    # one unit past the mesh the right tail carries the same limit
+    assert float(energy(profile10, profile10.t_hi + 1.0)) == pytest.approx(e_limit, rel=1e-6)
 
 
 def test_dissipation_identity(profile10):
-    lhs, rhs = dissipation_check(profile10, profile10.t_lo + 0.1, profile10.t_hi - 6.0)
+    lhs, rhs = dissipation_check(profile10, T_LO + 0.1, T_HI - 6.0)
     scale = max(abs(lhs), abs(rhs))
     assert abs(lhs - rhs) <= 1e-6 * scale
     # at a critical point of ubar, E itself satisfies the identity and E <= E(-inf)
-    tt = np.linspace(profile10.t_hi - 8.0, profile10.t_hi - 1.0, 2000)
+    tt = np.linspace(T_HI - 8.0, T_HI - 1.0, 2000)
     du = profile10.ubar_state(tt)[1]
     k = int(np.argmax(du[:-1] * du[1:] < 0.0))
     t1 = brentq(lambda t: float(profile10.ubar_state(t)[1]), tt[k], tt[k + 1])
     e1 = float(energy(profile10, t1))
     h1 = float(hamiltonian(profile10, t1))
     assert e1 == pytest.approx(h1, rel=1e-9)
-    lhs2, rhs2 = dissipation_check(profile10, profile10.t_lo + 0.1, t1)
+    lhs2, rhs2 = dissipation_check(profile10, T_LO + 0.1, t1)
     assert lhs2 == pytest.approx(rhs2, rel=1e-6)
-    assert e1 - float(energy(profile10, profile10.t_lo + 0.1)) <= 0.0
+    assert e1 - float(energy(profile10, T_LO + 0.1)) <= 0.0
 
 
 def test_scale_to_beta_identity_and_shift(params10, profile10):
@@ -192,13 +212,18 @@ def test_normalize_small_tail(params10, profile10):
     s1 = normalize_small_tail(profile10, 0.01).t_shift
     s2 = normalize_small_tail(profile10, 0.02).t_shift
     assert s2 >= s1
+    # a bound the mesh start already exceeds is met on the far-field tail
+    assert profile10.ubar(profile10.t_lo) ** (params10.p - 1.0) > 1e-6
+    prof = normalize_small_tail(profile10, 1e-6)
+    vals = r**4 * prof.r_view(r).u ** (params10.p - 1.0)
+    assert np.max(vals) <= 1e-6 * (1.0 + 1e-9)
 
 
 def test_kelvin_transform(params10, profile10):
     kv = kelvin_transform(profile10)
     assert kv.value_at_zero == pytest.approx(profile10.beta)
     # utilde at the small end approaches beta (bounded, no singularity)
-    lo, hi = kv.rho_range()
+    lo, hi = math.exp(T_LO), math.exp(T_HI)
     assert kv.value(np.array([lo * 1.5]))[0] == pytest.approx(profile10.beta, rel=1e-4)
     assert kv.tail_exponent_nominal == pytest.approx(-2.0)
     assert kv.tail_slope() == pytest.approx(-2.0, abs=0.01)
@@ -219,6 +244,10 @@ def test_export_import_roundtrip(profile10, tmp_path):
     assert_allclose(prof2.ubar(tt), profile10.ubar(tt), atol=1e-9 * 192.0)
     assert prof2.beta == profile10.beta
     assert prof2.params.N == 10
+    # the tails come from the exported end states, so they survive the round trip
+    tails = np.concatenate([np.linspace(T_LO, profile10.t_lo - 0.01, 50),
+                            np.linspace(profile10.t_hi + 0.01, T_HI, 50)])
+    assert_allclose(prof2.ubar_state(tails), profile10.ubar_state(tails), rtol=1e-12, atol=0.0)
 
 
 def test_solve_rejects_bad_arguments(params10):
@@ -226,13 +255,6 @@ def test_solve_rejects_bad_arguments(params10):
         solve_singular(params10, beta=-1.0)
     with pytest.raises(ValueError):
         solve_singular(params10, beta=1.0, tol=1e-7)
-
-
-def test_range_errors(profile10):
-    with pytest.raises(ProfileRangeError):
-        profile10.r_view(np.array([1e12]))
-    with pytest.raises(ProfileRangeError):
-        profile10.ensure_covers(1e-12, 1.0)
 
 
 def test_solver_never_shoots(monkeypatch, params10):
@@ -262,6 +284,36 @@ def test_window_points(N):
     assert prof.diagnostics["beta_fit_rel"] <= tol
 
 
+@pytest.mark.parametrize("N,p", [(10, 2.0)] + [
+    (N, _window_p(N, 0.25 if N % 2 == 0 else 0.75)) for N in (5, 8, 11, 12, 14)])
+def test_analytic_tails_match_long_mesh(N, p):
+    # oracle: the same collocation on a mesh 8 units longer on the left and
+    # with a 40-unit tail, compared in the profile's frame
+    params = validate_params(N, p)
+    prof = solve_singular(params, beta=1.0, tol=1e-4)
+    res, _, ref = delaunay._bvp_polish(params, prof.coeffs, delaunay.H_REL * params.c_p,
+                                       8.0 - float(prof.t_grid[0]), 40.0, delaunay.BVP_TOL)
+    assert res.status == 0
+
+    def ref_state(t):
+        return ref(t + prof.t_shift)
+
+    ref_lo, ref_hi = res.x[0] - prof.t_shift, res.x[-1] - prof.t_shift
+    # right tail: ubar within 1e-10 c_p (the derivative components at t_hi
+    # carry the mesh's own end error, up to 1e-10 c_p in the third derivative at N = 11)
+    tt = np.linspace(prof.t_hi, ref_hi - 0.05, 400)
+    assert np.max(np.abs(prof.ubar(tt) - ref_state(tt)[0])) <= 1e-10 * params.c_p
+
+    # left tail: no worse than the mesh's own error next to t_lo, per component
+    def rel_err(t):
+        y = ref_state(t)
+        return np.max(np.abs(prof.ubar_state(t) - y) / np.abs(y), axis=1)
+
+    mesh_err = rel_err(np.linspace(prof.t_lo, prof.t_lo + 3.0, 400))
+    tail_err = rel_err(np.linspace(ref_lo + 3.0, prof.t_lo, 400))
+    assert np.all(tail_err <= 1.5 * mesh_err), (tail_err, mesh_err)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("p", [2.32, 2.30])
 def test_near_sobolev_raises_typed_error(p):
@@ -280,11 +332,20 @@ def test_mesh_collapse_raises_typed_error(monkeypatch, params10):
         solve_singular(params10, beta=1.0, tol=1e-4)
 
 
+def test_out_of_memory_raises_typed_error(monkeypatch, params10):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(delaunay, "solve_bvp", exhausted)
+    with pytest.raises(ShootingError, match="collocation polish: out of memory at 1600 nodes"):
+        solve_singular(params10, beta=1.0, tol=1e-4)
+
+
 def test_cli_reports_solver_failure_without_traceback():
     src = os.path.dirname(os.path.dirname(biharmlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "biharmlab.cli", "delaunay", "--N", "10",
                            "--p", "2.32"], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 2
+    assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "error: collocation polish" in proc.stderr

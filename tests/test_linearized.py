@@ -1,17 +1,21 @@
 """Mode decomposition, kernel elements, certificates, Hardy chain."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from biharmlab.core import serrin_exponent, sobolev_exponent, validate_params
 from biharmlab.cutoff import annulus_bump
-from biharmlab.indicial import indicial_roots
+from biharmlab.indicial import indicial_roots, weight_window
 from biharmlab.linearized import (byparts_identity_check, hardy_chain_check,
                                   injectivity_scan, make_mode, mode_coefficients,
                                   mode_potential, mode_solve,
                                   quadratic_certificates,
                                   translation_kernel_residual)
+
+# Emden-Fowler times past both ends of the session profile's mesh (~[-4.28, 18.63])
+T_LO, T_HI = -18.0, 24.63
 
 
 def test_mode_coefficients_frozen():
@@ -39,7 +43,7 @@ def test_mode_coefficients_reproduce_indicial_polynomial():
 
 
 def test_potential_limits(params10, profile10):
-    r = np.geomspace(np.exp(-profile10.t_hi + 0.3), np.exp(-profile10.t_lo - 0.3), 800)
+    r = np.geomspace(np.exp(-T_HI + 0.3), np.exp(-T_LO - 0.3), 800)
     V = mode_potential(profile10, r)
     assert abs(V[0] - params10.A_p) <= 1e-3 * params10.A_p
     assert V[-1] <= 1e-6 * params10.A_p
@@ -49,7 +53,7 @@ def test_potential_limits(params10, profile10):
 
 
 def test_translation_mode_in_kernel(profile10):
-    r = np.geomspace(np.exp(-profile10.t_hi + 0.5), np.exp(-profile10.t_lo - 0.5), 800)
+    r = np.geomspace(np.exp(-T_HI + 0.5), np.exp(-T_LO - 0.5), 800)
     resid = translation_kernel_residual(profile10, r)
     assert float(np.max(resid)) <= 1e-6
 
@@ -57,7 +61,7 @@ def test_translation_mode_in_kernel(profile10):
 def test_mode_solve_zero_potential_monomial(params10, profile10):
     mode = make_mode(params10, profile10, 0)
     for g in (2.0, 0.0):
-        ms = mode_solve(mode, g, start="at_zero", potential="zero")
+        ms = mode_solve(mode, g, start="at_zero", potential="zero", tau_far=-T_LO - 0.2)
         dev = np.abs(ms.w / np.exp(g * ms.tau) - 1.0)
         assert float(np.max(dev)) <= 1e-8
 
@@ -65,7 +69,7 @@ def test_mode_solve_zero_potential_monomial(params10, profile10):
 def test_mode_solve_growing_branch(params10, profile10):
     mode = make_mode(params10, profile10, 0)
     d = indicial_roots(params10, 0)
-    ms = mode_solve(mode, d.root("++"), start="at_zero")
+    ms = mode_solve(mode, d.root("++"), start="at_zero", tau_far=-T_LO - 0.2)
     assert ms.far_exponent >= 2.0 - 0.05
     assert ms.blowup_tau is None
 
@@ -157,7 +161,9 @@ def test_byparts_nonzero_mode(profile10, params10):
 
 
 def test_injectivity_scan(params10, profile10):
+    # the default mesh ends before V_p is within 1e-8 of A_p: the seeds sit on its tail
     entries = injectivity_scan(params10, profile10, [0, 1, 2, 11])
+    assert all(math.isfinite(v) for e in entries for v in e.branch_exponents.values())
     by_j = {e.j: e for e in entries}
     assert by_j[0].status == "PASS" and by_j[0].route == "integration"
     assert all(v > 0 for v in by_j[0].branch_exponents.values())
@@ -166,6 +172,13 @@ def test_injectivity_scan(params10, profile10):
     assert by_j[11].status == "PASS" and by_j[11].route == "certificate"
     # certificate and integration agree where both apply
     assert all(v > 0 for v in by_j[11].branch_exponents.values())
+    # the integrated branches still grow when continued to r = e^{-T_LO - 0.2}
+    for j in (0, 11):
+        mode = make_mode(params10, profile10, j)
+        for g in indicial_roots(params10, j).roots_at_zero:
+            if g.real > weight_window(params10).mu:
+                ms = mode_solve(mode, g, start="at_zero", tau_far=-T_LO - 0.2)
+                assert ms.far_exponent > 0
 
 
 def test_mode_solve_rejects_non_root(params10, profile10):
