@@ -32,12 +32,16 @@ mixed here.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import cumulative_trapezoid
+
+from .core import SolverError
 
 __all__ = [
     "RadialGrid",
@@ -57,7 +61,7 @@ __all__ = [
     "hardy_sobolev_check",
 ]
 
-KERNEL_FORMAT_VERSION = 1
+KERNEL_FORMAT_VERSION = 2  # 2: exact zeros on the r = 1 row and column
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,32 @@ def _angular_rule(n_panel: int = 16, k_max: int = 16):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _neg_half_power(x: np.ndarray, n: int, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = x^{-n/2} (n >= 1) from one sqrt (odd n) or one reciprocal (even n).
+
+    The integer power of that base is taken by repeated squaring in tmp, whose
+    contents are destroyed; no two of the buffers may overlap.
+    """
+    if n % 2:
+        np.sqrt(x, out=tmp)
+        np.reciprocal(tmp, out=tmp)
+        k = n
+    else:
+        np.reciprocal(x, out=tmp)
+        k = n // 2
+    started = False
+    while k:
+        if k & 1:
+            if started:
+                np.multiply(out, tmp, out=out)
+            else:
+                np.copyto(out, tmp)
+                started = True
+        k >>= 1
+        if k:
+            np.multiply(tmp, tmp, out=tmp)
+
+
 def _boggio_ring(N: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Unnormalized spherical average of the Boggio Green function.
 
@@ -134,21 +164,42 @@ def _boggio_ring(N: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
         G = |x-y|^{4-N} [ (A^{4-N}-1)/(4-N) - (A^{2-N}-1)/(2-N) ],
         A = [x,y]/|x-y|.
+
+    r and s are the same ascending node vector (the two-grid call form is
+    kept because bench/tracing.py wraps this function and reads both sizes).
+    Row i is evaluated only for s_j >= r_i and mirrored into column i, so the
+    result is exactly symmetric.  G vanishes for |x| = 1 and for |y| = 1, so
+    those rows and columns are exactly 0 rather than cancellation roundoff.
+    All per-row work runs in five preallocated (rows, angles) buffers.
     """
+    if not np.array_equal(r, s):
+        raise ValueError("_boggio_ring evaluates a square kernel: r and s must be one grid")
     phi, wphi = _angular_rule()
-    c = np.cos(phi)
-    sinpow = np.sin(phi) ** (N - 2)
-    area_s2 = sphere_area(N - 1)   # |S^{N-2}| factor of the angular reduction
-    K = np.empty((r.size, s.size))
-    e4, e2 = (4.0 - N) / 2.0, (2.0 - N) / 2.0
-    for i, ri in enumerate(r):
-        rho = 2.0 * ri * s[:, None] * (1.0 - c)[None, :]
-        d2 = (ri - s)[:, None] ** 2 + rho
-        a2 = (1.0 - ri * s)[:, None] ** 2 + rho
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            D4 = d2**e4
-            G = (a2**e4 - D4) / (4.0 - N) - (d2 * a2**e2 - D4) / (2.0 - N)
-        K[i] = area_s2 * (G * sinpow[None, :]) @ wphi
+    omc2 = 2.0 * (1.0 - np.cos(phi))
+    # |S^{N-2}| factor of the angular reduction and the sin^{N-2} Jacobian
+    w = sphere_area(N - 1) * np.sin(phi) ** (N - 2) * wphi
+    m = int(np.searchsorted(s, 1.0))  # nodes strictly inside the ball
+    K = np.zeros((s.size, s.size))
+    bufs = [np.empty((m, phi.size)) for _ in range(5)]
+    for i in range(m):
+        ri, sj = s[i], s[i:m]
+        a2, d2, D4, A4, G = (b[: m - i] for b in bufs)
+        rs = ri * sj
+        np.multiply(rs[:, None], omc2, out=a2)          # rho = 2 r s (1 - cos phi)
+        np.add(a2, ((ri - sj) ** 2)[:, None], out=d2)   # |x-y|^2
+        np.add(a2, ((1.0 - rs) ** 2)[:, None], out=a2)  # [x,y]^2
+        _neg_half_power(d2, N - 4, D4, G)
+        _neg_half_power(a2, N - 4, A4, G)
+        # G = (A4 - D4)/(4-N) - (d2 A4/a2 - D4)/(2-N), A4 = a2^{(4-N)/2}, D4 = d2^{(4-N)/2};
+        # the two differences are formed pointwise (they cancel near the
+        # boundary) and integrated separately, which saves the scaling passes
+        np.divide(A4, a2, out=G)
+        G *= d2
+        G -= D4
+        A4 -= D4
+        row = (A4 @ w) / (4.0 - N) - (G @ w) / (2.0 - N)
+        K[i, i:m] = row
+        K[i:m, i] = row
     return K
 
 
@@ -176,31 +227,45 @@ class BallKernel:
         return float(self.K_origin @ dens)
 
     def save(self, path):
-        np.savez(
-            path,
-            version=KERNEL_FORMAT_VERSION,
-            N=self.N,
-            M=self.grid.M,
-            sigma_g=self.grid.sigma_g,
-            alpha_w=self.grid.alpha_w,
-            nodes=self.grid.nodes,
-            weights=self.grid.weights,
-            K=self.K,
-            K_origin=self.K_origin,
-            norm_constant=self.norm_constant,
-        )
+        """Write the .npz at path atomically.
+
+        The arrays go to a temporary .npz in the same directory, which is then
+        renamed over path, so a concurrent reader sees the old file, no file
+        or the whole new one, never a truncated archive.
+        """
+        path = Path(path)
+        fd, tmp = tempfile.mkstemp(suffix=".npz", prefix=f"{path.stem}.tmp-", dir=path.parent)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(
+                    fh,
+                    version=KERNEL_FORMAT_VERSION,
+                    N=self.N,
+                    M=self.grid.M,
+                    sigma_g=self.grid.sigma_g,
+                    alpha_w=self.grid.alpha_w,
+                    nodes=self.grid.nodes,
+                    weights=self.grid.weights,
+                    K=self.K,
+                    K_origin=self.K_origin,
+                    norm_constant=self.norm_constant,
+                )
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "BallKernel":
-        data = np.load(path)
-        if int(data["version"]) != KERNEL_FORMAT_VERSION:
-            raise ValueError(f"kernel cache version {int(data['version'])} unsupported")
-        grid = RadialGrid(
-            M=int(data["M"]), sigma_g=float(data["sigma_g"]), alpha_w=float(data["alpha_w"]),
-            nodes=data["nodes"], weights=data["weights"],
-        )
-        return cls(N=int(data["N"]), grid=grid, K=data["K"], K_origin=data["K_origin"],
-                   norm_constant=float(data["norm_constant"]))
+        with np.load(path) as data:
+            if int(data["version"]) != KERNEL_FORMAT_VERSION:
+                raise ValueError(f"kernel cache version {int(data['version'])} unsupported")
+            grid = RadialGrid(
+                M=int(data["M"]), sigma_g=float(data["sigma_g"]), alpha_w=float(data["alpha_w"]),
+                nodes=data["nodes"], weights=data["weights"],
+            )
+            return cls(N=int(data["N"]), grid=grid, K=data["K"], K_origin=data["K_origin"],
+                       norm_constant=float(data["norm_constant"]))
 
 
 def exact_unit_load(N: int, r: np.ndarray) -> np.ndarray:
@@ -222,8 +287,9 @@ def build_kernel(N: int, grid: RadialGrid, cache_dir: str | None = None) -> Ball
                 return kern
     r = grid.nodes
     K_raw = _boggio_ring(N, r, r)
-    K_raw = 0.5 * (K_raw + K_raw.T)  # symmetrize away quadrature roundoff
-    K0_raw = _boggio_ring(N, np.array([0.0]), r)[0]
+    # at |x| = 0 the integrand does not depend on the angle: closed form, 0 at s = 1
+    r4 = r ** (4.0 - N)
+    K0_raw = sphere_area(N) * ((1.0 - r4) / (4.0 - N) - (r**2 - r4) / (2.0 - N))
     kern = BallKernel(N=N, grid=grid, K=K_raw, K_origin=K0_raw, norm_constant=1.0)
     # empirical normalization against the f = 1 oracle
     u_raw = kern.apply(np.ones_like(r))
@@ -235,10 +301,10 @@ def build_kernel(N: int, grid: RadialGrid, cache_dir: str | None = None) -> Ball
     # the remaining sup deviation is pure quadrature error; gate it here so a
     # degraded grid surfaces at build time, not inside a solve
     rel = float(np.max(np.abs(c * u_raw - u_ex)) / np.max(u_ex))
-    if rel > 1e-4:
-        raise RuntimeError(
-            f"kernel quadrature breach: unit-load oracle off by {rel:.2e} (tol 1e-4); "
-            "increase the grid size")
+    if not (rel <= 1e-4):  # NaN fails too
+        raise SolverError(
+            "kernel quadrature",
+            f"unit-load oracle off by {rel:.2e} (tol 1e-4); increase the grid size")
     if cache_dir is not None:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
         kern.save(cache)
@@ -315,7 +381,8 @@ def solve_at_amplitude(kernel: BallKernel, a: float, p: float, alpha_w: float,
 
     Newton on the augmented system in (u, lambda); parametrizing by the
     amplitude walks through the turning point of the minimal branch.
-    Returns (u, lambda).
+    Returns (u, lambda); raises SolverError (stage "amplitude continuation")
+    when Newton does not converge in max_iter steps or meets a singular matrix.
     """
     s = kernel.grid.nodes
     u = np.zeros_like(s) if u0 is None else u0.copy()
@@ -339,10 +406,14 @@ def solve_at_amplitude(kernel: BallKernel, a: float, p: float, alpha_w: float,
         M[-1, :-1] = row0
         M[-1, -1] = G0
         rhs = -np.concatenate([F, [F0]])
-        step = np.linalg.solve(M, rhs)
+        try:
+            step = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("amplitude continuation", f"{exc} at a={a}") from exc
         u = u + step[:-1]
         lam = lam + step[-1]
-    raise RuntimeError(f"amplitude continuation failed to converge at a={a}")
+    raise SolverError("amplitude continuation",
+                      f"no convergence at a={a} in {max_iter} Newton steps")
 
 
 def blowup_family(kernel: BallKernel, amplitudes, p: float, alpha_w: float):

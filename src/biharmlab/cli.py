@@ -6,7 +6,7 @@ All sampled quantities take their randomness from --seed, and reports carry
 no timestamps, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 verification failure (a PASS-expected check failed),
-2 usage error, 3 numerical failure (a solver raised ShootingError naming the
+2 usage error, 3 numerical failure (a solver raised SolverError naming the
 stage that failed).
 """
 
@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import ShootingError, emden_coeffs, origin_spectrum, special_exponents, validate_params
+from .core import SolverError, emden_coeffs, origin_spectrum, special_exponents, validate_params
 from .indicial import indicial_roots, verify_ordering, weight_window
 
 DEFAULT_EPS = "0.125,0.0625,0.03125,0.015625,0.0078125"
@@ -349,7 +349,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 3 if isinstance(exc, ShootingError) else 2
+        return 3 if isinstance(exc, SolverError) else 2
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ __all__ = [
     "Params",
     "EmdenCoeffs",
     "ShootingError",
+    "SolverError",
     "SpecialExponents",
     "serrin_exponent",
     "sobolev_exponent",
@@ -42,11 +43,23 @@ __all__ = [
 ]
 
 
-class ShootingError(RuntimeError):
-    """Failure of the profile solve; the message names the stage that failed.
+class SolverError(RuntimeError):
+    """A numerical solver failed; `stage` names the stage that failed.
 
     Lives here so the CLI maps it to an exit code without importing scipy.
     """
+
+    def __init__(self, stage: str, detail: str):
+        super().__init__(stage, detail)
+        self.stage = stage
+        self.detail = detail
+
+    def __str__(self) -> str:
+        return f"{self.stage}: {self.detail}"
+
+
+class ShootingError(SolverError):
+    """Failure of the profile solve."""
 
 
 def serrin_exponent(N: int) -> float:

@@ -450,9 +450,9 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp):
         res = solve_bvp(fun, bc, tg, zg, fun_jac=fun_jac, bc_jac=bc_jac,
                         tol=tol_bvp, max_nodes=MAX_BVP_NODES)
     except ValueError as exc:  # mesh refinement collapsed nodes
-        raise ShootingError(f"collocation polish: {exc}") from exc
+        raise ShootingError("collocation polish", str(exc)) from exc
     except MemoryError as exc:  # the sparse LU of the Newton step outgrew memory
-        raise ShootingError(f"collocation polish: out of memory at {nodes[0]} nodes") from exc
+        raise ShootingError("collocation polish", f"out of memory at {nodes[0]} nodes") from exc
     return res, t_arr, _ScaledSpline(res.sol, cp, w0, mu_s)
 
 
@@ -486,7 +486,8 @@ def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4) -> Radi
         if res.status != 0:
             grid_res = float(np.max(res.rms_residuals)) if res.rms_residuals.size else math.inf
             if not (grid_res <= 1e-7):
-                raise ShootingError(f"collocation polish failed: {res.message} (rms {grid_res:.2e})")
+                raise ShootingError("collocation polish",
+                                    f"{res.message} (rms {grid_res:.2e})")
         prof = RadialProfile(params=params, coeffs=coeffs, beta=h, t_grid=res.x, _sol=ysol)
         t_l = float(res.x[0])
         errs = (abs(float(ysol(t_l)[0]) * math.exp(-params.slow_rate * t_l) / h - 1.0),
@@ -495,13 +496,13 @@ def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4) -> Radi
         if beta_fit_rel <= 0.9 * tol:
             break
         if not math.isfinite(beta_fit_rel):
-            raise ShootingError(f"far-field fit: coefficient error is {beta_fit_rel}")
+            raise ShootingError("far-field fit", f"coefficient error is {beta_fit_rel}")
         pad += max(math.log(e / (0.3 * tol)) / k for e, k in zip(errs, rates) if e > 0.3 * tol)
     else:
-        raise ShootingError(f"far-field fit: coefficient off by {beta_fit_rel:.2e} > tol")
+        raise ShootingError("far-field fit", f"coefficient off by {beta_fit_rel:.2e} > tol")
     endpoint_rel = float(abs(ysol(res.x[-1])[0] - params.c_p) / params.c_p)
     if not (endpoint_rel <= tol):
-        raise ShootingError(f"c_p endpoint: off by {endpoint_rel:.2e} > tol")
+        raise ShootingError("c_p endpoint", f"off by {endpoint_rel:.2e} > tol")
 
     prof.diagnostics = {
         # always 0: the solver no longer shoots or bisects.  The key stays

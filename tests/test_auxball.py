@@ -1,19 +1,63 @@
 """Clamped-ball pipeline: kernel oracles, Picard branch, Pohozaev, blow-up."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
-from biharmlab.auxball import (blowup_family, blowup_rescale,
+from biharmlab import auxball
+from biharmlab.auxball import (_boggio_ring, blowup_family, blowup_rescale,
                                build_kernel, exact_unit_load, green_apply,
                                hardy_sobolev_check, laplacian_of_solution,
                                make_grid, picard_minimal, pohozaev_residual,
                                radial_clamped_solve, solve_at_amplitude,
                                sphere_area, t_apply)
+from biharmlab.core import SolverError, validate_params
 
 P, ALPHA = 2.0, -2.0
+
+
+def ring_by_quad(N, r, s):
+    """K_raw(r, s) by adaptive quadrature of the Boggio integrand, with pow."""
+    e4, e2 = (4.0 - N) / 2.0, (2.0 - N) / 2.0
+
+    def integrand(phi):
+        rho = 2.0 * r * s * (1.0 - math.cos(phi))
+        d2 = (r - s) ** 2 + rho
+        a2 = (1.0 - r * s) ** 2 + rho
+        G = (a2**e4 - d2**e4) / (4.0 - N) - (d2 * a2**e2 - d2**e4) / (2.0 - N)
+        return G * math.sin(phi) ** (N - 2)
+
+    val = quad(integrand, 0.0, math.pi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    return sphere_area(N - 1) * val
+
+
+@pytest.mark.parametrize("N", [5, 6, 9, 10, 14])  # sqrt path, even path, single factor
+def test_ring_kernel_matches_quadrature(N):
+    s = make_grid(M=16).nodes
+    K = _boggio_ring(N, s, s)
+    for i in range(s.size - 1):
+        for j in range(i + 1, s.size - 1):
+            ref = ring_by_quad(N, s[i], s[j])
+            assert abs(K[i, j] - ref) <= 1e-9 * abs(ref), (i, j)
+    assert np.array_equal(K, K.T)
+    assert np.all(K[-1] == 0.0) and np.all(K[:, -1] == 0.0)
+    with pytest.raises(ValueError, match="one grid"):
+        _boggio_ring(N, s, s[:-1])
+
+
+def test_kernel_origin_row_closed_form(kernel10):
+    N, s = 10, kernel10.grid.nodes
+    K0 = kernel10.K_origin / kernel10.norm_constant
+    closed = sphere_area(N) * ((1.0 - s ** (4.0 - N)) / (4.0 - N)
+                               - (s**2 - s ** (4.0 - N)) / (2.0 - N))
+    assert_allclose(K0, closed, rtol=1e-12, atol=0.0)
+    assert K0[-1] == 0.0
+    for j in (0, 40, 100, 158):
+        assert K0[j] == pytest.approx(ring_by_quad(N, 0.0, s[j]), rel=1e-9)
 
 
 @pytest.mark.parametrize("N", [6, 8, 10])
@@ -41,6 +85,9 @@ def test_kernel_symmetry_positivity(kernel10):
     # Boggio positivity away from the clamped boundary row (which is 0)
     assert np.all(K[:-1, :-1] > 0.0)
     assert float(np.max(np.abs(K[-1]))) <= 1e-12 * float(np.max(K))
+    # mirrored assembly: exactly symmetric, exact zeros at |x| = 1 and |y| = 1
+    assert np.array_equal(K, K.T)
+    assert np.all(K[-1] == 0.0) and np.all(K[:, -1] == 0.0)
 
 
 def test_self_adjointness(kernel10, rng):
@@ -90,6 +137,17 @@ def test_picard_minimal(kernel10):
     assert pic.residual <= 1e-10 * max(1.0, float(np.max(pic.u)))
     zero = picard_minimal(kernel10, 0.0, P, ALPHA)
     assert float(np.max(zero.u)) == 0.0
+
+
+@pytest.mark.parametrize("N", [9, 11])
+def test_picard_nonnegative_with_exact_boundary_zero(N):
+    # cancellation roundoff in the r = 1 row once made u[-1] ~ -1e-24 here
+    params = validate_params(N, 2.0)
+    kern = build_kernel(N, make_grid(M=160, alpha_w=params.alpha_w))
+    pic = picard_minimal(kern, 1e-3, params.p, params.alpha_w)
+    assert pic.converged
+    assert np.all(pic.u >= 0.0)
+    assert pic.u[-1] == 0.0
 
 
 def test_picard_branch_monotone_in_lambda(kernel10):
@@ -178,6 +236,26 @@ def test_amplitude_continuation(kernel10):
     assert resid <= 1e-9 * max(1.0, float(np.max(u)))
 
 
+def test_amplitude_continuation_failure_is_typed(kernel10, monkeypatch):
+    with pytest.raises(SolverError, match="amplitude continuation: no convergence") as exc:
+        solve_at_amplitude(kernel10, 5.0, P, ALPHA, max_iter=1)
+    assert exc.value.stage == "amplitude continuation"
+
+    def singular(M, rhs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(auxball.np.linalg, "solve", singular)
+    with pytest.raises(SolverError, match="amplitude continuation: Singular matrix at a=5.0"):
+        solve_at_amplitude(kernel10, 5.0, P, ALPHA)
+
+
+def test_kernel_quadrature_breach_is_typed(monkeypatch):
+    monkeypatch.setattr(auxball, "exact_unit_load", lambda N, r: (1.0 - r) / (8.0 * N * (N + 2.0)))
+    with pytest.raises(SolverError, match="kernel quadrature: unit-load oracle off") as exc:
+        build_kernel(8, make_grid(M=64, alpha_w=0.0))
+    assert exc.value.stage == "kernel quadrature"
+
+
 def test_blowup_family_and_rescale():
     grid = make_grid(M=320, sigma_g=3.0, alpha_w=ALPHA)
     kern = build_kernel(10, grid)
@@ -200,6 +278,18 @@ def test_kernel_cache_roundtrip(tmp_path):
     assert k1.norm_constant == k2.norm_constant
     files = list(tmp_path.glob("ballkernel_*.npz"))
     assert len(files) == 1
+    assert files[0].name == "ballkernel_v2_N8_M64_g2.npz"
+
+
+def test_kernel_cache_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    def interrupted(fh, **arrays):
+        fh.write(b"PK\x03\x04 truncated")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(auxball.np, "savez", interrupted)
+    with pytest.raises(OSError, match="disk full"):
+        build_kernel(8, make_grid(M=64, alpha_w=0.0), cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_grid_quadrature():

@@ -44,6 +44,18 @@ def test_usage_errors():
     assert exc.value.code == 2
 
 
+def test_solver_error_exits_3(monkeypatch, capsys):
+    from biharmlab import auxball
+    from biharmlab.core import SolverError
+
+    def failing(kernel, amplitudes, p, alpha_w):
+        raise SolverError("amplitude continuation", "no convergence at a=1e6 in 60 Newton steps")
+
+    monkeypatch.setattr(auxball, "blowup_family", failing)
+    assert run(["auxball", "--N", "10", "--p", "2", "--grid", "64", "--blowup"]) == 3
+    assert "error: amplitude continuation: no convergence" in capsys.readouterr().err
+
+
 def test_indicial_output(tmp_path):
     out = tmp_path / "i.json"
     assert run(["indicial", "--N", "10", "--p", "2", "--jmax", "4",
