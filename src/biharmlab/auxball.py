@@ -12,7 +12,12 @@ with G the clamped bilaplacian Green function.  G is Boggio's closed form
     [x,y]^2 = |x|^2 |y|^2 - 2 x.y + 1,
 
 positive on the ball; its spherical average over directions of y gives a
-ring-reduced kernel K(r,s) acting on radial functions.  The overall
+ring-reduced kernel K(r,s) acting on radial functions.  That average is
+taken in closed form, not by angular quadrature: on |y| = s >= r the mean
+of |x-y|^{4-N} is s^{4-N} + (4-N) r^2 s^{2-N}/N (it is biharmonic in x),
+the mean of [x,y]^{4-N} is 1 + (4-N)(rs)^2/N and that of [x,y]^{2-N} is 1
+(the pole lies outside the unit sphere), and |x-y|^2 = [x,y]^2 -
+(1-r^2)(1-s^2) reduces the remaining term to these.  The overall
 normalization of K is fixed empirically against the exact clamped solution
 (1-r^2)^2 / (8N(N+2)) of Delta^2 u = 1 rather than trusting a constant
 transcription.
@@ -61,7 +66,7 @@ __all__ = [
     "hardy_sobolev_check",
 ]
 
-KERNEL_FORMAT_VERSION = 2  # 2: exact zeros on the r = 1 row and column
+KERNEL_FORMAT_VERSION = 3  # 3: closed-form spherical mean, no angular quadrature
 
 
 @dataclass(frozen=True)
@@ -117,9 +122,9 @@ def make_grid(M: int = 160, sigma_g: float = 2.0, alpha_w: float = 0.0) -> Radia
 def _angular_rule(n_panel: int = 16, k_max: int = 16):
     """Dyadic-panel Gauss-Legendre rule on [0, pi] refined toward phi = 0.
 
-    The integrand has a near-singularity of width ~|r-s|/sqrt(rs) at phi = 0;
-    dyadic panels keep a fixed Bernstein-ellipse margin per panel, so 16
-    points per panel reach ~1e-12 uniformly over the grid diagonals.
+    The kernel no longer integrates over angles (see _boggio_ring); this rule
+    stays because bench/tracing.py::_pair_evals sizes its kernel work counter
+    from it.
     """
     xs, ws = leggauss(n_panel)
     edges = [math.pi * 2.0 ** (-k) for k in range(k_max + 1)] + [0.0]
@@ -130,77 +135,69 @@ def _angular_rule(n_panel: int = 16, k_max: int = 16):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _neg_half_power(x: np.ndarray, n: int, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = x^{-n/2} (n >= 1) from one sqrt (odd n) or one reciprocal (even n).
+# Taylor coefficients 1/(k+2)! of phi2; 18 terms reach 1 ulp for |z| < 1
+_PHI2_TAYLOR = np.array([1.0 / math.factorial(k + 2) for k in range(18)])
 
-    The integer power of that base is taken by repeated squaring in tmp, whose
-    contents are destroyed; no two of the buffers may overlap.
+
+def _phi2(z: np.ndarray) -> np.ndarray:
+    """phi2(z) = (e^z - 1 - z)/z^2 (1/2 at z = 0), to a few ulp below exp overflow."""
+    small = np.abs(z) < 1.0
+    zs = np.where(small, z, 0.0)
+    zb = np.where(small, 1.0, z)
+    return np.where(small, np.polynomial.polynomial.polyval(zs, _PHI2_TAYLOR),
+                    (np.expm1(zb) - zb) / (zb * zb))
+
+
+def _ring_terms(N: int, s: np.ndarray):
+    """(C, L) with K_raw(r, s) = C(s) - r^2 L(s) for r <= s <= 1.
+
+    With x = -log s, a = N-4, b = N-2 and phi2 as above,
+
+        C = |S^{N-1}|/b [2a x^2 phi2(a x) + 4x^2 phi2(-2x)],
+        L = |S^{N-1}|/b [(2b^2/N) x^2 phi2(b x) + (b/N) 4x^2 phi2(-2x)];
+
+    the terms linear in x cancel analytically, so both are O(x^2) near s = 1
+    with no cancellation and exactly 0 at s = 1.  C alone is the r = 0 row.
     """
-    if n % 2:
-        np.sqrt(x, out=tmp)
-        np.reciprocal(tmp, out=tmp)
-        k = n
-    else:
-        np.reciprocal(x, out=tmp)
-        k = n // 2
-    started = False
-    while k:
-        if k & 1:
-            if started:
-                np.multiply(out, tmp, out=out)
-            else:
-                np.copyto(out, tmp)
-                started = True
-        k >>= 1
-        if k:
-            np.multiply(tmp, tmp, out=tmp)
+    a, b = N - 4.0, N - 2.0
+    x = -np.log(s)
+    x2 = x * x
+    e2 = 4.0 * x2 * _phi2(-2.0 * x)
+    scale = sphere_area(N) / b
+    C = scale * (2.0 * a * x2 * _phi2(a * x) + e2)
+    L = scale * ((2.0 * b * b / N) * x2 * _phi2(b * x) + (b / N) * e2)
+    return C, L
 
 
 def _boggio_ring(N: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Unnormalized spherical average of the Boggio Green function.
+    """Unnormalized spherical average of the Boggio Green function, in closed form.
 
-    K_raw(r, s) = int_{S^{N-1}} G(r e1, s omega) dsigma(omega) with kN = 1,
-    via the closed primitive of the Boggio integral for m = 2:
+    K_raw(r, s) = int_{S^{N-1}} G(r e1, s omega) dsigma(omega) with kN = 1 and
 
         G = |x-y|^{4-N} [ (A^{4-N}-1)/(4-N) - (A^{2-N}-1)/(2-N) ],
-        A = [x,y]/|x-y|.
+        A = [x,y]/|x-y|,
+
+    i.e. G = ([x,y]^{4-N} - |x-y|^{4-N})/(4-N)
+             - (|x-y|^2 [x,y]^{2-N} - |x-y|^{4-N})/(2-N).
+    Each power has an exact spherical mean over |y| = s, for r <= s:
+    |x-y|^{4-N} is biharmonic in x inside the sphere, so its mean is
+    s^{4-N} + (4-N) r^2 s^{2-N}/N; [x,y] = |s x - y/s| puts the pole outside
+    the unit sphere, so the mean of [x,y]^{4-N} is 1 + (4-N)(rs)^2/N and that
+    of the harmonic [x,y]^{2-N} is 1; and |x-y|^2 = [x,y]^2 - (1-r^2)(1-s^2)
+    reduces the mixed term to these.  Collected in lo = min(r, s) and
+    hi = max(r, s), the mean is C(hi) - lo^2 L(hi) (_ring_terms), so the
+    kernel costs O(M) transcendentals plus one rank-2 outer combination.
 
     r and s are the same ascending node vector (the two-grid call form is
     kept because bench/tracing.py wraps this function and reads both sizes).
-    Row i is evaluated only for s_j >= r_i and mirrored into column i, so the
-    result is exactly symmetric.  G vanishes for |x| = 1 and for |y| = 1, so
-    those rows and columns are exactly 0 rather than cancellation roundoff.
-    All per-row work runs in five preallocated (rows, angles) buffers.
+    The upper triangle is mirrored, so the result is exactly symmetric, and
+    the row and column at s = 1 are exactly 0, as G vanishes on the sphere.
     """
     if not np.array_equal(r, s):
         raise ValueError("_boggio_ring evaluates a square kernel: r and s must be one grid")
-    phi, wphi = _angular_rule()
-    omc2 = 2.0 * (1.0 - np.cos(phi))
-    # |S^{N-2}| factor of the angular reduction and the sin^{N-2} Jacobian
-    w = sphere_area(N - 1) * np.sin(phi) ** (N - 2) * wphi
-    m = int(np.searchsorted(s, 1.0))  # nodes strictly inside the ball
-    K = np.zeros((s.size, s.size))
-    bufs = [np.empty((m, phi.size)) for _ in range(5)]
-    for i in range(m):
-        ri, sj = s[i], s[i:m]
-        a2, d2, D4, A4, G = (b[: m - i] for b in bufs)
-        rs = ri * sj
-        np.multiply(rs[:, None], omc2, out=a2)          # rho = 2 r s (1 - cos phi)
-        np.add(a2, ((ri - sj) ** 2)[:, None], out=d2)   # |x-y|^2
-        np.add(a2, ((1.0 - rs) ** 2)[:, None], out=a2)  # [x,y]^2
-        _neg_half_power(d2, N - 4, D4, G)
-        _neg_half_power(a2, N - 4, A4, G)
-        # G = (A4 - D4)/(4-N) - (d2 A4/a2 - D4)/(2-N), A4 = a2^{(4-N)/2}, D4 = d2^{(4-N)/2};
-        # the two differences are formed pointwise (they cancel near the
-        # boundary) and integrated separately, which saves the scaling passes
-        np.divide(A4, a2, out=G)
-        G *= d2
-        G -= D4
-        A4 -= D4
-        row = (A4 @ w) / (4.0 - N) - (G @ w) / (2.0 - N)
-        K[i, i:m] = row
-        K[i:m, i] = row
-    return K
+    C, L = _ring_terms(N, s)
+    upper = np.triu(C[None, :] - (s * s)[:, None] * L[None, :])
+    return upper + np.triu(upper, 1).T
 
 
 @dataclass
@@ -287,9 +284,7 @@ def build_kernel(N: int, grid: RadialGrid, cache_dir: str | None = None) -> Ball
                 return kern
     r = grid.nodes
     K_raw = _boggio_ring(N, r, r)
-    # at |x| = 0 the integrand does not depend on the angle: closed form, 0 at s = 1
-    r4 = r ** (4.0 - N)
-    K0_raw = sphere_area(N) * ((1.0 - r4) / (4.0 - N) - (r**2 - r4) / (2.0 - N))
+    K0_raw = _ring_terms(N, r)[0]  # the r = 0 row
     kern = BallKernel(N=N, grid=grid, K=K_raw, K_origin=K0_raw, norm_constant=1.0)
     # empirical normalization against the f = 1 oracle
     u_raw = kern.apply(np.ones_like(r))

@@ -222,7 +222,7 @@ def suite_modes(N, p, profile, seed=0, **_) -> list:
     return checks
 
 
-def suite_auxball(N, p, grid_m=96, seed=0, cache_dir=None, **_) -> list:
+def suite_auxball(N, p, grid_m=160, seed=0, cache_dir=None, **_) -> list:
     from .auxball import (build_kernel, exact_unit_load, green_apply, make_grid,
                           picard_minimal, pohozaev_residual)
 
@@ -284,7 +284,7 @@ def suite_glue(N, p, profile, seed=0, eps_list=None, **_) -> list:
     return checks
 
 
-def run_suites(N, p, seed=0, suites=None, grid_m=96, eps_list=None, cache_dir=None) -> list:
+def run_suites(N, p, seed=0, suites=None, grid_m=160, eps_list=None, cache_dir=None) -> list:
     """Run the requested suites (all by default) and return check records."""
     selected = list(suites) if suites else list(ALL_SUITES)
     unknown = [s for s in selected if s not in ALL_SUITES]

@@ -49,6 +49,45 @@ def test_ring_kernel_matches_quadrature(N):
         _boggio_ring(N, s, s[:-1])
 
 
+def ring_by_mpmath(mp, N, r, s):
+    """K_raw(r, s) to 40 digits: mpmath.quad of the Boggio ring integrand."""
+    with mp.workdps(40):
+        r, s = mp.mpf(r), mp.mpf(s)
+        e4, e2 = mp.mpf(4 - N) / 2, mp.mpf(2 - N) / 2
+
+        def integrand(phi):
+            rho = 4 * r * s * mp.sin(phi / 2) ** 2  # 2 r s (1 - cos phi)
+            d2 = (r - s) ** 2 + rho
+            a2 = (1 - r * s) ** 2 + rho
+            G = (a2**e4 - d2**e4) / (4 - N) - (d2 * a2**e2 - d2**e4) / (2 - N)
+            return G * mp.sin(phi) ** (N - 2)
+
+        # breakpoints at 4^k times the width |r-s|/sqrt(rs) of the near-singularity
+        pts, h = [mp.mpf(0)], (abs(r - s) / mp.sqrt(r * s) if r > 0 else mp.pi)
+        while 0 < h < mp.pi / 2:
+            pts.append(h)
+            h *= 4
+        area = 2 * mp.pi ** (mp.mpf(N - 1) / 2) / mp.gamma(mp.mpf(N - 1) / 2)
+        return float(area * mp.quad(integrand, pts + [mp.pi]))
+
+
+@pytest.mark.parametrize("N", [5, 6, 9, 10, 14])
+def test_ring_kernel_matches_mpmath(N):
+    mp = pytest.importorskip("mpmath")
+    grid = make_grid(M=320, sigma_g=3.0)
+    s = grid.nodes
+    kern = build_kernel(N, grid)
+    K = kern.K / kern.norm_constant
+    last = s.size - 2  # the last interior node, 9.3e-3 from the sphere
+    entries = [(K[last, last], s[last], s[last]),
+               (K[last - 1, last], s[last - 1], s[last]),
+               (K[40, 200], s[40], s[200]),
+               (kern.K_origin[last] / kern.norm_constant, 0.0, s[last])]
+    for val, r, ss in entries:
+        ref = ring_by_mpmath(mp, N, r, ss)
+        assert abs(val - ref) <= 1e-13 * abs(ref), (r, ss, val, ref)
+
+
 def test_kernel_origin_row_closed_form(kernel10):
     N, s = 10, kernel10.grid.nodes
     K0 = kernel10.K_origin / kernel10.norm_constant
@@ -278,7 +317,7 @@ def test_kernel_cache_roundtrip(tmp_path):
     assert k1.norm_constant == k2.norm_constant
     files = list(tmp_path.glob("ballkernel_*.npz"))
     assert len(files) == 1
-    assert files[0].name == "ballkernel_v2_N8_M64_g2.npz"
+    assert files[0].name == "ballkernel_v3_N8_M64_g2.npz"
 
 
 def test_kernel_cache_write_leaves_no_partial_file(tmp_path, monkeypatch):
@@ -290,6 +329,15 @@ def test_kernel_cache_write_leaves_no_partial_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         build_kernel(8, make_grid(M=64, alpha_w=0.0), cache_dir=str(tmp_path))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_auxball_defaults_pass_at_10_2():
+    from biharmlab.verify import run_suites
+
+    checks = run_suites(10, 2.0, suites=["auxball"])
+    assert [c["name"] for c in checks] == ["auxball.green_oracle", "auxball.self_adjoint",
+                                           "auxball.picard_minimal", "auxball.pohozaev"]
+    assert all(c["ok"] for c in checks), [c for c in checks if not c["ok"]]
 
 
 def test_grid_quadrature():
