@@ -26,7 +26,10 @@ The radial grid is graded, r_i = (i/M)^2, to resolve the |y|^alpha weight
 (alpha in (-4,0)); quadrature is composite Simpson in the uniform variable
 xi = sqrt(s).  Picard iteration from zero produces the minimal branch for
 small lambda; continuation beyond it prescribes the amplitude a = u(0) and
-solves for lambda(a) by Newton on the augmented system.
+solves for lambda(a) by Newton on the augmented system.  The kernel is
+rank-2 semiseparable, K(r, s) = C(hi) - lo^2 L(hi), so each Newton step is
+solved exactly as a banded system in O(M), while the residual and its
+tolerance use the dense kernel.
 
 Note on conditions: these are the clamped (Dirichlet) conditions
 u = du/dnu = 0 of the auxiliary ball problem, distinct from the Navier
@@ -45,6 +48,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg import solve_banded
 
 from .core import SolverError
 
@@ -361,12 +365,62 @@ def picard_minimal(kernel: BallKernel, lam: float, p: float, alpha_w: float,
                         monotone=monotone, lam=lam, residual=float("inf"))
 
 
-def _newton_matrix(kernel: BallKernel, u: np.ndarray, lam: float, p: float,
-                   alpha_w: float) -> np.ndarray:
+def _newton_band(kernel: BallKernel, p: float, alpha_w: float):
+    """Step function (u, lam, Gu, G0, F, F0) -> (du, dlam) of the bordered Newton system
+
+        [I - lam K diag(g), -Gu; lam K_origin diag(g), G0] [du; dlam] = -[F; F0],
+
+    g = p s^alpha (1+|u|)^{p-1} s^{N-1} weights, solved exactly in O(M) as a
+    banded system, never assembled densely.  K[i,j] = C(s_hi) - s_lo^2 L(s_hi)
+    (generators times the normalization), so with w = lam g du,
+    (K w)_i = P_i - Q_i + R_i - T_i for the running sums
+
+        P_i = C_i sum_{j<=i} w_j,   Q_i = L_i sum_{j<=i} s_j^2 w_j,
+        R_i = sum_{j>i} C_j w_j,    T_i = s_i^2 sum_{j>i} L_j w_j,
+
+    each O(1) (C alone reaches 1e75 at the first node for N = 14) and each a
+    two-term recurrence, e.g. P_i = (C_i/C_{i-1}) P_{i-1} + C_i w_i.  Node i
+    carries the unknowns (du_i, P_i, Q_i, R_i, T_i, dlam_i) and the rows
+    (Newton equation, the four recurrences, dlam_i = dlam_{i-1}); node 0's
+    sixth row is the amplitude border R_0 + C_0 w_0 + G0 dlam = -F0.  Every
+    coupling lies within 6 of the diagonal; the band (ab[6 + i - j, j] = A[i, j])
+    is built once per call and only its u-dependent entries change per step.
+    """
     s = kernel.grid.nodes
-    gprime = p * s**alpha_w * (1.0 + np.abs(u)) ** (p - 1.0)
-    col = s ** (kernel.N - 1.0) * kernel.grid.weights * gprime
-    return np.eye(s.size) - lam * kernel.K * col[None, :]
+    M = s.size
+    C, L = _ring_terms(kernel.N, s)
+    C, L = kernel.norm_constant * C, kernel.norm_constant * L
+    s2 = s * s
+    ab = np.zeros((13, 6 * M))
+    ab[6] = 1.0
+    ab[5, 1::6], ab[4, 2::6], ab[3, 3::6], ab[2, 4::6] = -1.0, 1.0, -1.0, 1.0  # -(P-Q+R-T)
+    ab[12, 1:-6:6] = -C[1:] / C[:-1]  # P_{k-1}, Q_{k-1} in the recurrences of node k
+    ab[12, 2:-6:6] = -L[1:] / L[:-1]
+    ab[0, 9::6] = -1.0  # R_{k+1}, T_{k+1} in those of node k
+    ab[0, 10::6] = -s2[:-1] / s2[1:]
+    ab[12, 5:-6:6] = -1.0  # dlam_i = dlam_{i-1}
+    ab[8, 3] = 1.0  # border: R_0
+    # couplings to du_k (column 6k): rows of P_k, Q_k, R_{k-1}, T_{k-1}, border
+    w_rows = [7, 8, 3, 4, 11]
+    gen = np.zeros((5, M))
+    gen[0], gen[1] = -C, -L * s2
+    gen[2, 1:], gen[3, 1:] = -C[1:], -s2[:-1] * L[1:]
+    gen[4, 0] = C[0]
+    weight = p * s**alpha_w * s ** (kernel.N - 1.0) * kernel.grid.weights
+
+    def step(u, lam, Gu, G0, F, F0):
+        band = ab.copy()
+        band[w_rows, 0::6] = gen * (lam * weight * (1.0 + np.abs(u)) ** (p - 1.0))
+        band[1, 5::6] = -Gu
+        band[6, 5] = G0
+        b = np.zeros(6 * M)
+        b[0::6] = -F
+        b[5] = -F0
+        x = solve_banded((6, 6), band, b, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+        return x[0::6], x[5]
+
+    return step
 
 
 def solve_at_amplitude(kernel: BallKernel, a: float, p: float, alpha_w: float,
@@ -375,38 +429,37 @@ def solve_at_amplitude(kernel: BallKernel, a: float, p: float, alpha_w: float,
     """Solve u = lambda G[|y|^alpha (1+u)^p] with prescribed amplitude u(0) = a.
 
     Newton on the augmented system in (u, lambda); parametrizing by the
-    amplitude walks through the turning point of the minimal branch.
+    amplitude walks through the turning point of the minimal branch.  The
+    residual and its test against tol use the dense kernel; each step solves
+    the bordered Jacobian system exactly, as a banded one (_newton_band).
     Returns (u, lambda); raises SolverError (stage "amplitude continuation")
-    when Newton does not converge in max_iter steps or meets a singular matrix.
+    at the first non-finite residual, when Newton does not converge in
+    max_iter steps or when a step meets a singular matrix.
     """
     s = kernel.grid.nodes
     u = np.zeros_like(s) if u0 is None else u0.copy()
     lam = (1e-3 if lam0 is None else lam0)
-    for _ in range(max_iter):
-        dens = s**alpha_w * (1.0 + np.abs(u)) ** p
-        Gu = kernel.apply(dens)
-        G0 = kernel.apply_origin(dens)
-        F = u - lam * Gu
-        F0 = lam * G0 - a
-        res = max(float(np.max(np.abs(F))), abs(F0)) / max(1.0, a)
-        if res <= tol:
-            return u, lam
-        A = _newton_matrix(kernel, u, lam, p, alpha_w)
-        gprime = p * s**alpha_w * (1.0 + np.abs(u)) ** (p - 1.0)
-        row0 = lam * (kernel.K_origin * s ** (kernel.N - 1.0) * kernel.grid.weights * gprime)
-        # block solve of [[A, -Gu], [row0, G0]] [du, dlam] = -[F, F0]
-        M = np.zeros((s.size + 1, s.size + 1))
-        M[:-1, :-1] = A
-        M[:-1, -1] = -Gu
-        M[-1, :-1] = row0
-        M[-1, -1] = G0
-        rhs = -np.concatenate([F, [F0]])
-        try:
-            step = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("amplitude continuation", f"{exc} at a={a}") from exc
-        u = u + step[:-1]
-        lam = lam + step[-1]
+    step = _newton_band(kernel, p, alpha_w)
+    # an overflowing iterate is reported once, as a typed error, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max_iter):
+            dens = s**alpha_w * (1.0 + np.abs(u)) ** p
+            Gu = kernel.apply(dens)
+            G0 = kernel.apply_origin(dens)
+            F = u - lam * Gu
+            F0 = lam * G0 - a
+            if not (np.all(np.isfinite(dens)) and np.all(np.isfinite(F)) and math.isfinite(F0)):
+                raise SolverError("amplitude continuation",
+                                  f"non-finite residual at a={a} after {k} Newton steps")
+            res = max(float(np.max(np.abs(F))), abs(F0)) / max(1.0, a)
+            if res <= tol:
+                return u, lam
+            try:
+                du, dlam = step(u, lam, Gu, G0, F, F0)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError("amplitude continuation", f"{exc} at a={a}") from exc
+            u = u + du
+            lam = lam + dlam
     raise SolverError("amplitude continuation",
                       f"no convergence at a={a} in {max_iter} Newton steps")
 

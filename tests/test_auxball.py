@@ -1,6 +1,7 @@
 """Clamped-ball pipeline: kernel oracles, Picard branch, Pohozaev, blow-up."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,11 @@ from biharmlab.auxball import (_boggio_ring, blowup_family, blowup_rescale,
 from biharmlab.core import SolverError, validate_params
 
 P, ALPHA = 2.0, -2.0
+# the blow-up amplitudes of the CLI, the acceptance suite and the benchmark
+AMPLITUDES = [1e2, 1e3, 1e4, 1e5, 1e6]
+
+# overflow or NaN anywhere in the clamped-ball pipeline is a failure, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def ring_by_quad(N, r, s):
@@ -280,12 +286,78 @@ def test_amplitude_continuation_failure_is_typed(kernel10, monkeypatch):
         solve_at_amplitude(kernel10, 5.0, P, ALPHA, max_iter=1)
     assert exc.value.stage == "amplitude continuation"
 
-    def singular(M, rhs):
+    def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(auxball.np.linalg, "solve", singular)
+    monkeypatch.setattr(auxball, "solve_banded", singular)
     with pytest.raises(SolverError, match="amplitude continuation: Singular matrix at a=5.0"):
         solve_at_amplitude(kernel10, 5.0, P, ALPHA)
+
+
+def test_amplitude_continuation_non_finite_residual_is_typed():
+    # the Newton iterate overflows (1 + u)^p here; the solve stops at the first
+    # non-finite residual, silently, instead of iterating on NaN to max_iter
+    params = validate_params(5, 7.763093072275918)
+    kern = build_kernel(5, make_grid(M=320, sigma_g=3.0, alpha_w=params.alpha_w))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolverError, match=r"amplitude continuation: non-finite residual "
+                                              r"at a=\S+ after \d+ Newton steps") as exc:
+            blowup_family(kern, AMPLITUDES, params.p, params.alpha_w)
+    assert exc.value.stage == "amplitude continuation"
+    assert caught == []
+
+
+@pytest.mark.parametrize("M, sigma_g", [(160, 2.0), (320, 3.0)])
+def test_kernel_is_generator_representable(M, sigma_g):
+    # K[i, j] = c (C[hi] - s[lo]^2 L[hi]): the rank-2 semiseparable form the
+    # banded Newton step relies on
+    grid = make_grid(M=M, sigma_g=sigma_g)
+    s = grid.nodes
+    idx = np.arange(s.size)
+    hi, lo = np.maximum.outer(idx, idx), np.minimum.outer(idx, idx)
+    for N in range(5, 15):
+        kern = build_kernel(N, grid)
+        C, L = auxball._ring_terms(N, s)
+        gen = kern.norm_constant * (C[hi] - s[lo] ** 2 * L[hi])
+        scale = float(np.max(np.abs(kern.K)))
+        assert float(np.max(np.abs(kern.K - gen))) <= 1e-14 * scale, N
+        assert_allclose(kern.K_origin, kern.norm_constant * C, rtol=1e-15, atol=0.0)
+
+
+def norm(v):
+    return float(np.max(np.abs(v)))
+
+
+@pytest.mark.parametrize("N", [5, 8, 10, 14])
+def test_banded_newton_step_solves_the_bordered_system(N):
+    params = validate_params(N, (N + 2.0) / (N - 4.0))  # mid-window
+    p, a_w = params.p, params.alpha_w
+    kern = build_kernel(N, make_grid(M=320, sigma_g=3.0, alpha_w=a_w))
+    s = kern.grid.nodes
+    step = auxball._newton_band(kern, p, a_w)
+    for amp in (1.0, 1e2, 1e4):
+        u = amp * (1.0 - s**2) ** 2 * (1.0 + 0.1 * np.sin(7.0 * s))
+        dens = s**a_w * (1.0 + np.abs(u)) ** p
+        Gu, G0 = kern.apply(dens), kern.apply_origin(dens)
+        lam = 0.9 * amp / G0
+        F, F0 = u - lam * Gu, lam * G0 - amp
+        du, dlam = step(u, lam, Gu, G0, F, F0)
+        # the dense bordered Jacobian, built here from K and K_origin alone
+        g = p * s**a_w * (1.0 + np.abs(u)) ** (p - 1.0) * s ** (N - 1.0) * kern.grid.weights
+        A = np.zeros((s.size + 1, s.size + 1))
+        A[:-1, :-1] = np.eye(s.size) - lam * kern.K * g[None, :]
+        A[:-1, -1] = -Gu
+        A[-1, :-1] = lam * kern.K_origin * g
+        A[-1, -1] = G0
+        b = -np.concatenate([F, [F0]])
+        x = np.concatenate([du, [dlam]])
+        backward = norm(A @ x - b) / (float(np.max(np.sum(np.abs(A), axis=1))) * norm(x) + norm(b))
+        assert backward <= 1e-13, (amp, backward)
+        # where the system is well enough conditioned, the steps agree too
+        if np.linalg.cond(A) <= 1e10:
+            x_dense = np.linalg.solve(A, b)
+            assert norm(x - x_dense) <= 1e-12 * norm(x_dense), amp
 
 
 def test_kernel_quadrature_breach_is_typed(monkeypatch):
@@ -298,7 +370,11 @@ def test_kernel_quadrature_breach_is_typed(monkeypatch):
 def test_blowup_family_and_rescale():
     grid = make_grid(M=320, sigma_g=3.0, alpha_w=ALPHA)
     kern = build_kernel(10, grid)
-    fam = blowup_family(kern, [1e2, 1e3, 1e4, 1e5, 1e6], P, ALPHA)
+    fam = blowup_family(kern, AMPLITUDES, P, ALPHA)
+    # the lambdas of the dense-step Newton solve, which the banded step reproduces
+    dense = [312.2799562840934, 307.89607459463105, 312.10809931285445,
+             310.73638759099094, 310.9311426550557]
+    assert_allclose([lam for lam, _ in fam], dense, rtol=1e-10, atol=0.0)
     rep = blowup_rescale(fam, kern, P, ALPHA)
     # normalization v_k(0) = 1 by construction; r_k decreasing, lambda away from 0
     assert all(np.diff(rep.r_scales) < 0.0)
