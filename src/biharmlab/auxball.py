@@ -68,6 +68,7 @@ __all__ = [
     "radial_clamped_solve",
     "pohozaev_residual",
     "hardy_sobolev_check",
+    "unit_load_error",
 ]
 
 KERNEL_FORMAT_VERSION = 3  # 3: closed-form spherical mean, no angular quadrature
@@ -274,6 +275,13 @@ def exact_unit_load(N: int, r: np.ndarray) -> np.ndarray:
     return (1.0 - r**2) ** 2 / (8.0 * N * (N + 2.0))
 
 
+def unit_load_error(kernel: BallKernel) -> float:
+    """Sup error of G[1] against exact_unit_load, relative to its maximum."""
+    ex = exact_unit_load(kernel.N, kernel.grid.nodes)
+    u = green_apply(kernel, np.ones_like(kernel.grid.nodes))
+    return float(np.max(np.abs(u - ex)) / np.max(ex))
+
+
 def build_kernel(N: int, grid: RadialGrid, cache_dir: str | None = None) -> BallKernel:
     """Assemble (or load) the ring-reduced kernel for dimension N on the grid."""
     if N < 5:
@@ -299,7 +307,7 @@ def build_kernel(N: int, grid: RadialGrid, cache_dir: str | None = None) -> Ball
     kern.norm_constant = c
     # the remaining sup deviation is pure quadrature error; gate it here so a
     # degraded grid surfaces at build time, not inside a solve
-    rel = float(np.max(np.abs(c * u_raw - u_ex)) / np.max(u_ex))
+    rel = unit_load_error(kern)
     if not (rel <= 1e-4):  # NaN fails too
         raise SolverError(
             "kernel quadrature",
@@ -315,12 +323,15 @@ def green_apply(kernel: BallKernel, f: np.ndarray) -> np.ndarray:
     return kernel.apply(np.asarray(f, dtype=float))
 
 
+def _density(kernel: BallKernel, u: np.ndarray, p: float, alpha_w: float) -> np.ndarray:
+    """|y|^alpha (1+|u|)^p on the grid nodes: the load of the equation over lambda."""
+    return kernel.grid.nodes**alpha_w * (1.0 + np.abs(u)) ** p
+
+
 def t_apply(kernel: BallKernel, u: np.ndarray, lam: float, p: float,
             alpha_w: float) -> np.ndarray:
     """One application of the fixed-point map lambda G[|y|^alpha (1+|u|)^p]."""
-    s = kernel.grid.nodes
-    dens = s**alpha_w * (1.0 + np.abs(u)) ** p
-    return lam * kernel.apply(dens)
+    return lam * kernel.apply(_density(kernel, u, p, alpha_w))
 
 
 @dataclass
@@ -355,8 +366,7 @@ def picard_minimal(kernel: BallKernel, lam: float, p: float, alpha_w: float,
         u = u_new
         if inc <= tol * max(1.0, float(np.max(u))):
             resid = float(np.max(np.abs(u - t_apply(kernel, u, lam, p, alpha_w))))
-            s = kernel.grid.nodes
-            u0 = lam * kernel.apply_origin(s**alpha_w * (1.0 + u) ** p)
+            u0 = lam * kernel.apply_origin(_density(kernel, u, p, alpha_w))
             return PicardResult(u=u, u_origin=u0, iterations=it, converged=True,
                                 monotone=monotone, lam=lam, residual=resid)
         if float(np.max(u)) > cap:
@@ -443,7 +453,7 @@ def solve_at_amplitude(kernel: BallKernel, a: float, p: float, alpha_w: float,
     # an overflowing iterate is reported once, as a typed error, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_iter):
-            dens = s**alpha_w * (1.0 + np.abs(u)) ** p
+            dens = _density(kernel, u, p, alpha_w)
             Gu = kernel.apply(dens)
             G0 = kernel.apply_origin(dens)
             F = u - lam * Gu
@@ -509,7 +519,9 @@ def blowup_rescale(family, kernel: BallKernel, p: float, alpha_w: float,
     k(p,N)^{1/(p-1)} rho^{-m} only past rho* = c_p^{1/m}, and leaves the
     blow-up regime near rho ~ u(0)^{1/m}.  fit_window = (rho_min or None for
     3 rho*, fraction of 1/r_k); the upper end is additionally capped at
-    0.3 u(0)^{1/m}.
+    0.3 u(0)^{1/m}.  A window holding fewer than 8 nodes raises SolverError
+    (stage "blow-up rescaling"); a family of fewer than 2 members is a
+    caller error (ValueError).
     """
     from .core import k_of
 
@@ -518,8 +530,7 @@ def blowup_rescale(family, kernel: BallKernel, p: float, alpha_w: float,
     s = kernel.grid.nodes
     r_scales, lams, amps, rescaled = [], [], [], []
     for lam, u in family:
-        dens = s**alpha_w * (1.0 + np.abs(u)) ** p
-        u0 = lam * kernel.apply_origin(dens)
+        u0 = lam * kernel.apply_origin(_density(kernel, u, p, alpha_w))
         r_k = (lam * u0 ** (p - 1.0)) ** (-1.0 / (4.0 + alpha_w))
         r_scales.append(r_k)
         lams.append(lam)
@@ -536,7 +547,8 @@ def blowup_rescale(family, kernel: BallKernel, p: float, alpha_w: float,
     hi = min(frac / r_k, 0.3 * amps[-1] ** (1.0 / m_exp))
     mask = (rho >= lo) & (rho <= hi) & (v > 0)
     if np.sum(mask) < 8:
-        raise ValueError("fit window too narrow; increase the largest amplitude")
+        raise SolverError("blow-up rescaling",
+                          "fit window too narrow; increase the largest amplitude")
     slope = float(np.polyfit(np.log(rho[mask]), np.log(v[mask]), 1)[0])
     return BlowupReport(
         r_scales=r_scales, lambdas=lams, amplitudes=amps,
@@ -636,7 +648,7 @@ def pohozaev_residual(kernel: BallKernel, u: np.ndarray, lam: float, p: float,
     s = grid.nodes
     f = lam * s**alpha_w * (1.0 + np.abs(u)) ** p
     F = lam * s**alpha_w * ((1.0 + np.abs(u)) ** (p + 1.0) - 1.0) / (p + 1.0)
-    u0 = lam * kernel.apply_origin(s**alpha_w * (1.0 + np.abs(u)) ** p)
+    u0 = lam * kernel.apply_origin(_density(kernel, u, p, alpha_w))
     lap = laplacian_of_solution(grid, N, f, alpha_w=alpha_w,
                                 f_coeff0=lam * (1.0 + u0) ** p)
     lhs = grid.integrate_ball(F * (1.0 + alpha_w / N) - (N - 4.0) / (2.0 * N) * lap**2, N)

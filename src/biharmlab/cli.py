@@ -145,18 +145,18 @@ def cmd_symbol(args) -> int:
 
 def cmd_delaunay(args) -> int:
     from .delaunay import export_profile, monotonicity_report, solve_singular
+    from .verify import profile_figures
 
     params = validate_params(args.N, args.p)
     prof = solve_singular(params, beta=args.beta, tol=args.tol)
     rep = monotonicity_report(prof)
-    tt = np.linspace(prof.t_lo + 0.2, prof.t_hi - 0.2, 4001)
+    res, _, supr = profile_figures(prof)
     results = {
         "beta": prof.beta,
         "c_p": params.c_p,
         "endpoint_rel": prof.diagnostics["endpoint_rel"],
-        "max_scaled_residual": float(np.max(prof.scaled_residual(tt))),
-        "sup_ubar_pm1_over_bound": float(
-            np.max(prof.ubar(tt) ** (params.p - 1.0)) / ((params.p + 1.0) / 2.0 * params.k_const)),
+        "max_scaled_residual": res,
+        "sup_ubar_pm1_over_bound": supr / ((params.p + 1.0) / 2.0 * params.k_const),
         "signs_ok": rep.signs_ok,
         "slopes_far": rep.slopes_far,
         "slopes_near": rep.slopes_near,
@@ -172,8 +172,8 @@ def cmd_delaunay(args) -> int:
 
 def cmd_modes(args) -> int:
     from .delaunay import solve_singular
-    from .linearized import (injectivity_scan, quadratic_certificates,
-                             translation_kernel_residual)
+    from .linearized import injectivity_scan, quadratic_certificates
+    from .verify import translation_residual
 
     params = validate_params(args.N, args.p)
     rows = []
@@ -181,10 +181,8 @@ def cmd_modes(args) -> int:
         C, Cbar = quadratic_certificates(params, j)
         rows.append({"j": j, "C": C, "Cbar": Cbar, "certified": bool(Cbar < 1.0 and j >= 2)})
     prof = solve_singular(params, beta=args.beta, tol=args.tol)
-    r = np.geomspace(np.exp(-prof.t_hi + 0.5), np.exp(-prof.t_lo - 0.5), 400)
-    resid = float(np.max(translation_kernel_residual(prof, r)))
     scan = injectivity_scan(params, prof, range(0, min(args.jmax, 4) + 1))
-    summary = {"j": "summary", "translation_kernel_residual": resid,
+    summary = {"j": "summary", "translation_kernel_residual": translation_residual(prof),
                "scan": [{"j": e.j, "status": e.status, "route": e.route,
                          "exponents": e.branch_exponents} for e in scan]}
     emit(_config_echo(args, ["N", "p", "jmax", "format", "out"]), rows + [summary], args)
@@ -192,20 +190,16 @@ def cmd_modes(args) -> int:
 
 
 def cmd_auxball(args) -> int:
-    from .auxball import (blowup_family, blowup_rescale, build_kernel,
-                          exact_unit_load, green_apply, make_grid,
-                          picard_minimal, pohozaev_residual)
+    from .auxball import (blowup_family, blowup_rescale, build_kernel, make_grid,
+                          picard_minimal, pohozaev_residual, unit_load_error)
 
     params = validate_params(args.N, args.p)
     grid = make_grid(M=args.grid, alpha_w=params.alpha_w)
     kern = build_kernel(args.N, grid, cache_dir=args.cache_dir)
-    u1 = green_apply(kern, np.ones_like(grid.nodes))
-    oracle_rel = float(np.max(np.abs(u1 - exact_unit_load(args.N, grid.nodes)))
-                       / np.max(exact_unit_load(args.N, grid.nodes)))
     pic = picard_minimal(kern, args.lam, params.p, params.alpha_w)
     results = {
         "grid_M": grid.M,
-        "green_oracle_rel": oracle_rel,
+        "green_oracle_rel": unit_load_error(kern),
         "norm_constant": kern.norm_constant,
         "picard_converged": pic.converged,
         "picard_iterations": pic.iterations,

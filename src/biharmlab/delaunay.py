@@ -730,7 +730,7 @@ def kelvin_transform(profile: RadialProfile) -> KelvinProfile:
 # text export / import
 # ---------------------------------------------------------------------------
 
-def export_profile(profile: RadialProfile, path_or_file) -> None:
+def export_profile(profile: RadialProfile, path) -> None:
     """Columnar text export: header (N, p, beta, grid spec), rows t ubar ubar' ubar'' ubar'''.
 
     Values are written with 17 significant digits, so the file round-trips
@@ -738,9 +738,7 @@ def export_profile(profile: RadialProfile, path_or_file) -> None:
     """
     t = profile.t_grid - profile.t_shift
     y = profile.ubar_state(t)
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
+    with open(path, "w") as fh:
         fh.write("# biharmlab radial profile v1\n")
         fh.write(f"# N = {profile.params.N}\n")
         fh.write(f"# p = {profile.params.p!r}\n")
@@ -749,12 +747,9 @@ def export_profile(profile: RadialProfile, path_or_file) -> None:
         fh.write("# columns: t ubar ubar1 ubar2 ubar3\n")
         for k in range(t.size):
             fh.write("%.17g %.17g %.17g %.17g %.17g\n" % (t[k], y[0, k], y[1, k], y[2, k], y[3, k]))
-    finally:
-        if own:
-            fh.close()
 
 
-def import_profile(path_or_file) -> RadialProfile:
+def import_profile(path) -> RadialProfile:
     """Rebuild a profile from the columnar export.
 
     The interpolant is reconstructed as a piecewise polynomial matching
@@ -764,11 +759,9 @@ def import_profile(path_or_file) -> RadialProfile:
     """
     from .core import validate_params
 
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "r") if own else path_or_file
-    try:
-        header = {}
-        rows = []
+    header = {}
+    rows = []
+    with open(path) as fh:
         for line in fh:
             if line.startswith("#"):
                 if "=" in line:
@@ -776,9 +769,6 @@ def import_profile(path_or_file) -> RadialProfile:
                     header[key.strip()] = val.strip()
                 continue
             rows.append([float(tok) for tok in line.split()])
-    finally:
-        if own:
-            fh.close()
     data = np.asarray(rows, dtype=float)
     params = validate_params(int(header["N"]), float(header["p"]))
     beta = float(header["beta"])

@@ -122,10 +122,6 @@ class GlueConfig:
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
 
-    @property
-    def eps0(self) -> float:
-        return float(np.max(self.eps))
-
 
 def _profile_derivs(profile: RadialProfile, r: np.ndarray, eps: float):
     """u_eps and radial derivatives through order 4 at radii r (r > 0)."""
@@ -403,11 +399,9 @@ def weighted_norm(value_fn, config: GlueConfig, gamma_w: float, alpha_h: float =
     return report
 
 
-def export_error_samples(path_or_file, approx: "ApproxSolution", report: NormReport) -> None:
+def export_error_samples(path, approx: "ApproxSolution", report: NormReport) -> None:
     """Columnar text export of the sampled field: coordinates, ubar, f, shell index."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
+    with open(path, "w") as fh:
         fh.write("# biharmlab error-field samples v1\n")
         fh.write(f"# mode = {approx.config.mode}\n")
         fh.write(f"# gamma_w = {report.gamma_w!r}\n")
@@ -421,16 +415,11 @@ def export_error_samples(path_or_file, approx: "ApproxSolution", report: NormRep
             for row, u, f in zip(pts, ub, vals):
                 coords = " ".join("%.17g" % c for c in row)
                 fh.write(f"{coords} %.17g %.17g {mshell}\n" % (u, f))
-    finally:
-        if own:
-            fh.close()
 
 
-def export_norm_report(path_or_file, report: NormReport) -> None:
+def export_norm_report(path, report: NormReport) -> None:
     """Key-value table export of a sampled weighted-norm report."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w") if own else path_or_file
-    try:
+    with open(path, "w") as fh:
         fh.write("# biharmlab norm report v1\n")
         fh.write(f"gamma_w = {report.gamma_w!r}\n")
         fh.write(f"alpha_h = {report.alpha_h!r}\n")
@@ -442,9 +431,6 @@ def export_norm_report(path_or_file, report: NormReport) -> None:
             fh.write(f"shell[{s!r}] = sup {sup!r} quotient {hq!r} weighted {weighted!r}\n")
         fh.write(f"outer = {report.outer!r}\n")
         fh.write(f"total = {report.total!r}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +454,7 @@ def nominal_decay_exponent(params: Params, mode: str, gamma_w: float) -> float:
 
 
 def decay_fit(params: Params, profile: RadialProfile, eps_list, gamma_w: float,
-              mode: str = "points", cutoff: CutoffSpec | None = None,
-              edge_k: int = 2, alpha_h: float = 0.0, seed: int = 0,
-              **norm_kwargs) -> DecayFit:
+              mode: str = "points", edge_k: int = 2, seed: int = 0) -> DecayFit:
     """Least-squares slope of log ||f_eps||_{C^{0,alpha}_{gamma-4}} against log eps.
 
     For the flat-edge model the nominal rate (p-5)/(p-1) - gamma is the
@@ -480,7 +464,7 @@ def decay_fit(params: Params, profile: RadialProfile, eps_list, gamma_w: float,
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2:
         raise ValueError("decay fit needs at least two dilations (>= 4 recommended)")
-    cutoff = cutoff or CutoffSpec(radius=1.0)
+    cutoff = CutoffSpec(radius=1.0)
     norms, reports = [], []
     for eps in eps_list:
         if mode == "points":
@@ -492,8 +476,7 @@ def decay_fit(params: Params, profile: RadialProfile, eps_list, gamma_w: float,
             cfg = GlueConfig(mode="flat_edge", params=params, profile=profile,
                              cutoff=cutoff, gamma_w=gamma_w, eps=[eps],
                              edge_k=edge_k, box_halfwidth=2.0 * cutoff.radius + 1.0)
-        rep = weighted_norm(error_field(cfg).value, cfg, gamma_w - 4.0,
-                            alpha_h=alpha_h, seed=seed, **norm_kwargs)
+        rep = weighted_norm(error_field(cfg).value, cfg, gamma_w - 4.0, seed=seed)
         norms.append(rep.total)
         reports.append(rep)
     slope = float(np.polyfit(np.log(eps_list), np.log(norms), 1)[0])

@@ -22,8 +22,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .core import Params
 
 __all__ = [
@@ -106,15 +104,14 @@ class IndicialData:
         return tuple(out)
 
 
-def indicial_roots(params: Params, j: int, potential: str = "A_p") -> IndicialData:
-    """Indicial data of mode j; potential selects A = A_p ('A_p') or A = 0 ('zero').
+def indicial_roots(params: Params, j: int) -> IndicialData:
+    """Indicial data of mode j: roots at zero with A = A_p, at infinity with A = 0.
 
-    Both root families are always computed; `potential` only controls which
-    family populates roots_at_zero (the at-infinity family is the A = 0 one
-    in either case, matching the vanishing of r^4 u1^{p-1} at infinity).
+    The at-infinity family is the A = 0 one, matching the vanishing of
+    r^4 u1^{p-1} at infinity.
     """
     lam = sphere_eigenvalue(j, params.N)
-    at_zero = indicial_roots_for(params.N, lam, params.A_p if potential == "A_p" else 0.0)
+    at_zero = indicial_roots_for(params.N, lam, params.A_p)
     at_inf = indicial_roots_for(params.N, lam, 0.0)
     return IndicialData(j=j, lambda_j=lam, roots_at_zero=at_zero, roots_at_infinity=at_inf)
 

@@ -105,19 +105,19 @@ class ModeSolution:
     blowup_tau: float | None = None
 
 
-def mode_solve(mode: ModeData, gamma_seed: complex, start: str = "at_zero",
-               potential: str = "profile", seed_rel: float = 1e-8,
-               rtol: float = 1e-10, n_out: int = 2000,
+def mode_solve(mode: ModeData, gamma_seed: complex, potential: str = "profile",
+               seed_rel: float = 1e-8, rtol: float = 1e-10, n_out: int = 2000,
                tau_far: float | None = None) -> ModeSolution:
-    """Integrate the mode ODE from an asymptotic seed across the profile mesh.
+    """Integrate the mode ODE outward from its seed w ~ r^gamma near the origin.
 
-    start='at_zero' seeds w ~ r^gamma at a radius small enough that
-    |V_p - A_p| <= seed_rel * A_p, on the mesh or past it on the profile's
-    right tail (with a one-term Frobenius correction from the tail's slowest
-    mode at c_p), and integrates outward to tau = tau_far; start='at_infinity'
-    seeds there against V_p ~ p beta^{p-1} r^{-(p-1) mu_slow} and integrates
-    inward.  tau_far = log r defaults to -t_lo - 0.2, just inside the mesh.
-    gamma_seed must be an indicial root of the corresponding end.
+    The seed sits at a radius small enough that |V_p - A_p| <= seed_rel * A_p,
+    on the mesh or past it on the profile's right tail (with a one-term
+    Frobenius correction from the tail's slowest mode at c_p); integration
+    runs to tau = tau_far = log r, by default -t_lo - 0.2, just inside the
+    mesh.  gamma_seed must be an indicial root at the origin.
+    potential='zero' drops V_p, which leaves the biharmonic mode equation:
+    its exact solutions are the monomials r^gamma, with gamma an indicial
+    root at infinity.
     """
     prof = mode.profile
     par = prof.params
@@ -126,15 +126,10 @@ def mode_solve(mode: ModeData, gamma_seed: complex, start: str = "at_zero",
     A_p = par.A_p
 
     data = indicial_roots(par, j)
-    if potential == "zero":
-        roots = data.roots_at_infinity
-    elif start == "at_zero":
-        roots = data.roots_at_zero
-    else:
-        roots = data.roots_at_infinity
+    roots = data.roots_at_infinity if potential == "zero" else data.roots_at_zero
     nearest = min(roots, key=lambda g: abs(gamma_seed - g))
     if abs(gamma_seed - nearest) > 1e-3 * (1.0 + abs(gamma_seed)):
-        raise ValueError(f"gamma_seed={gamma_seed} is not an indicial root of the {start} end")
+        raise ValueError(f"gamma_seed={gamma_seed} is not an indicial root")
     gamma_seed = nearest  # snap to the exact branch value
 
     t_lo, t_hi = prof.t_lo, prof.t_hi
@@ -144,13 +139,10 @@ def mode_solve(mode: ModeData, gamma_seed: complex, start: str = "at_zero",
 
     if potential == "zero":
         # exact biharmonic kernel: monomials propagate unchanged
-        if start == "at_zero":
-            tau0, tau1 = tau_min + 0.2, tau_far
-        else:
-            tau0, tau1 = tau_far, tau_min + 0.2
+        tau0 = tau_min + 0.2
         kappa = 1.0
         corr_amp = 0.0
-    elif start == "at_zero":
+    else:
         # seed radius: potential within seed_rel of A_p from there inward, searched
         # over the mesh and 40 e-foldings of the right tail's slowest mode
         C, lam_s = prof.plateau_decay()
@@ -160,17 +152,11 @@ def mode_solve(mode: ModeData, gamma_seed: complex, start: str = "at_zero",
         if not ok[-1]:
             raise ValueError(f"seed_rel={seed_rel:g} is below the potential's round-off")
         t_seed = float(tt[np.argmax(ok)])
-        tau0, tau1 = -t_seed, tau_far
+        tau0 = -t_seed
         # one-term Frobenius correction from the tail's slowest mode at c_p
         c1 = p * (p - 1.0) * par.c_p ** (p - 2.0) * C
         kappa = -lam_s
         denom = indicial_polynomial(N, mode.lambda_j, gamma_seed + kappa, A_p)
-        corr_amp = c1 / denom if abs(denom) > 1e-10 else 0.0
-    else:
-        tau0, tau1 = tau_far, tau_min + 0.2
-        kappa = -(p - 1.0) * par.slow_rate
-        c1 = p * prof.beta ** (p - 1.0)
-        denom = indicial_polynomial(N, mode.lambda_j, gamma_seed + kappa, 0.0)
         corr_amp = c1 / denom if abs(denom) > 1e-10 else 0.0
 
     def seed_state(tau: float) -> np.ndarray:
@@ -192,7 +178,7 @@ def mode_solve(mode: ModeData, gamma_seed: complex, start: str = "at_zero",
         def pot(tau):
             return 0.0
     else:
-        tau_tab = np.linspace(min(tau0, tau1) - 0.1, max(tau0, tau1) + 0.1, 40001)
+        tau_tab = np.linspace(min(tau0, tau_far) - 0.1, max(tau0, tau_far) + 0.1, 40001)
         V_tab = p * prof.ubar(-tau_tab) ** (p - 1.0)
 
         def pot(tau):
@@ -213,7 +199,7 @@ def mode_solve(mode: ModeData, gamma_seed: complex, start: str = "at_zero",
         return np.max(np.abs(y)) - 1e280
 
     ev_overflow.terminal = True
-    sol = solve_ivp(rhs, (tau0, tau1), y0, method="DOP853", rtol=rtol,
+    sol = solve_ivp(rhs, (tau0, tau_far), y0, method="DOP853", rtol=rtol,
                     atol=1e-14, dense_output=True,
                     events=[ev_overflow])
     blow = float(sol.t_events[0][0]) if sol.t_events[0].size else None
@@ -387,7 +373,7 @@ def injectivity_scan(params: Params, profile: RadialProfile, j_list,
         mode = make_mode(params, profile, j)
         exps = {}
         for g in admissible:
-            ms = mode_solve(mode, g, start="at_zero", seed_rel=seed_rel)
+            ms = mode_solve(mode, g, seed_rel=seed_rel)
             exps[f"{g.real:+.4f}{g.imag:+.4f}i"] = ms.far_exponent
         entry.branch_exponents = exps
         if entry.route == "integration":

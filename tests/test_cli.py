@@ -77,11 +77,7 @@ def test_symbol_exit_gates_identity(tmp_path):
     assert all(r["max_identity_residual"] <= 1e-8 for r in data["results"])
 
 
-def test_verify_all_determinism(tmp_path):
-    out = tmp_path / "v.json"
-    args = ["verify-all", "--N", "10", "--p", "2", "--seed", "7",
-            "--suites", "constants,symbol", "--out", str(out)]
-    assert run(args) == 0
-    first = out.read_bytes()
-    assert run(args) == 0
-    assert out.read_bytes() == first
+def test_blowup_fit_window_failure_exits_3(capsys):
+    # at (14, 1.6) the largest amplitude leaves fewer than 8 nodes in the tail fit window
+    assert run(["auxball", "--N", "14", "--p", "1.6", "--blowup"]) == 3
+    assert "error: blow-up rescaling: fit window too narrow" in capsys.readouterr().err

@@ -96,18 +96,6 @@ def test_characteristic_roots_polynomial_oracle(params10):
     assert_allclose(roots, target, atol=1e-10)
 
 
-def test_characteristic_roots_grid():
-    for N in range(9, 15):
-        lo, hi = serrin_exponent(N), sobolev_exponent(N)
-        for p in np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 20):
-            par = validate_params(N, float(p))
-            K = emden_coeffs(par)
-            mu = np.sort(np.roots([1.0, K.K3, K.K2, K.K1, K.K0]).real)
-            a = 4.0 / (par.p - 1.0)
-            target = np.sort([-(g + a) for g in (0.0, 2.0, 2.0 - N, 4.0 - N)])
-            assert np.max(np.abs(mu - target)) <= 1e-8
-
-
 def test_sign_facts_on_grid():
     for N in range(5, 15):
         lo, hi = serrin_exponent(N), sobolev_exponent(N)

@@ -92,14 +92,6 @@ def test_ordering_chain(params10):
     assert d.root("++").real > 2.0
 
 
-def test_ordering_chain_grid():
-    for N in range(9, 15):
-        lo, hi = serrin_exponent(N), sobolev_exponent(N)
-        for p in np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 20):
-            rep = verify_ordering(validate_params(N, float(p)), 2 * N)
-            assert rep.all_ok, (N, p, rep.failures())
-
-
 def test_branch_continuity_to_zero_potential(params10):
     lam = 0.0
     scan = [params10.A_p * 10.0**-k for k in range(8)] + [0.0]

@@ -83,13 +83,6 @@ def test_identity_spot_values():
     assert symbol_indicial_identity(10, 1, 0.0) <= 1e-10
 
 
-def test_identity_grid():
-    xi = np.linspace(0.0, 12.0, 100)
-    for N in range(6, 15):
-        for j in range(0, 11):
-            assert float(np.max(symbol_indicial_identity(N, j, xi))) <= 1e-8
-
-
 def test_query_validation():
     with pytest.raises(ValueError):
         SymbolQuery(N=10, gamma=5.0, j=0, xi=0.0)
