@@ -20,12 +20,13 @@ element at j = 1 and provides a closed-form residual test along the profile.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
-from .core import Params
+from .core import Params, SolverError
 from .delaunay import RadialProfile
 from .indicial import indicial_polynomial, indicial_roots, sphere_eigenvalue
 
@@ -42,6 +43,9 @@ __all__ = [
     "byparts_identity_check",
     "injectivity_scan",
 ]
+
+# mode seeds sit where the potential is within this fraction of its origin value A_p
+SEED_REL = 1e-8
 
 
 def mode_coefficients(N: int, j: int) -> tuple[float, float, float, float]:
@@ -106,11 +110,10 @@ class ModeSolution:
 
 
 def mode_solve(mode: ModeData, gamma_seed: complex, potential: str = "profile",
-               seed_rel: float = 1e-8, rtol: float = 1e-10, n_out: int = 2000,
                tau_far: float | None = None) -> ModeSolution:
     """Integrate the mode ODE outward from its seed w ~ r^gamma near the origin.
 
-    The seed sits at a radius small enough that |V_p - A_p| <= seed_rel * A_p,
+    The seed sits at a radius small enough that |V_p - A_p| <= SEED_REL * A_p,
     on the mesh or past it on the profile's right tail (with a one-term
     Frobenius correction from the tail's slowest mode at c_p); integration
     runs to tau = tau_far = log r, by default -t_lo - 0.2, just inside the
@@ -143,14 +146,15 @@ def mode_solve(mode: ModeData, gamma_seed: complex, potential: str = "profile",
         kappa = 1.0
         corr_amp = 0.0
     else:
-        # seed radius: potential within seed_rel of A_p from there inward, searched
+        # seed radius: potential within SEED_REL of A_p from there inward, searched
         # over the mesh and 40 e-foldings of the right tail's slowest mode
         C, lam_s = prof.plateau_decay()
         tt = np.linspace(t_lo, t_hi + 40.0 / -lam_s.real, 10000)
         rel = np.abs(p * prof.ubar(tt) ** (p - 1.0) - A_p) / A_p
-        ok = np.flip(np.maximum.accumulate(np.flip(rel))) <= seed_rel
+        ok = np.flip(np.maximum.accumulate(np.flip(rel))) <= SEED_REL
         if not ok[-1]:
-            raise ValueError(f"seed_rel={seed_rel:g} is below the potential's round-off")
+            raise SolverError("mode seed", f"potential never within {SEED_REL:g} of A_p "
+                              f"(j={j}, gamma={gamma_seed})")
         t_seed = float(tt[np.argmax(ok)])
         tau0 = -t_seed
         # one-term Frobenius correction from the tail's slowest mode at c_p
@@ -159,18 +163,13 @@ def mode_solve(mode: ModeData, gamma_seed: complex, potential: str = "profile",
         denom = indicial_polynomial(N, mode.lambda_j, gamma_seed + kappa, A_p)
         corr_amp = c1 / denom if abs(denom) > 1e-10 else 0.0
 
-    def seed_state(tau: float) -> np.ndarray:
-        g, k = gamma_seed, kappa
-        vals = np.array([
-            g**m * np.exp(g * tau) + corr_amp * (g + k) ** m * np.exp((g + k) * tau)
-            for m in range(4)
-        ])
-        return vals
-
+    # the seed state over e^{gamma tau0}, which underflows on long right tails
+    g, k = gamma_seed, kappa
+    y0c = np.array([g**m + corr_amp * (g + k) ** m * np.exp(k * tau0) for m in range(4)])
     complex_mode = abs(complex(gamma_seed).imag) > 0 or abs(complex(kappa).imag) > 0
-    y0c = seed_state(tau0)
     scale = max(abs(y0c[0]), 1e-290)
     y0c = y0c / scale  # mode ODE is linear; normalize the seed
+    norm = scale * np.exp((g if complex_mode else g.real) * tau0)  # w ~ e^{gamma tau} at the seed
 
     # dense potential table: the spline is smooth and interpolation error is
     # far below the 0.05 exponent-fit tolerance the solutions feed into
@@ -180,18 +179,23 @@ def mode_solve(mode: ModeData, gamma_seed: complex, potential: str = "profile",
     else:
         tau_tab = np.linspace(min(tau0, tau_far) - 0.1, max(tau0, tau_far) + 0.1, 40001)
         V_tab = p * prof.ubar(-tau_tab) ** (p - 1.0)
+        # np.interp's arithmetic on Python floats; rhs stays inside the table
+        xs, ys = tau_tab.tolist(), V_tab.tolist()
+        slopes = (np.diff(V_tab) / np.diff(tau_tab)).tolist()
 
         def pot(tau):
-            return np.interp(tau, tau_tab, V_tab)
+            i = min(max(bisect_right(xs, tau), 1), len(slopes)) - 1
+            return slopes[i] * (tau - xs[i]) + ys[i]
 
+    # scalar arithmetic on the state: the integration is interpreter-bound
     def rhs(tau, y):
-        wv, w1, w2, w3 = y[0:4] + (1j * y[4:8] if complex_mode else 0.0)
-        V = pot(tau)
-        w4 = -(b3 * w3 + b2 * w2 + b1 * w1 + (a4 - V) * wv)
-        out = np.array([w1, w2, w3, w4])
+        w, w1, w2, w3, *im = y.tolist()
+        c = a4 - pot(tau)
+        out = [w1, w2, w3, -(b3 * w3 + b2 * w2 + b1 * w1 + c * w)]
         if complex_mode:
-            return np.concatenate([out.real, out.imag])
-        return out.real
+            v, v1, v2, v3 = im
+            out += [v1, v2, v3, -(b3 * v3 + b2 * v2 + b1 * v1 + c * v)]
+        return out
 
     y0 = np.concatenate([y0c.real, y0c.imag]) if complex_mode else y0c.real
 
@@ -199,21 +203,25 @@ def mode_solve(mode: ModeData, gamma_seed: complex, potential: str = "profile",
         return np.max(np.abs(y)) - 1e280
 
     ev_overflow.terminal = True
-    sol = solve_ivp(rhs, (tau0, tau_far), y0, method="DOP853", rtol=rtol,
+    sol = solve_ivp(rhs, (tau0, tau_far), y0, method="DOP853", rtol=1e-10,
                     atol=1e-14, dense_output=True,
                     events=[ev_overflow])
     blow = float(sol.t_events[0][0]) if sol.t_events[0].size else None
-    tau = np.linspace(tau0, sol.t[-1], n_out)
+    tau = np.linspace(tau0, sol.t[-1], 2000)
     Y = sol.sol(tau)
-    w = (Y[0] + 1j * Y[4]) * scale if complex_mode else Y[0] * scale
-    dw = (Y[1] + 1j * Y[5]) * scale if complex_mode else Y[1] * scale
+    wn = Y[0] + 1j * Y[4] if complex_mode else Y[0]
+    w = wn * norm
+    dw = (Y[1] + 1j * Y[5]) * norm if complex_mode else Y[1] * norm
 
     # fitted exponent over the final stretch of integration
     span = abs(sol.t[-1] - tau0)
-    window = tau[np.abs(tau - sol.t[-1]) <= max(min(2.3, span / 2), 1e-9)]
-    vals = np.abs((sol.sol(window)[0] + (1j * sol.sol(window)[4] if complex_mode else 0.0)))
-    good = vals > 0
-    slope = float(np.polyfit(window[good], np.log(vals[good]), 1)[0])
+    in_window = np.abs(tau - sol.t[-1]) <= max(min(2.3, span / 2), 1e-9)
+    vals = np.abs(wn[in_window])
+    good = np.isfinite(vals) & (vals > 0)
+    if np.count_nonzero(good) < 2:
+        raise SolverError("mode integration", "fewer than two finite nonzero samples in the "
+                          f"fit window (j={j}, gamma={gamma_seed})")
+    slope = float(np.polyfit(tau[in_window][good], np.log(vals[good]), 1)[0])
     return ModeSolution(j=j, gamma_seed=gamma_seed, tau=tau, w=w, dw_dtau=dw,
                         far_exponent=slope, blowup_tau=blow)
 
@@ -339,46 +347,38 @@ class ScanEntry:
     note: str = ""
 
 
-def injectivity_scan(params: Params, profile: RadialProfile, j_list,
-                     mu: float | None = None, seed_rel: float = 1e-8) -> list[ScanEntry]:
+def injectivity_scan(params: Params, profile: RadialProfile, j_list) -> list[ScanEntry]:
     """Asymptotic-cone injectivity corroboration per mode.
 
-    For each j the branches admissible at zero (Re gamma > mu) are continued
-    to large r; PASS requires every such branch to grow (fitted exponent
-    > 0), which is incompatible with a bounded kernel element.  Degree one
-    is the analytically handled translation case and is always flagged
-    NOT-CERTIFIED; for j >= 2 with Cbar < 1 the certificate route decides
-    without integration.
+    Each j takes one route.  Degree one is the translation case, handled
+    analytically and always NOT-CERTIFIED; j >= 2 with Cbar < 1 takes the
+    certificate route.  Every other j takes the integration route: the
+    branches admissible at zero (Re gamma > mu) are continued to large r,
+    and PASS requires every one to grow (fitted exponent > 0), which is
+    incompatible with a bounded kernel element.  Only integration entries
+    carry branch exponents; the other routes' verdicts need none.
     """
     from .indicial import weight_window
 
-    if mu is None:
-        mu = weight_window(params).mu
+    mu = weight_window(params).mu
     out = []
     for j in j_list:
-        data = indicial_roots(params, j)
-        admissible = [g for g in data.roots_at_zero if g.real > mu]
         entry = ScanEntry(j=j, status="PASS", route="integration")
-        if j >= 2:
-            cert = quadratic_certificates(params, j)
-            entry.certificate = cert
-            if cert[1] < 1.0:
-                entry.route = "certificate"
-                entry.status = "PASS"
         if j == 1:
-            entry.route = "analytic"
-            entry.status = "NOT-CERTIFIED"
+            entry.route, entry.status = "analytic", "NOT-CERTIFIED"
             entry.note = ("translation direction u1' decays like r^{3-N}; handled by the "
                           "comparison argument, no finite certificate")
-        mode = make_mode(params, profile, j)
-        exps = {}
-        for g in admissible:
-            ms = mode_solve(mode, g, seed_rel=seed_rel)
-            exps[f"{g.real:+.4f}{g.imag:+.4f}i"] = ms.far_exponent
-        entry.branch_exponents = exps
+        elif j >= 2:
+            entry.certificate = quadratic_certificates(params, j)
+            if entry.certificate[1] < 1.0:
+                entry.route = "certificate"
         if entry.route == "integration":
+            mode = make_mode(params, profile, j)
+            exps = {f"{g.real:+.4f}{g.imag:+.4f}i": mode_solve(mode, g).far_exponent
+                    for g in indicial_roots(params, j).roots_at_zero if g.real > mu}
+            entry.branch_exponents = exps
             if not exps or not all(e > 0.0 for e in exps.values()):
                 entry.status = "NOT-CERTIFIED"
-                entry.note = entry.note or "some admissible branch failed to grow numerically"
+                entry.note = "some admissible branch failed to grow numerically"
         out.append(entry)
     return out

@@ -81,3 +81,23 @@ def test_blowup_fit_window_failure_exits_3(capsys):
     # at (14, 1.6) the largest amplitude leaves fewer than 8 nodes in the tail fit window
     assert run(["auxball", "--N", "14", "--p", "1.6", "--blowup"]) == 3
     assert "error: blow-up rescaling: fit window too narrow" in capsys.readouterr().err
+
+
+def test_modes_report_carries_exponents_only_for_integration(tmp_path):
+    out = tmp_path / "m.json"
+    assert run(["modes", "--N", "10", "--p", "2", "--jmax", "4", "--out", str(out)]) == 0
+    scan = json.loads(out.read_text())["results"][-1]["scan"]
+    assert [e["route"] for e in scan] == ["integration", "analytic"] + 3 * ["certificate"]
+    for e in scan:
+        assert isinstance(e["exponents"], dict)
+        assert bool(e["exponents"]) == (e["route"] == "integration")
+
+
+def test_modes_scan_completes_on_long_right_tail(tmp_path):
+    # at (6, 4.5) e^{gamma tau0} underflows at a j = 4 mode seed; the scan integrates j = 0 only
+    out = tmp_path / "m.json"
+    assert run(["modes", "--N", "6", "--p", "4.5", "--jmax", "4", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["results"][-1]
+    assert [(e["j"], e["status"]) for e in summary["scan"]] == [
+        (0, "PASS"), (1, "NOT-CERTIFIED"), (2, "PASS"), (3, "PASS"), (4, "PASS")]
+    assert summary["translation_kernel_residual"] <= 1e-6

@@ -158,16 +158,21 @@ def test_byparts_nonzero_mode(profile10, params10):
 def test_injectivity_scan(params10, profile10):
     # the default mesh ends before V_p is within 1e-8 of A_p: the seeds sit on its tail
     entries = injectivity_scan(params10, profile10, [0, 1, 2, 11])
-    assert all(math.isfinite(v) for e in entries for v in e.branch_exponents.values())
     by_j = {e.j: e for e in entries}
     assert by_j[0].status == "PASS" and by_j[0].route == "integration"
-    assert all(v > 0 for v in by_j[0].branch_exponents.values())
     assert by_j[1].status == "NOT-CERTIFIED" and by_j[1].route == "analytic"
     assert by_j[2].status == "PASS" and by_j[2].route == "certificate"
     assert by_j[11].status == "PASS" and by_j[11].route == "certificate"
-    # certificate and integration agree where both apply
-    assert all(v > 0 for v in by_j[11].branch_exponents.values())
-    # the integrated branches still grow when continued to r = e^{-T_LO - 0.2}
+    # only the integration route integrates; its exponent is mode_solve's, bit for bit
+    assert by_j[1].branch_exponents == by_j[2].branch_exponents == by_j[11].branch_exponents == {}
+    mode0 = make_mode(params10, profile10, 0)
+    mu = weight_window(params10).mu
+    direct = {f"{g.real:+.4f}{g.imag:+.4f}i": mode_solve(mode0, g).far_exponent
+              for g in indicial_roots(params10, 0).roots_at_zero if g.real > mu}
+    assert by_j[0].branch_exponents == direct
+    assert len(direct) == 1 and all(math.isfinite(v) and v > 0 for v in direct.values())
+    # certificate and integration agree where both apply: the integrated
+    # branches still grow when continued to r = e^{-T_LO - 0.2}
     for j in (0, 11):
         mode = make_mode(params10, profile10, j)
         for g in indicial_roots(params10, j).roots_at_zero:
@@ -180,3 +185,40 @@ def test_mode_solve_rejects_non_root(params10, profile10):
     mode = make_mode(params10, profile10, 0)
     with pytest.raises(ValueError):
         mode_solve(mode, 1.234)
+
+
+def test_injectivity_scan_integrates_only_the_integration_route(params10, profile10, monkeypatch):
+    from biharmlab import linearized
+
+    calls = []
+
+    def counting(mode, gamma_seed, **kw):
+        calls.append((mode.j, gamma_seed))
+        return mode_solve(mode, gamma_seed, **kw)
+
+    monkeypatch.setattr(linearized, "mode_solve", counting)
+    entries = injectivity_scan(params10, profile10, range(5))
+    assert [e.route for e in entries] == ["integration", "analytic"] + 3 * ["certificate"]
+    assert [j for j, _ in calls] == [0]
+
+
+def test_mode_solve_seed_on_long_right_tail():
+    """At (10, 1.68) the seed sits at tau0 ~ -268, where e^{gamma tau0} underflows.
+
+    Both branches admissible at zero for j = 3 still give a finite exponent
+    near the growing root j + 2 at infinity.
+    """
+    from biharmlab.core import validate_params
+    from biharmlab.delaunay import solve_singular
+
+    params = validate_params(10, 1.68)
+    prof = solve_singular(params)
+    mode = make_mode(params, prof, 3)
+    branches = [g for g in indicial_roots(params, 3).roots_at_zero
+                if g.real > weight_window(params).mu]
+    assert len(branches) == 2
+    for g in branches:
+        ms = mode_solve(mode, g)
+        assert ms.tau[0] * g.real < -745.0  # past exp's underflow
+        assert math.isfinite(ms.far_exponent)
+        assert abs(ms.far_exponent - 5.0) <= 0.1
