@@ -22,7 +22,10 @@ Solution strategy (one collocation boundary-value solve):
    the gauge reaches c_p/2;
 3. impose boundary conditions that kill the two stable components at the
    origin and pin the slow amplitude to h on the left, and kill the unstable
-   component at c_p on the right.
+   component at c_p on the right;
+4. solve by solve_bvp's Lobatto IIIA collocation with residual-controlled
+   mesh refinement, its Newton matrix ordered as the 3 left conditions, the
+   collocation rows of each interval, the right condition: banded, O(nodes).
 
 The profile is defined on all of R: the collocation spline on the mesh
 [t_lo, t_hi]; before t_lo the origin's unstable manifold (slow and fast
@@ -41,10 +44,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson, solve_bvp, solve_ivp
-from scipy.interpolate import BPoly
+from scipy.integrate import simpson, solve_ivp
+from scipy.interpolate import BPoly, PPoly
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.special import exprel
 
 from .core import EmdenCoeffs, Params, ShootingError, emden_coeffs, equilibrium_spectrum
@@ -71,7 +76,7 @@ __all__ = [
 
 H_REL = 1e-6          # slow amplitude at the anchor frame's t = 0, relative to c_p
 BVP_TOL = 3e-9        # collocation tolerance of the polish pass
-MAX_BVP_NODES = 120000
+MAX_BVP_NODES = 120000  # the collocation takes ~1.7 kB per node: ~200 MB at the cap
 TAIL = 16.0           # least mesh length past the gauge's c_p/2 crossing
 
 
@@ -360,6 +365,144 @@ class _ScaledSpline:
         return D * self._z(t)
 
 
+# The collocation of scipy.integrate.solve_bvp (Kierzenka & Shampine, ACM TOMS 27(3),
+# 2001), step for step, with one change: the Newton matrix's rows are ordered as the
+# 3 left boundary conditions, the 4 collocation rows of each interval in turn, then
+# the right boundary condition.  With separated conditions that matrix is banded,
+# (kl, ku) = (6, 4), and LAPACK's dgbtrf/dgbtrs factor and solve it in O(m).
+_KL, _KU = 6, 4
+_FAILURES = {1: "The maximum number of mesh nodes is exceeded.",
+             2: "A singular Jacobian encountered when solving the collocation system.",
+             3: "The solver was unable to satisfy boundary conditions tolerance on iteration 10."}
+
+
+class _Collocation(NamedTuple):
+    x: np.ndarray
+    sol: PPoly
+    rms_residuals: np.ndarray
+    status: int  # 0 converged, else a key of _FAILURES
+
+
+def _lobatto(fun, x, h, y):
+    """3-point Lobatto IIIA residuals of the nodal states y: (residual, y_mid, f, f_mid)."""
+    f = fun(x, y)
+    y_mid = 0.5 * (y[:, 1:] + y[:, :-1]) - 0.125 * h * (f[:, 1:] - f[:, :-1])
+    f_mid = fun(x[:-1] + 0.5 * h, y_mid)
+    return y[:, 1:] - y[:, :-1] - h / 6 * (f[:, :-1] + f[:, 1:] + 4 * f_mid), y_mid, f, f_mid
+
+
+def _newton_band(fun_jac, dya, dyb, x, h, y, y_mid):
+    """The Newton matrix in LAPACK band storage, transposed: row r, column c at [c, 10 + r - c].
+
+    Rows r: left conditions 0..2, interval q's collocation 3 + 4q + i, right
+    condition 4m - 1; column c = 4q + j is component j of node q.
+    """
+    m = x.size
+    J = np.moveaxis(fun_jac(x, y), 2, 0)
+    Jm = np.moveaxis(fun_jac(x[:-1] + 0.5 * h, y_mid), 2, 0)
+    h = h[:, None, None]
+    eye = np.identity(4)
+    ab = np.zeros((4 * m, 2 * _KL + _KU + 1))
+    i, j = np.indices((4, 4))
+    ab[:-4].reshape(m - 1, 4, -1)[:, j, 13 + i - j] = (
+        -eye - h / 6 * (J[:-1] + 2 * Jm) - h**2 / 12 * np.einsum("...ij,...jk->...ik", Jm, J[:-1]))
+    ab[4:].reshape(m - 1, 4, -1)[:, j, 9 + i - j] = (
+        eye - h / 6 * (J[1:] + 2 * Jm) + h**2 / 12 * np.einsum("...ij,...jk->...ik", Jm, J[1:]))
+    ab[j[:3], 10 + i[:3] - j[:3]] = dya[:3]
+    k = np.arange(4)
+    ab[k - 4, 13 - k] = dyb[3]
+    return ab
+
+
+def _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol):
+    """Damped Newton on one mesh, as solve_bvp: returns (y, singular).
+
+    Armijo backtracking (sigma 0.2, tau 0.5, 4 trials) on the affine-invariant
+    cost |J^-1 res|^2; at most 8 iterations and 4 Jacobians, and a Jacobian is
+    reused after a full step.  A non-finite matrix counts as singular.
+    """
+    tol_r = 2 / 3 * h * 5e-2 * tol
+
+    def residual(y):
+        col, y_mid, _, f_mid = _lobatto(fun, x, h, y)
+        bcr = bc(y[:, 0], y[:, -1])
+        done = np.all(np.abs(col) < tol_r * (1 + np.abs(f_mid))) and np.all(np.abs(bcr) < tol)
+        return np.concatenate([bcr[:3], col.ravel(order="F"), bcr[3:]]), y_mid, done
+
+    res, y_mid, _ = residual(y)
+    njev, recompute = 0, True
+    for _ in range(8):
+        if recompute:
+            ab = _newton_band(fun_jac, *bc_jac(y[:, 0], y[:, -1]), x, h, y, y_mid)
+            njev += 1
+            if not np.isfinite(ab).all():
+                return y, True
+            lu, piv, info = dgbtrf(ab.T, _KL, _KU, overwrite_ab=1)
+            if info > 0:
+                return y, True
+            step = dgbtrs(lu, _KL, _KU, res, piv)[0]
+            cost = step @ step
+        alpha = 1.0
+        for trial in range(5):
+            y_new = y - alpha * step.reshape(-1, 4).T
+            res, y_mid, done = residual(y_new)
+            step_new = dgbtrs(lu, _KL, _KU, res, piv)[0]
+            cost_new = step_new @ step_new
+            if cost_new < (1 - 2 * alpha * 0.2) * cost:
+                break
+            if trial < 4:
+                alpha *= 0.5
+        y = y_new
+        if njev == 4 or done:
+            break
+        recompute = alpha != 1
+        if not recompute:
+            step, cost = step_new, cost_new
+    return y, False
+
+
+def _collocate(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes) -> _Collocation:
+    """solve_bvp's mesh loop, with bc_tol = tol.
+
+    Each pass runs Newton on the mesh, estimates each interval's rms relative
+    residual by 5-point Lobatto quadrature of the C1 cubic, and inserts 1 node
+    where tol < rms < 100 tol and 2 where rms >= 100 tol.
+    """
+    h = np.diff(x)
+    status, iteration = None, 0
+    while status is None:
+        y, singular = _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol)
+        iteration += 1
+        col, _, f, f_mid = _lobatto(fun, x, h, y)
+        # the C1 cubic with nodal values y and slopes f
+        slope = (y[:, 1:] - y[:, :-1]) / h
+        c3 = (f[:, :-1] + f[:, 1:] - 2 * slope) / h
+        c = np.stack([c3 / h, (slope - f[:, :-1]) / h - c3, f[:, :-1], y[:, :-1]], axis=1)
+        sol = PPoly(c, x, extrapolate=True, axis=1)
+        xm, s = x[:-1] + 0.5 * h, 0.5 * h * (3 / 7) ** 0.5
+        r2 = [np.sum((1.5 * col / h / (1 + np.abs(f_mid))) ** 2, axis=0)]
+        for xk in (xm + s, xm - s):
+            fk = fun(xk, sol(xk))
+            r2.append(np.sum(((sol(xk, 1) - fk) / (1 + np.abs(fk))) ** 2, axis=0))
+        rms = (0.5 * (32 / 45 * r2[0] + 49 / 90 * (r2[1] + r2[2]))) ** 0.5
+        ins1 = np.nonzero((rms > tol) & (rms < 100 * tol))[0]
+        ins2 = np.nonzero(rms >= 100 * tol)[0]
+        if singular:
+            status = 2
+        elif x.size + ins1.size + 2 * ins2.size > max_nodes:
+            status = 1
+        elif ins1.size or ins2.size:
+            x = np.sort(np.hstack((x, 0.5 * (x[ins1] + x[ins1 + 1]),
+                                   (2 * x[ins2] + x[ins2 + 1]) / 3, (x[ins2] + 2 * x[ins2 + 1]) / 3)))
+            h = np.diff(x)
+            y = sol(x)
+        elif np.max(np.abs(bc(y[:, 0], y[:, -1]))) <= tol:
+            status = 0
+        elif iteration >= 10:
+            status = 3
+    return _Collocation(x, sol, rms, status)
+
+
 def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp):
     """Collocation solve of the connection, in gauged variables.
 
@@ -374,7 +517,8 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp):
     The anchor frame puts slow amplitude amp_anchor at t = 0, and the mesh
     starts at t = -pad.  Newton starts from the smooth logistic transition
     y = D itself: the gauged system is well-conditioned enough to converge
-    from it.
+    from it.  `_collocate` solves it; the boundary conditions are separated
+    (3 on the left, 1 on the right), so its Newton matrix is banded.
     """
     p = params.p
     cp = params.c_p
@@ -447,11 +591,10 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp):
         return dya, dyb
 
     try:
-        res = solve_bvp(fun, bc, tg, zg, fun_jac=fun_jac, bc_jac=bc_jac,
-                        tol=tol_bvp, max_nodes=MAX_BVP_NODES)
+        res = _collocate(fun, fun_jac, bc, bc_jac, tg, zg, tol_bvp, MAX_BVP_NODES)
     except ValueError as exc:  # mesh refinement collapsed nodes
         raise ShootingError("collocation polish", str(exc)) from exc
-    except MemoryError as exc:  # the sparse LU of the Newton step outgrew memory
+    except MemoryError as exc:  # the mesh's work arrays outgrew memory
         raise ShootingError("collocation polish", f"out of memory at {nodes[0]} nodes") from exc
     return res, t_arr, _ScaledSpline(res.sol, cp, w0, mu_s)
 
@@ -487,7 +630,7 @@ def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4) -> Radi
             grid_res = float(np.max(res.rms_residuals)) if res.rms_residuals.size else math.inf
             if not (grid_res <= 1e-7):
                 raise ShootingError("collocation polish",
-                                    f"{res.message} (rms {grid_res:.2e})")
+                                    f"{_FAILURES[res.status]} (rms {grid_res:.2e})")
         prof = RadialProfile(params=params, coeffs=coeffs, beta=h, t_grid=res.x, _sol=ysol)
         t_l = float(res.x[0])
         errs = (abs(float(ysol(t_l)[0]) * math.exp(-params.slow_rate * t_l) / h - 1.0),

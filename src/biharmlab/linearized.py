@@ -24,6 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyfromroots
 from scipy.integrate import simpson, solve_ivp
 
 from .core import Params, SolverError
@@ -226,29 +227,32 @@ def mode_solve(mode: ModeData, gamma_seed: complex, potential: str = "profile",
                         far_exponent=slope, blowup_tau=blow)
 
 
-def translation_kernel_residual(profile: RadialProfile, r) -> np.ndarray:
-    """Relative residual of w = u1' in the j = 1 mode ODE.
+def translation_kernel_residual(profile: RadialProfile, t) -> np.ndarray:
+    """Relative residual of w = u1' in the j = 1 mode ODE, at Emden-Fowler times t = -log r.
 
     Differentiating the radial equation shows u1' solves the j = 1 kernel
-    equation exactly; everything here is closed-form from the profile state,
-    so the residual measures profile quality, not differencing error.
+    equation exactly.  Every term carries the factor r^{-a-5}, a = 4/(p-1), so
+    the relative residual is formed from the ubar state alone, with no power
+    of r: u = r^{-a} ubar(-log r) gives r^{k+a} u^{(k)} = prod_{i<k} (-a - d/dt - i) ubar,
+    the fourth and fifth derivatives of ubar come from the Emden-Fowler
+    equation, and V = p r^4 u^{p-1} = p |ubar|^{p-1}.
     """
-    r = np.asarray(r, dtype=float)
     par = profile.params
-    N, p = par.N, par.p
-    a1, a2, a3, a4 = mode_coefficients(N, 1)
-    v = profile.r_view(r)
-    V = p * r**4 * np.abs(v.u) ** (p - 1.0)
-    terms = np.stack([
-        v.d5u,
-        a1 / r * v.d4u,
-        a2 / r**2 * v.d3u,
-        -a3 / r**3 * v.d2u,
-        (a4 - V) / r**4 * v.du,
-    ])
-    resid = np.sum(terms, axis=0)
-    scale = np.max(np.abs(terms), axis=0)
-    return np.abs(resid) / scale
+    p, a = par.p, par.singular_rate
+    K = profile.coeffs
+    a1, a2, a3, a4 = mode_coefficients(par.N, 1)
+    y = profile.ubar_state(t)
+    V = p * np.abs(y[0]) ** (p - 1.0)
+    d4 = V / p * y[0] - K.K3 * y[3] - K.K2 * y[2] - K.K1 * y[1] - K.K0 * y[0]
+    d5 = V * y[1] - K.K3 * d4 - K.K2 * y[3] - K.K1 * y[2] - K.K0 * y[1]
+    derivs = np.vstack([y, d4, d5])
+
+    def scaled(k):  # r^{k+a} u^{(k)}
+        return (-1) ** k * polyfromroots(-a - np.arange(k)) @ derivs[:k + 1]
+
+    terms = np.stack([scaled(5), a1 * scaled(4), a2 * scaled(3), -a3 * scaled(2),
+                      (a4 - V) * scaled(1)])
+    return np.abs(np.sum(terms, axis=0)) / np.max(np.abs(terms), axis=0)
 
 
 def quadratic_certificates(params: Params, j: int) -> tuple[float, float]:

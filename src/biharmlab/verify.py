@@ -38,11 +38,11 @@ def profile_figures(prof):
 
 
 def translation_residual(prof) -> float:
-    """Max residual of u1' in the j = 1 mode equation at 600 radii across the profile mesh."""
+    """Max residual of u1' in the j = 1 mode equation at 600 times across the profile mesh."""
     from .linearized import translation_kernel_residual
 
-    r = np.geomspace(np.exp(-prof.t_hi + 0.5), np.exp(-prof.t_lo - 0.5), 600)
-    return float(np.max(translation_kernel_residual(prof, r)))
+    t = np.linspace(prof.t_hi - 0.5, prof.t_lo + 0.5, 600)
+    return float(np.max(translation_kernel_residual(prof, t)))
 
 
 def suite_constants(N, p, **_) -> list:

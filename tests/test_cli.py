@@ -1,6 +1,7 @@
 """CLI surface: outputs, provenance, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -101,3 +102,11 @@ def test_modes_scan_completes_on_long_right_tail(tmp_path):
     assert [(e["j"], e["status"]) for e in summary["scan"]] == [
         (0, "PASS"), (1, "NOT-CERTIFIED"), (2, "PASS"), (3, "PASS"), (4, "PASS")]
     assert summary["translation_kernel_residual"] <= 1e-6
+
+
+def test_modes_translation_residual_on_long_mesh(tmp_path):
+    # at (10, 1.68) the mesh reaches r = e^{-t_hi}, where r-space powers of the profile overflow
+    out = tmp_path / "m.json"
+    assert run(["modes", "--N", "10", "--p", "1.68", "--jmax", "4", "--out", str(out)]) == 0
+    resid = json.loads(out.read_text())["results"][-1]["translation_kernel_residual"]
+    assert math.isfinite(resid) and resid <= 1e-6

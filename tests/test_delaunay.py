@@ -14,6 +14,8 @@ import sys
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_bvp
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.optimize import brentq
 
 import biharmlab
@@ -327,7 +329,7 @@ def test_mesh_collapse_raises_typed_error(monkeypatch, params10):
     def collapsed(*args, **kwargs):
         raise ValueError("`x` must be strictly increasing or decreasing.")
 
-    monkeypatch.setattr(delaunay, "solve_bvp", collapsed)
+    monkeypatch.setattr(delaunay, "_collocate", collapsed)
     with pytest.raises(ShootingError, match="collocation polish: `x` must be strictly"):
         solve_singular(params10, beta=1.0, tol=1e-4)
 
@@ -336,9 +338,108 @@ def test_out_of_memory_raises_typed_error(monkeypatch, params10):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(delaunay, "solve_bvp", exhausted)
+    monkeypatch.setattr(delaunay, "_collocate", exhausted)
     with pytest.raises(ShootingError, match="collocation polish: out of memory at 1600 nodes"):
         solve_singular(params10, beta=1.0, tol=1e-4)
+
+
+def test_singular_newton_matrix_raises_typed_error(monkeypatch, params10):
+    def singular(ab, kl, ku, **kwargs):
+        return ab, np.zeros(ab.shape[1], dtype=np.int32), 1
+
+    monkeypatch.setattr(delaunay, "dgbtrf", singular)
+    with pytest.raises(ShootingError, match="collocation polish: A singular Jacobian"):
+        solve_singular(params10, beta=1.0, tol=1e-4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_newton_matrix_is_never_factored(monkeypatch):
+    # at (10, 2.32) the gauge overflows, so the first Newton matrix holds NaN
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(delaunay, "dgbtrf", counting)
+    with pytest.raises(ShootingError, match="collocation polish"):
+        solve_singular(validate_params(10, 2.32), beta=1.0, tol=1e-4)
+    assert not calls
+
+
+@pytest.mark.parametrize("N,f", [(10, None), (11, 0.75), (5, 0.75)])
+def test_banded_collocation_matches_solve_bvp(monkeypatch, N, f):
+    # oracle: scipy's solve_bvp on the same gauged problem, at every pad the loop tries;
+    # (11, 0.75) solves twice, (5, 0.75) has the longest mesh of the three
+    params = validate_params(N, 2.0 if f is None else _window_p(N, f))
+    collocate, runs = delaunay._collocate, []
+
+    def both(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes):
+        ref = solve_bvp(fun, bc, x, y, fun_jac=fun_jac, bc_jac=bc_jac, tol=tol,
+                        max_nodes=max_nodes)
+        res = collocate(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes)
+        runs.append((ref, res))
+        return res
+
+    monkeypatch.setattr(delaunay, "_collocate", both)
+    solve_singular(params, beta=1.0, tol=1e-4)
+    assert len(runs) == (2 if N == 11 else 1)
+    mu, cp = params.slow_rate, params.c_p
+    for ref, res in runs:
+        assert ref.status == res.status == 0
+        assert np.array_equal(ref.x, res.x)
+        t = np.linspace(res.x[0], res.x[-1], 20001)
+        ubar_ref = delaunay._ScaledSpline(ref.sol, cp, delaunay.H_REL, mu)(t)[0]
+        ubar = delaunay._ScaledSpline(res.sol, cp, delaunay.H_REL, mu)(t)[0]
+        assert np.max(np.abs(ubar - ubar_ref)) <= 1e-12 * cp
+
+
+def test_banded_newton_step_matches_dense_solve(monkeypatch, params10):
+    # the gauged problem at (10, 2) on a 12-node mesh: one Newton step through the band
+    # against np.linalg.solve on the dense matrix read back from the band storage
+    problem = []
+
+    def capture(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes):
+        problem.extend([fun, fun_jac, bc, bc_jac, x, y])
+        raise MemoryError
+
+    monkeypatch.setattr(delaunay, "_collocate", capture)
+    with pytest.raises(ShootingError):
+        solve_singular(params10, beta=1.0, tol=1e-4)
+    fun, fun_jac, bc, bc_jac, x, y = problem
+    keep = np.linspace(0, x.size - 1, 12).astype(int)
+    x, y = x[keep], y[:, keep]
+    h = np.diff(x)
+
+    def residual(flat):  # in the band's row order; unknowns node by node
+        y = flat.reshape(-1, 4).T
+        col, y_mid, _, _ = delaunay._lobatto(fun, x, h, y)
+        bcr = bc(y[:, 0], y[:, -1])
+        return np.concatenate([bcr[:3], col.ravel(order="F"), bcr[3:]]), y_mid
+
+    res, y_mid = residual(y.T.ravel())
+    ab = delaunay._newton_band(fun_jac, *bc_jac(y[:, 0], y[:, -1]), x, h, y, y_mid)
+    n = ab.shape[0]
+    dense = np.zeros((n, n))
+    for c in range(n):
+        for k in range(ab.shape[1]):
+            r = c + k - delaunay._KL - delaunay._KU
+            if 0 <= r < n:
+                dense[r, c] = ab[c, k]
+            else:
+                assert ab[c, k] == 0.0
+    # the blocks: the dense matrix is the residual's Jacobian (central differences)
+    fd = np.zeros((n, n))
+    for c in range(n):
+        e = np.zeros(n)
+        e[c] = 1e-6
+        fd[:, c] = (residual(y.T.ravel() + e)[0] - residual(y.T.ravel() - e)[0]) / 2e-6
+    assert np.max(np.abs(fd - dense)) <= 1e-8 * np.max(np.abs(dense))
+    lu, piv, info = dgbtrf(ab.T, delaunay._KL, delaunay._KU)
+    assert info == 0
+    step = dgbtrs(lu, delaunay._KL, delaunay._KU, res, piv)[0]
+    exact = np.linalg.solve(dense, res)
+    assert np.max(np.abs(step - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_cli_reports_solver_failure_without_traceback():

@@ -52,8 +52,8 @@ def test_potential_limits(params10, profile10):
 
 
 def test_translation_mode_in_kernel(profile10):
-    r = np.geomspace(np.exp(-T_HI + 0.5), np.exp(-T_LO - 0.5), 800)
-    resid = translation_kernel_residual(profile10, r)
+    t = np.linspace(T_HI - 0.5, T_LO + 0.5, 800)  # r = e^{-t}
+    resid = translation_kernel_residual(profile10, t)
     assert float(np.max(resid)) <= 1e-6
 
 
