@@ -47,7 +47,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 
 from .core import SolverError
@@ -574,8 +573,9 @@ def _cumint(xi: np.ndarray, integrand_nodes: np.ndarray, sigma_g: float,
     if from_zero:
         vals = np.concatenate([[0.0], vals])
         xi = np.concatenate([[0.0], xi])
-        return cumulative_trapezoid(vals, xi, initial=0.0)[1:]
-    return cumulative_trapezoid(vals, xi, initial=0.0)
+    # scipy's cumulative_trapezoid(vals, xi, initial=0), term for term
+    out = np.concatenate([[0.0], np.cumsum(np.diff(xi) * (vals[1:] + vals[:-1]) / 2.0)])
+    return out[1:] if from_zero else out
 
 
 def laplacian_of_solution(grid: RadialGrid, N: int, f: np.ndarray,

@@ -25,7 +25,9 @@ Solution strategy (one collocation boundary-value solve):
    component at c_p on the right;
 4. solve by solve_bvp's Lobatto IIIA collocation with residual-controlled
    mesh refinement, its Newton matrix ordered as the 3 left conditions, the
-   collocation rows of each interval, the right condition: banded, O(nodes).
+   collocation rows of each interval, the right condition: banded, O(nodes);
+   the C1 cubic it returns is evaluated in numpy, bit for bit as scipy's
+   PPoly evaluates it, so the module loads scipy.linalg alone.
 
 The profile is defined on all of R: the collocation spline on the mesh
 [t_lo, t_hi]; before t_lo the origin's unstable manifold (slow and fast
@@ -34,7 +36,8 @@ at c_p.  The tails are the eigen-projections the boundary conditions impose,
 taken from the end states, so an imported profile has them too.
 
 `shoot_once` is kept as a standalone overshoot/undershoot classifier of
-single orbits seeded on the unstable manifold; the solver does not use it.
+single orbits seeded on the unstable manifold; the solver does not use it,
+and it imports scipy.integrate's solve_ivp only when called.
 
 The approach to c_p is oscillatory (the j=0 indicial pair is complex), so
 convergence is always measured through the full state distance.
@@ -47,10 +50,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
-from scipy.interpolate import BPoly, PPoly
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.special import exprel
 
 from .core import EmdenCoeffs, Params, ShootingError, emden_coeffs, equilibrium_spectrum
 from .cutoff import annulus_bump
@@ -95,11 +95,17 @@ def _origin_rates(params: Params) -> np.ndarray:
     return np.array([params.slow_rate, params.fast_rate, -a, -2.0 - a])
 
 
+def _exprel(x):
+    """(e^x - 1)/x, exactly 1 at x = 0 and inf past overflow, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(x == 0, 1.0, np.expm1(x) / x)
+
+
 def _divided_differences(a: float, b: float, d) -> np.ndarray:
     """[x^k e^{x d}] over the nodes a, b for k = 0..4, shape (5, m); finite at a = b."""
     lo, hi = min(a, b), max(a, b)
     ea = np.exp(a * d)
-    dd = np.exp(lo * d) * d * exprel((hi - lo) * d)  # (e^{ad} - e^{bd}) / (a - b)
+    dd = np.exp(lo * d) * d * _exprel((hi - lo) * d)  # (e^{ad} - e^{bd}) / (a - b)
     out, h = [], 0.0  # h = (a^k - b^k) / (a - b)
     for k in range(5):
         out.append(h * ea + b**k * dd)
@@ -304,6 +310,8 @@ def shoot_once(params: Params, coeffs: EmdenCoeffs, amp_slow: float, s: float,
     within eta*c_p of (c_p,0,0,0) for a window of length 5/|slowest stable rate|
     before t_max.
     """
+    from scipy.integrate import solve_ivp
+
     cp = params.c_p
     p = params.p
     b_max = 2.0 * ((p + 1.0) * params.k_const / 2.0) ** (1.0 / (p - 1.0))
@@ -376,9 +384,48 @@ _FAILURES = {1: "The maximum number of mesh nodes is exceeded.",
              3: "The solver was unable to satisfy boundary conditions tolerance on iteration 10."}
 
 
+class _Cubic:
+    """Piecewise cubic on breakpoints x; c[power, interval, component], highest power first.
+
+    Evaluates bit for bit, in the same memory layout, as scipy.interpolate.PPoly on
+    axis 1 with extrapolate=True: on the interval of the last breakpoint <= t (the
+    end pieces extrapolate), summing the powers from the lowest up in scipy's order.
+    """
+
+    def __init__(self, c, x):
+        self.c, self.x = c, x
+
+    def __call__(self, t, nu: int = 0):
+        """Values (nu = 0) or first derivatives (nu = 1) at t, shape (4,) + t.shape."""
+        t = np.asarray(t, dtype=float)
+        k = np.searchsorted(self.x[1:-1], t, side="right")  # in [0, m-2], NaN at m-2
+        return self._sum(t - self.x[k], nu, k)
+
+    def per_interval(self, t, nu: int = 0):
+        """As __call__ at one point t[k] inside each interval k, with no search."""
+        return self._sum(t - self.x[:-1], nu)
+
+    def _sum(self, s, nu, k=None):
+        deg = self.c.shape[0] - 1
+        s = s[..., None]
+        res, z = 0.0, 1.0
+        with np.errstate(all="ignore"):  # as PPoly's compiled loop; (5, 8.36) meets inf
+            for j in range(nu, deg + 1):
+                cj = self.c[deg - j] if k is None else self.c[deg - j].take(k, axis=0)
+                res = res + (cj * z * j if nu else cj * z)
+                if j < deg:
+                    z = z * s
+        return np.moveaxis(res, -1, 0)
+
+    def derivative(self) -> "_Cubic":
+        """PPoly.derivative(): coefficients scaled by their powers, one degree down."""
+        return _Cubic(self.c[:-1] * np.arange(self.c.shape[0] - 1, 0, -1.0)[:, None, None],
+                      self.x)
+
+
 class _Collocation(NamedTuple):
     x: np.ndarray
-    sol: PPoly
+    sol: _Cubic  # the C1 cubic with nodal values and slopes of the last Newton pass
     rms_residuals: np.ndarray
     status: int  # 0 converged, else a key of _FAILURES
 
@@ -477,13 +524,13 @@ def _collocate(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes) -> _Collocation:
         # the C1 cubic with nodal values y and slopes f
         slope = (y[:, 1:] - y[:, :-1]) / h
         c3 = (f[:, :-1] + f[:, 1:] - 2 * slope) / h
-        c = np.stack([c3 / h, (slope - f[:, :-1]) / h - c3, f[:, :-1], y[:, :-1]], axis=1)
-        sol = PPoly(c, x, extrapolate=True, axis=1)
+        c = np.stack([a.T for a in (c3 / h, (slope - f[:, :-1]) / h - c3, f[:, :-1], y[:, :-1])])
+        sol = _Cubic(c, x)
         xm, s = x[:-1] + 0.5 * h, 0.5 * h * (3 / 7) ** 0.5
         r2 = [np.sum((1.5 * col / h / (1 + np.abs(f_mid))) ** 2, axis=0)]
-        for xk in (xm + s, xm - s):
-            fk = fun(xk, sol(xk))
-            r2.append(np.sum(((sol(xk, 1) - fk) / (1 + np.abs(fk))) ** 2, axis=0))
+        for xk in (xm + s, xm - s):  # inside interval k, so evaluated there with no search
+            fk = fun(xk, sol.per_interval(xk))
+            r2.append(np.sum(((sol.per_interval(xk, 1) - fk) / (1 + np.abs(fk))) ** 2, axis=0))
         rms = (0.5 * (32 / 45 * r2[0] + 49 / 90 * (r2[1] + r2[2]))) ** 0.5
         ins1 = np.nonzero((rms > tol) & (rms < 100 * tol))[0]
         ins2 = np.nonzero(rms >= 100 * tol)[0]
@@ -728,6 +775,8 @@ def hamiltonian(profile: RadialProfile, t) -> np.ndarray:
 
 def dissipation_check(profile: RadialProfile, t0: float, t1: float, n: int = 8001):
     """Both sides of the dissipation identity on [t0, t1] (Simpson quadrature)."""
+    from scipy.integrate import simpson
+
     tt = np.linspace(t0, t1, n)
     _, u1, u2, _ = profile.ubar_state(tt)
     K = profile.coeffs
@@ -854,6 +903,8 @@ class KelvinProfile:
         Tests int utilde Delta^2 psi dV = int rho^alpha utilde^p psi dV with
         psi supported in [rho_lo, rho_hi]; all derivatives land on psi.
         """
+        from scipy.integrate import simpson
+
         p = self.params
         rho = np.linspace(rho_lo, rho_hi, n)
         d = [annulus_bump(rho, rho_lo, rho_hi, k) for k in range(5)]
@@ -929,6 +980,8 @@ class _StateSpline:
     """
 
     def __init__(self, t, state):
+        from scipy.interpolate import BPoly
+
         cols = [state[:, 0:4], state[:, 1:4], state[:, 2:4], state[:, 3:4]]
         self._polys = [BPoly.from_derivatives(t, c) for c in cols]
         self._dpolys = [pp.derivative() for pp in self._polys]

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import biharmlab
 from biharmlab.cli import main
 
 
@@ -110,3 +114,16 @@ def test_modes_translation_residual_on_long_mesh(tmp_path):
     assert run(["modes", "--N", "10", "--p", "1.68", "--jmax", "4", "--out", str(out)]) == 0
     resid = json.loads(out.read_text())["results"][-1]["translation_kernel_residual"]
     assert math.isfinite(resid) and resid <= 1e-6
+
+
+def test_commands_load_only_scipy_linalg():
+    # each command is a fresh process, and scipy's other subpackages double its import time
+    src = os.path.dirname(os.path.dirname(biharmlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, biharmlab.cli, biharmlab.delaunay, biharmlab.auxball, biharmlab.gluing; "
+            "print([m for m in ('scipy.integrate', 'scipy.interpolate', 'scipy.special') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

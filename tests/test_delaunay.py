@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -450,3 +451,51 @@ def test_cli_reports_solver_failure_without_traceback():
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "error: collocation polish" in proc.stderr
+
+
+def _same_bits(got, want):
+    """Equal bit for bit, NaN and signed zero included, and laid out alike in memory."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.strides == want.strides
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+def test_cubic_matches_ppoly_bit_for_bit():
+    # oracle: scipy's PPoly on the same coefficients, on axis 1 with extrapolation; the
+    # memory layout must match too, since pow and exp take other code paths on strided rows
+    from scipy.interpolate import PPoly
+
+    rng = np.random.default_rng(18)
+    m = 300
+    x = np.sort(rng.uniform(-5.0, 40.0, m))
+    c = rng.standard_normal((4, m - 1, 4)) * 10.0 ** rng.integers(-6, 7, (4, m - 1, 4))
+    c[3, :10] = -0.0  # scipy sums from 0.0, so a -0.0 constant term evaluates to +0.0
+    cubic = delaunay._Cubic(c, x)
+    pp = PPoly(c.transpose(2, 0, 1), x, extrapolate=True, axis=1)
+    t = np.concatenate([rng.uniform(x[0] - 5.0, x[-1] + 5.0, 20000), x, [np.nan]])
+    assert np.nanmin(t) < x[0] and np.nanmax(t) > x[-1]  # both extrapolation sides
+    for tq in (t, t[:60].reshape(3, 20), 3.3, x[-1]):
+        assert _same_bits(cubic(tq), pp(tq))
+        assert _same_bits(cubic(tq, 1), pp(tq, 1))
+        assert _same_bits(cubic.derivative()(tq), pp.derivative()(tq))
+    h = np.diff(x)
+    xm, s = x[:-1] + 0.5 * h, 0.5 * h * (3 / 7) ** 0.5
+    for xk in (xm + s, xm - s):  # the collocation's 5-point Lobatto samples
+        assert _same_bits(cubic.per_interval(xk), pp(xk))
+        assert _same_bits(cubic.per_interval(xk, 1), pp(xk, 1))
+
+
+def test_exprel_matches_scipy():
+    from scipy.special import exprel
+
+    x = np.concatenate([np.linspace(-800.0, 800.0, 160001),
+                        [0.0, -0.0, 5e-324, -1e-300, 1e-17, -1e-17, 709.78, 709.79]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = delaunay._exprel(x)
+        assert delaunay._exprel(0.0) == 1.0
+    want = exprel(x)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])  # +inf past overflow
+    assert np.all(got[x == 0] == 1.0)
+    assert np.max(np.abs(got[finite] - want[finite]) / want[finite]) <= 4e-16
