@@ -225,9 +225,11 @@ def cmd_auxball(args) -> int:
 
 def cmd_glue(args) -> int:
     from .delaunay import solve_singular
-    from .gluing import decay_fit
+    from .gluing import decay_fit, default_gamma_w
 
     params = validate_params(args.N, args.p)
+    if args.gamma_w is None:
+        args.gamma_w = default_gamma_w(params, args.mode)
     eps_list = [float(tok) for tok in args.eps_list.split(",")]
     prof = solve_singular(params, beta=1.0, tol=args.tol)
     fit = decay_fit(params, prof, eps_list, args.gamma_w, mode=args.mode,
@@ -317,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("glue", help="approximate-solution error decay fit")
     common(sp)
     sp.add_argument("--mode", choices=("points", "flat_edge"), default="points")
-    sp.add_argument("--gamma-w", type=float, default=-3.5)
+    sp.add_argument("--gamma-w", type=float, default=None,
+                    help="weight; default 5/12 of the way across (4-N, 0) for points, "
+                         "0.8 of the way across (-4/(p-1), (p-5)/(p-1)) for flat_edge")
     sp.add_argument("--eps-list", default=DEFAULT_EPS)
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--tol", type=float, default=1e-4)

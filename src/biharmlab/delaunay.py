@@ -37,7 +37,9 @@ taken from the end states, so an imported profile has them too.
 
 `shoot_once` is kept as a standalone overshoot/undershoot classifier of
 single orbits seeded on the unstable manifold; the solver does not use it,
-and it imports scipy.integrate's solve_ivp only when called.
+and it imports scipy.integrate's solve_ivp only when called.  The
+dissipation identity and the Kelvin transform's weak residual integrate by
+`radial.simpson`, in numpy.
 
 The approach to c_p is oscillatory (the j=0 indicial pair is complex), so
 convergence is always measured through the full state distance.
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +57,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .core import EmdenCoeffs, Params, ShootingError, emden_coeffs, equilibrium_spectrum
 from .cutoff import annulus_bump
-from .radial import bilap_radial, dlap_radial, lap_radial
+from .radial import bilap_radial, dlap_radial, lap_radial, simpson
 
 __all__ = [
     "RadialProfile",
@@ -147,17 +150,38 @@ class ShotOutcome:
 
 @dataclass(frozen=True)
 class RadialView:
-    """r-view of the profile: u and its radial derivatives at radii r."""
+    """r-view of the profile: u and its radial derivatives at radii r.
+
+    The fourth and fifth derivatives are formed on first use: toward the
+    origin of a long mesh they pass the double range before u''' does.
+    """
 
     r: np.ndarray
     u: np.ndarray
     du: np.ndarray
     d2u: np.ndarray
     d3u: np.ndarray
-    d4u: np.ndarray
-    d5u: np.ndarray
     lap: np.ndarray
     dlap: np.ndarray
+    N: int
+    p: float
+
+    @cached_property
+    def d4u(self) -> np.ndarray:
+        """u'''' from the radial equation Delta^2 u = u^p."""
+        N, r, u, du, d2u, d3u = self.N, self.r, self.u, self.du, self.d2u, self.d3u
+        up = np.abs(u) ** (self.p - 1.0) * u
+        return up - 2.0 * (N - 1.0) * d3u / r - (N - 1.0) * (N - 3.0) * (d2u / r**2 - du / r**3)
+
+    @cached_property
+    def d5u(self) -> np.ndarray:
+        """u''''' from the derivative of the radial equation."""
+        N, r, u, du, d2u, d3u = self.N, self.r, self.u, self.du, self.d2u, self.d3u
+        return (
+            self.p * np.abs(u) ** (self.p - 1.0) * du
+            - 2.0 * (N - 1.0) * (self.d4u / r - d3u / r**2)
+            - (N - 1.0) * (N - 3.0) * (d3u / r**2 - 3.0 * d2u / r**3 + 3.0 * du / r**4)
+        )
 
 
 @dataclass
@@ -275,16 +299,9 @@ class RadialProfile:
         d2u = (rma / r**2) * q
         dq = a * (a + 1.0) * ub1 + (2.0 * a + 1.0) * ub2 + ub3
         d3u = -(rma / r**3) * ((a + 2.0) * q + dq)
-        up = np.abs(u) ** (p - 1.0) * u
-        d4u = up - 2.0 * (N - 1.0) * d3u / r - (N - 1.0) * (N - 3.0) * (d2u / r**2 - du / r**3)
-        d5u = (
-            p * np.abs(u) ** (p - 1.0) * du
-            - 2.0 * (N - 1.0) * (d4u / r - d3u / r**2)
-            - (N - 1.0) * (N - 3.0) * (d3u / r**2 - 3.0 * d2u / r**3 + 3.0 * du / r**4)
-        )
         lap = lap_radial(N, r, du, d2u)
         dlap = dlap_radial(N, r, du, d2u, d3u)
-        return RadialView(r=r, u=u, du=du, d2u=d2u, d3u=d3u, d4u=d4u, d5u=d5u, lap=lap, dlap=dlap)
+        return RadialView(r=r, u=u, du=du, d2u=d2u, d3u=d3u, lap=lap, dlap=dlap, N=N, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -774,15 +791,13 @@ def hamiltonian(profile: RadialProfile, t) -> np.ndarray:
 
 
 def dissipation_check(profile: RadialProfile, t0: float, t1: float, n: int = 8001):
-    """Both sides of the dissipation identity on [t0, t1] (Simpson quadrature)."""
-    from scipy.integrate import simpson
-
+    """Both sides of the dissipation identity on [t0, t1] (Simpson quadrature, n odd)."""
     tt = np.linspace(t0, t1, n)
     _, u1, u2, _ = profile.ubar_state(tt)
     K = profile.coeffs
     rate = K.K1 * u1**2 - K.K3 * u2**2
     lhs = float(hamiltonian(profile, t1) - hamiltonian(profile, t0))
-    rhs = float(simpson(rate, x=tt))
+    rhs = simpson(rate, tt)
     return lhs, rhs
 
 
@@ -901,18 +916,16 @@ class KelvinProfile:
         """Relative residual of the weighted equation against a C^4 annulus bump.
 
         Tests int utilde Delta^2 psi dV = int rho^alpha utilde^p psi dV with
-        psi supported in [rho_lo, rho_hi]; all derivatives land on psi.
+        psi supported in [rho_lo, rho_hi]; all derivatives land on psi.  n is odd.
         """
-        from scipy.integrate import simpson
-
         p = self.params
         rho = np.linspace(rho_lo, rho_hi, n)
         d = [annulus_bump(rho, rho_lo, rho_hi, k) for k in range(5)]
         bilap_psi = bilap_radial(p.N, rho, d[1], d[2], d[3], d[4])
         ut = self.value(rho)
         meas = rho ** (p.N - 1.0)
-        lhs = simpson(ut * bilap_psi * meas, x=rho)
-        rhs = simpson(rho**p.alpha_w * ut**p.p * d[0] * meas, x=rho)
+        lhs = simpson(ut * bilap_psi * meas, rho)
+        rhs = simpson(rho**p.alpha_w * ut**p.p * d[0] * meas, rho)
         return float(abs(lhs - rhs) / (abs(rhs) + 1e-300))
 
 

@@ -42,12 +42,30 @@ __all__ = [
     "error_field",
     "weighted_norm",
     "decay_fit",
+    "default_gamma_w",
+    "weight_interval",
     "remainder_Q",
     "export_error_samples",
     "export_norm_report",
 ]
 
 _BINOM4 = [[1], [1, 1], [1, 2, 1], [1, 3, 3, 1], [1, 4, 6, 4, 1]]
+# the default weight of each mode sits this fraction of the way across its interval
+DEFAULT_WEIGHT_FRACTION = {"points": 5 / 12, "flat_edge": 0.8}
+
+
+def weight_interval(params: Params, mode: str) -> tuple[float, float]:
+    """Open interval of admissible weights gamma_w: (4-N, 0) for points,
+    (-4/(p-1), (p-5)/(p-1)) for the flat edge."""
+    if mode == "points":
+        return 4.0 - params.N, 0.0
+    return -4.0 / (params.p - 1.0), (params.p - 5.0) / (params.p - 1.0)
+
+
+def default_gamma_w(params: Params, mode: str) -> float:
+    """The weight at DEFAULT_WEIGHT_FRACTION of its admissible interval: -3.5 and -3.2 at (10, 2)."""
+    lo, hi = weight_interval(params, mode)
+    return lo + DEFAULT_WEIGHT_FRACTION[mode] * (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -88,7 +106,7 @@ class GlueConfig:
     sigma: float | None = None  # tubular radius of the norm shells; default 2R
 
     def __post_init__(self):
-        N, p = self.params.N, self.params.p
+        N = self.params.N
         R = self.cutoff.radius
         if self.sigma is None:
             self.sigma = 2.0 * R
@@ -101,8 +119,6 @@ class GlueConfig:
                 raise ValueError("one dilation per center required")
             if np.any(self.eps <= 0.0) or np.any(self.eps > 1.0):
                 raise ValueError("dilations must lie in (0, 1]")
-            if not 4.0 - N < self.gamma_w < 0.0:
-                raise ValueError(f"points mode needs gamma_w in ({4 - N}, 0), got {self.gamma_w}")
             for i in range(self.centers.shape[0]):
                 if np.max(np.abs(self.centers[i])) + 2.0 * R > self.box_halfwidth:
                     raise ValueError(f"cutoff ball at center {i} leaves the box")
@@ -115,12 +131,11 @@ class GlueConfig:
             self.eps = np.atleast_1d(np.asarray(self.eps, dtype=float))
             if self.eps.size != 1 or self.eps[0] <= 0.0 or self.eps[0] > 1.0:
                 raise ValueError("flat_edge mode takes a single dilation in (0, 1]")
-            lo = -4.0 / (p - 1.0)
-            hi = (p - 5.0) / (p - 1.0)
-            if not lo < self.gamma_w < hi:
-                raise ValueError(f"flat mode needs gamma_w in ({lo}, {hi}), got {self.gamma_w}")
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
+        lo, hi = weight_interval(self.params, self.mode)
+        if not lo < self.gamma_w < hi:
+            raise ValueError(f"{self.mode} mode needs gamma_w in ({lo}, {hi}), got {self.gamma_w}")
 
 
 def _profile_derivs(profile: RadialProfile, r: np.ndarray, eps: float):

@@ -13,6 +13,14 @@ and to 0 at infinity.  In the log variable tau = log r the ODE has constant
 coefficients plus the potential, and substituting w = r^gamma reproduces the
 indicial polynomial Q_j(gamma) of the companion module exactly.
 
+Mode solutions are integrated in tau by fixed-step classical RK4, written
+as 4x4 step matrices: the potential is evaluated at every step's start,
+midpoint and end in one vectorized call, the step matrices inside each
+output interval are multiplied together in log2 passes of batched matmul,
+and only the interval propagators are applied in sequence.  The module
+loads numpy alone; its quadratures use the composite Simpson rule of
+`radial.simpson`.
+
 The injectivity scans here are corroboration, not proof: results carry
 PASS / NOT-CERTIFIED labels.  The translation mode u1' is an exact kernel
 element at j = 1 and provides a closed-form residual test along the profile.
@@ -20,16 +28,16 @@ element at j = 1 and provides a closed-form residual test along the profile.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.polynomial import polyfromroots
-from scipy.integrate import simpson, solve_ivp
 
 from .core import Params, SolverError
 from .delaunay import RadialProfile
 from .indicial import indicial_polynomial, indicial_roots, sphere_eigenvalue
+from .radial import simpson
 
 __all__ = [
     "ModeData",
@@ -47,6 +55,14 @@ __all__ = [
 
 # mode seeds sit where the potential is within this fraction of its origin value A_p
 SEED_REL = 1e-8
+# mode solutions are sampled at N_OUT points; each of the N_OUT - 1 intervals takes
+# the least number of equal RK4 steps no longer than RK4_STEP in tau
+N_OUT = 2000
+RK4_STEP = 4e-3
+# a branch stops where its seed-normalized state first reaches this size
+OVERFLOW = 1e280
+# step matrices are formed in blocks of at most this many steps (2 MB per array)
+STEP_BLOCK = 2**14
 
 
 def mode_coefficients(N: int, j: int) -> tuple[float, float, float, float]:
@@ -97,6 +113,62 @@ def _log_coeffs(N: int, j: int) -> tuple[float, float, float, float]:
     return b3, b2, b1, a4
 
 
+def _rk4_step_matrices(B: np.ndarray, v0, vm, v1, h: float) -> np.ndarray:
+    """Classical RK4 step matrices of y' = (B + V e4 e1^T) y, one per step.
+
+    v0, vm and v1 hold V at the steps' starts, midpoints and ends; with A0, Am,
+    A1 the matrices there, k2 = K2 y, k3 = K3 y and k4 = K4 y, where
+    K2 = Am (I + h/2 A0), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3).
+    """
+    def A(v):
+        a = np.repeat(B[None], v.size, axis=0)
+        a[:, 3, 0] += v
+        return a
+
+    A0, Am, A1 = A(v0), A(vm), A(v1)
+    K = Am + 0.5 * h * (Am @ A0)
+    S = A0 + 2.0 * K
+    K = Am + 0.5 * h * (Am @ K)
+    S += 2.0 * K
+    S += A1 + h * (A1 @ K)
+    S *= h / 6.0
+    S += np.eye(4)
+    return S
+
+
+def _rk4_propagate(B: np.ndarray, potential_at, y0: np.ndarray, tau0: float, tau_end: float):
+    """RK4 solution of y' = (B + V e4 e1^T) y from y(tau0) = y0, sampled at N_OUT points.
+
+    The potential is evaluated at every step's start, midpoint and end in one
+    call; the step matrices inside each output interval are multiplied in
+    log2 passes, and only the interval propagators are applied in sequence.
+    Returns (tau, Y, over), Y[i] the state at tau[i]: over is the first index
+    where max|Y| passes OVERFLOW, and the samples end there; else None.
+    """
+    n_int = N_OUT - 1
+    tau = np.linspace(tau0, tau_end, N_OUT)
+    m = max(1, math.ceil(abs(tau_end - tau0) / (n_int * RK4_STEP)))
+    n_steps = n_int * m
+    h = (tau_end - tau0) / n_steps
+    V = potential_at(np.linspace(tau0, tau_end, 2 * n_steps + 1))
+    P = np.empty((n_int, 4, 4))
+    per = max(1, STEP_BLOCK // m)
+    for i in range(0, n_int, per):
+        v = V[2 * m * i:2 * m * min(i + per, n_int) + 1]
+        S = _rk4_step_matrices(B, v[:-1:2], v[1::2], v[2::2], h).reshape(-1, m, 4, 4)
+        while S.shape[1] > 1:  # each step's successor multiplies it from the left
+            odd = S[:, -1:] if S.shape[1] % 2 else S[:, :0]
+            S = np.concatenate([S[:, 1::2] @ S[:, :-1:2], odd], axis=1)
+        P[i:i + per] = S[:, 0]
+    Y = np.empty((N_OUT,) + y0.shape)
+    Y[0] = y0
+    for i in range(n_int):
+        Y[i + 1] = P[i] @ Y[i]
+        if np.max(np.abs(Y[i + 1])) > OVERFLOW:
+            return tau[:i + 2], Y[:i + 2], i + 1
+    return tau, Y, None
+
+
 @dataclass
 class ModeSolution:
     """Mode ODE solution sampled in tau = log r, with end-exponent fits."""
@@ -122,6 +194,14 @@ def mode_solve(mode: ModeData, gamma_seed: complex, potential: str = "profile",
     potential='zero' drops V_p, which leaves the biharmonic mode equation:
     its exact solutions are the monomials r^gamma, with gamma an indicial
     root at infinity.
+
+    The method is fixed-step classical RK4 on the state (w, w', w'', w''')
+    in tau, written as step matrices (`_rk4_propagate`): every step is at
+    most RK4_STEP long, and the solution is sampled at N_OUT points.  A
+    complex seed propagates as two real columns.  A branch whose
+    seed-normalized state reaches OVERFLOW stops there: blowup_tau is that
+    point, found log-linearly between samples, and the solution is sampled
+    again on [tau0, blowup_tau], where the far exponent is fitted.
     """
     prof = mode.profile
     par = prof.params
@@ -171,52 +251,32 @@ def mode_solve(mode: ModeData, gamma_seed: complex, potential: str = "profile",
     scale = max(abs(y0c[0]), 1e-290)
     y0c = y0c / scale  # mode ODE is linear; normalize the seed
     norm = scale * np.exp((g if complex_mode else g.real) * tau0)  # w ~ e^{gamma tau} at the seed
+    # a complex seed propagates as two real columns under the real step matrices
+    y0 = np.stack([y0c.real, y0c.imag], axis=1) if complex_mode else y0c.real[:, None]
 
-    # dense potential table: the spline is smooth and interpolation error is
-    # far below the 0.05 exponent-fit tolerance the solutions feed into
-    if potential == "zero":
-        def pot(tau):
-            return 0.0
-    else:
-        tau_tab = np.linspace(min(tau0, tau_far) - 0.1, max(tau0, tau_far) + 0.1, 40001)
-        V_tab = p * prof.ubar(-tau_tab) ** (p - 1.0)
-        # np.interp's arithmetic on Python floats; rhs stays inside the table
-        xs, ys = tau_tab.tolist(), V_tab.tolist()
-        slopes = (np.diff(V_tab) / np.diff(tau_tab)).tolist()
+    B = np.zeros((4, 4))
+    B[[0, 1, 2], [1, 2, 3]] = 1.0
+    B[3] = -a4, -b1, -b2, -b3
 
-        def pot(tau):
-            i = min(max(bisect_right(xs, tau), 1), len(slopes)) - 1
-            return slopes[i] * (tau - xs[i]) + ys[i]
+    def potential_at(tau):
+        return 0.0 * tau if potential == "zero" else p * prof.ubar(-tau) ** (p - 1.0)
 
-    # scalar arithmetic on the state: the integration is interpreter-bound
-    def rhs(tau, y):
-        w, w1, w2, w3, *im = y.tolist()
-        c = a4 - pot(tau)
-        out = [w1, w2, w3, -(b3 * w3 + b2 * w2 + b1 * w1 + c * w)]
-        if complex_mode:
-            v, v1, v2, v3 = im
-            out += [v1, v2, v3, -(b3 * v3 + b2 * v2 + b1 * v1 + c * v)]
-        return out
-
-    y0 = np.concatenate([y0c.real, y0c.imag]) if complex_mode else y0c.real
-
-    def ev_overflow(tau, y):
-        return np.max(np.abs(y)) - 1e280
-
-    ev_overflow.terminal = True
-    sol = solve_ivp(rhs, (tau0, tau_far), y0, method="DOP853", rtol=1e-10,
-                    atol=1e-14, dense_output=True,
-                    events=[ev_overflow])
-    blow = float(sol.t_events[0][0]) if sol.t_events[0].size else None
-    tau = np.linspace(tau0, sol.t[-1], 2000)
-    Y = sol.sol(tau)
-    wn = Y[0] + 1j * Y[4] if complex_mode else Y[0]
-    w = wn * norm
-    dw = (Y[1] + 1j * Y[5]) * norm if complex_mode else Y[1] * norm
+    tau, Y, over = _rk4_propagate(B, potential_at, y0, tau0, tau_far)
+    blow = None
+    if over is not None:
+        # locate the crossing of max|y| = OVERFLOW log-linearly inside the interval
+        # that passed it, then sample [tau0, crossing] as a full output grid again
+        m0, m1 = (math.log(float(np.max(np.abs(Y[i])))) for i in (over - 1, over))
+        blow = float(tau[over - 1] + (math.log(OVERFLOW) - m0) / (m1 - m0)
+                     * (tau[over] - tau[over - 1]))
+        tau, Y, _ = _rk4_propagate(B, potential_at, y0, tau0, blow)
+    Yn = Y[..., 0] + 1j * Y[..., 1] if complex_mode else Y[..., 0]
+    wn = Yn[:, 0]
+    w, dw = wn * norm, Yn[:, 1] * norm
 
     # fitted exponent over the final stretch of integration
-    span = abs(sol.t[-1] - tau0)
-    in_window = np.abs(tau - sol.t[-1]) <= max(min(2.3, span / 2), 1e-9)
+    span = abs(tau[-1] - tau0)
+    in_window = np.abs(tau - tau[-1]) <= max(min(2.3, span / 2), 1e-9)
     vals = np.abs(wn[in_window])
     good = np.isfinite(vals) & (vals > 0)
     if np.count_nonzero(good) < 2:
@@ -286,11 +346,12 @@ def hardy_chain_check(N: int, r: np.ndarray, w: np.ndarray, dw: np.ndarray,
     """Quadrature check of the two-step Hardy chain for compactly supported w.
 
     int r^{N-5} w^2 <= 4/(N-4)^2 int r^{N-3} w'^2  and
-    int r^{N-3} w'^2 <= 4/(N-2)^2 int r^{N-1} w''^2.
+    int r^{N-3} w'^2 <= 4/(N-2)^2 int r^{N-1} w''^2,
+    by Simpson's rule on w, w' and w'' sampled at an odd number of radii r.
     """
-    I0 = float(simpson(r ** (N - 5.0) * w**2, x=r))
-    I1 = float(simpson(r ** (N - 3.0) * dw**2, x=r))
-    I2 = float(simpson(r ** (N - 1.0) * d2w**2, x=r))
+    I0 = simpson(r ** (N - 5.0) * w**2, r)
+    I1 = simpson(r ** (N - 3.0) * dw**2, r)
+    I2 = simpson(r ** (N - 1.0) * d2w**2, r)
     b1 = 4.0 / (N - 4.0) ** 2 * I1
     b2 = 4.0 / (N - 2.0) ** 2 * I2
     tolr = 1e-12 * (1.0 + abs(b1) + abs(b2))
@@ -306,7 +367,8 @@ def byparts_identity_check(N: int, j: int, r: np.ndarray,
                            derivs: tuple[np.ndarray, ...]) -> float:
     """Relative residual of the exact-derivative identity behind the mode estimate.
 
-    For w with four sampled derivatives on [r0, r1], compares the quadrature
+    For w with four derivatives sampled at an odd number of radii r on
+    [r0, r1], compares the Simpson quadrature
     of r^{N-1} w (w'''' + a1/r w''' + a2/r^2 w'' - a3/r^3 w' + a4/r^4 w)
     against the boundary terms plus
     (N-1+2 lambda_j) r^{N-3} w'^2 + r^{N-1} w''^2 + a4 r^{N-5} w^2.
@@ -316,7 +378,7 @@ def byparts_identity_check(N: int, j: int, r: np.ndarray,
     lam = sphere_eigenvalue(j, N)
     lhs_int = simpson(
         r ** (N - 1.0) * w * (w4 + a1 / r * w3 + a2 / r**2 * w2 - a3 / r**3 * w1 + a4 / r**4 * w),
-        x=r,
+        r,
     )
 
     def boundary(idx):
@@ -332,7 +394,7 @@ def byparts_identity_check(N: int, j: int, r: np.ndarray,
         (N - 1.0 + 2.0 * lam) * r ** (N - 3.0) * w1**2
         + r ** (N - 1.0) * w2**2
         + a4 * r ** (N - 5.0) * w**2,
-        x=r,
+        r,
     )
     rhs = boundary(-1) - boundary(0) + bulk
     scale = abs(bulk) + abs(boundary(-1) - boundary(0)) + abs(lhs_int)
@@ -355,12 +417,15 @@ def injectivity_scan(params: Params, profile: RadialProfile, j_list) -> list[Sca
     """Asymptotic-cone injectivity corroboration per mode.
 
     Each j takes one route.  Degree one is the translation case, handled
-    analytically and always NOT-CERTIFIED; j >= 2 with Cbar < 1 takes the
-    certificate route.  Every other j takes the integration route: the
-    branches admissible at zero (Re gamma > mu) are continued to large r,
-    and PASS requires every one to grow (fitted exponent > 0), which is
-    incompatible with a bounded kernel element.  Only integration entries
-    carry branch exponents; the other routes' verdicts need none.
+    analytically and always NOT-CERTIFIED.  Every j >= 2 takes the
+    certificate route: Cbar is a concave quadratic in lambda_j with negative
+    slope at 0, so it falls strictly in lambda_j, and
+    1 - Cbar(N, 2) = 4N^2(N+4)/((N-2)^2(N-4)^2) > 0 at every N >= 5.  Only
+    j = 0 takes the integration route: the branches admissible at zero
+    (Re gamma > mu) are continued to large r, and PASS requires every one to
+    grow (fitted exponent > 0), which is incompatible with a bounded kernel
+    element.  Only integration entries carry branch exponents; the other
+    routes' verdicts need none.
     """
     from .indicial import weight_window
 
@@ -373,10 +438,9 @@ def injectivity_scan(params: Params, profile: RadialProfile, j_list) -> list[Sca
             entry.note = ("translation direction u1' decays like r^{3-N}; handled by the "
                           "comparison argument, no finite certificate")
         elif j >= 2:
-            entry.certificate = quadratic_certificates(params, j)
-            if entry.certificate[1] < 1.0:
-                entry.route = "certificate"
-        if entry.route == "integration":
+            entry.route, entry.certificate = "certificate", quadratic_certificates(params, j)
+            assert entry.certificate[1] < 1.0, entry.certificate
+        else:
             mode = make_mode(params, profile, j)
             exps = {f"{g.real:+.4f}{g.imag:+.4f}i": mode_solve(mode, g).far_exponent
                     for g in indicial_roots(params, j).roots_at_zero if g.real > mu}

@@ -242,16 +242,20 @@ def suite_auxball(N, p, grid_m=160, seed=0, cache_dir=None, **_) -> list:
 
 
 def suite_glue(N, p, profile, seed=0, eps_list=None, **_) -> list:
-    from .gluing import decay_fit, remainder_Q
+    from .gluing import decay_fit, default_gamma_w, remainder_Q
 
     checks = []
     params = validate_params(N, p)
     eps_list = eps_list or [2.0**-k for k in range(3, 8)]
     prof = profile
-    fit = decay_fit(params, prof, eps_list, -3.5, mode="points", seed=seed)
-    checks.append(_check("glue.points_decay", 1.7 <= fit.slope <= 2.3,
-                         f"fitted slope {fit.slope:.3f} vs nominal {fit.nominal:.3f} in [1.7, 2.3]"))
-    fit2 = decay_fit(params, prof, eps_list, -3.2, mode="flat_edge", edge_k=2, seed=seed)
+    fit = decay_fit(params, prof, eps_list, default_gamma_w(params, "points"), mode="points",
+                    seed=seed)
+    lo, hi = fit.nominal - 0.3, fit.nominal + 0.3
+    checks.append(_check("glue.points_decay", lo <= fit.slope <= hi,
+                         f"fitted slope {fit.slope:.3f} vs nominal {fit.nominal:.3f} "
+                         f"in [{lo:g}, {hi:g}]"))
+    fit2 = decay_fit(params, prof, eps_list, default_gamma_w(params, "flat_edge"),
+                     mode="flat_edge", edge_k=2, seed=seed)
     checks.append(_check("glue.flat_decay", fit2.slope >= 0.1,
                          f"fitted slope {fit2.slope:.3f} >= 0.1 (nominal {fit2.nominal:.3f}, "
                          "extrapolated target)"))

@@ -1,10 +1,12 @@
 """Mode decomposition, kernel elements, certificates, Hardy chain."""
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from biharmlab.core import validate_params
 from biharmlab.cutoff import annulus_bump
 from biharmlab.indicial import indicial_roots, weight_window
 from biharmlab.linearized import (byparts_identity_check, hardy_chain_check,
@@ -222,3 +224,92 @@ def test_mode_solve_seed_on_long_right_tail():
         assert ms.tau[0] * g.real < -745.0  # past exp's underflow
         assert math.isfinite(ms.far_exponent)
         assert abs(ms.far_exponent - 5.0) <= 0.1
+
+
+def test_certificate_holds_for_every_mode_from_two():
+    """Exact arithmetic: Cbar(N, 2) < 1 in closed form, and Cbar falls strictly in lambda_j.
+
+    Cbar(N, lambda) is a quadratic in lambda; both its linear and its quadratic
+    coefficient are negative, so Cbar(N, j) <= Cbar(N, 2) < 1 for every j >= 2.
+    """
+    def cbar(N, lam):
+        C = Fraction(N**3 * (N + 4), 16) - 2 * (N - 4) * lam - lam * lam
+        return (4 * C / (N - 4) ** 2 - (N - 1 + 2 * lam)) * Fraction(4, (N - 2) ** 2)
+
+    for N in range(5, 401):
+        assert 1 - cbar(N, 2 * N) == Fraction(4 * N * N * (N + 4), (N - 2) ** 2 * (N - 4) ** 2)
+        c0, c1, c2 = cbar(N, 0), cbar(N, 1), cbar(N, 2)
+        quad = (c2 - 2 * c1 + c0) / 2
+        assert quad < 0 and c1 - c0 - quad < 0
+    # the float certificates the scan reads agree with the exact ones
+    for N in range(5, 41):
+        params = validate_params(N, (N + 2) / (N - 4))
+        assert quadratic_certificates(params, 2)[1] == pytest.approx(float(cbar(N, 2 * N)),
+                                                                     rel=1e-12)
+
+
+# six window points from N = 5 to 14; at the first four the tail rate at c_p is complex
+ORACLE_POINTS = [(10, 2.0), (5, 6.5), (7, 3.33), (9, 2.4), (12, 1.625), (14, 1.5)]
+
+
+def _dop853_propagate(events):
+    """An oracle with _rk4_propagate's signature: scipy's DOP853 at rtol 1e-10.
+
+    The potential is interpolated linearly on a 400001-point table (at 40001
+    points the interpolation moves the j = 0 exponent by 2.3e-8 at N = 10,
+    f = 0.9); the solve stops where max|y| reaches OVERFLOW, and each stop is
+    appended to events.
+    """
+    from scipy.integrate import solve_ivp
+
+    from biharmlab import linearized
+
+    def propagate(B, potential_at, y0, tau0, tau_end):
+        tab = np.linspace(min(tau0, tau_end) - 0.1, max(tau0, tau_end) + 0.1, 400001)
+        xs, vs = tab.tolist(), potential_at(tab).tolist()
+        b = B[3].tolist()
+        ncol = y0.shape[1]
+
+        def rhs(tau, y):
+            i = min(max(bisect_right(xs, tau), 1), len(xs) - 1) - 1
+            v = vs[i] + (vs[i + 1] - vs[i]) * (tau - xs[i]) / (xs[i + 1] - xs[i])
+            y = y.tolist()
+            out = []
+            for c in range(ncol):
+                w = y[4 * c:4 * c + 4]
+                out += [w[1], w[2], w[3], (b[0] + v) * w[0] + b[1] * w[1] + b[2] * w[2] + b[3] * w[3]]
+            return out
+
+        def overflow(tau, y):
+            return np.max(np.abs(y)) - linearized.OVERFLOW
+
+        overflow.terminal = True
+        sol = solve_ivp(rhs, (tau0, tau_end), y0.T.ravel(), method="DOP853", rtol=1e-10,
+                        atol=1e-14, dense_output=True, events=[overflow])
+        events.extend(sol.t_events[0].tolist())
+        tau = np.linspace(tau0, sol.t[-1], linearized.N_OUT)
+        return tau, sol.sol(tau).reshape(ncol, 4, -1).transpose(2, 1, 0), None
+
+    return propagate
+
+
+@pytest.mark.parametrize("N, p", ORACLE_POINTS)
+def test_mode_solve_matches_dop853(N, p, monkeypatch):
+    from biharmlab import linearized
+    from biharmlab.delaunay import solve_singular
+
+    params = validate_params(N, p)
+    prof = solve_singular(params)
+    mode = make_mode(params, prof, 0)
+    branches = [g for g in indicial_roots(params, 0).roots_at_zero
+                if g.real > weight_window(params).mu]
+    rk4 = [mode_solve(mode, g) for g in branches]
+    events = []
+    monkeypatch.setattr(linearized, "_rk4_propagate", _dop853_propagate(events))
+    ref = [mode_solve(mode, g) for g in branches]
+    for a, b in zip(rk4, ref):
+        assert abs(a.far_exponent - b.far_exponent) <= 1e-8
+        assert a.blowup_tau is None
+    assert events == []
+    # j = 0 runs in complex mode wherever the tail rate at c_p is complex
+    assert np.iscomplexobj(rk4[0].w) == ((N, p) in {(10, 2.0), (5, 6.5), (7, 3.33), (9, 2.4)})
