@@ -49,10 +49,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial.polynomial import polyfromroots
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .core import EmdenCoeffs, Params, ShootingError, emden_coeffs, equilibrium_spectrum
@@ -150,38 +150,16 @@ class ShotOutcome:
 
 @dataclass(frozen=True)
 class RadialView:
-    """r-view of the profile: u and its radial derivatives at radii r.
-
-    The fourth and fifth derivatives are formed on first use: toward the
-    origin of a long mesh they pass the double range before u''' does.
-    """
+    """r-view of the profile: u and its radial derivatives through order four at radii r."""
 
     r: np.ndarray
     u: np.ndarray
     du: np.ndarray
     d2u: np.ndarray
     d3u: np.ndarray
+    d4u: np.ndarray
     lap: np.ndarray
     dlap: np.ndarray
-    N: int
-    p: float
-
-    @cached_property
-    def d4u(self) -> np.ndarray:
-        """u'''' from the radial equation Delta^2 u = u^p."""
-        N, r, u, du, d2u, d3u = self.N, self.r, self.u, self.du, self.d2u, self.d3u
-        up = np.abs(u) ** (self.p - 1.0) * u
-        return up - 2.0 * (N - 1.0) * d3u / r - (N - 1.0) * (N - 3.0) * (d2u / r**2 - du / r**3)
-
-    @cached_property
-    def d5u(self) -> np.ndarray:
-        """u''''' from the derivative of the radial equation."""
-        N, r, u, du, d2u, d3u = self.N, self.r, self.u, self.du, self.d2u, self.d3u
-        return (
-            self.p * np.abs(u) ** (self.p - 1.0) * du
-            - 2.0 * (N - 1.0) * (self.d4u / r - d3u / r**2)
-            - (N - 1.0) * (N - 3.0) * (d3u / r**2 - 3.0 * d2u / r**3 + 3.0 * du / r**4)
-        )
 
 
 @dataclass
@@ -279,29 +257,37 @@ class RadialProfile:
         C = (2.0 if tail.lam[k].imag else 1.0) * tail.c[k] * np.exp(-tail.lam[k] * self.t_hi)
         return complex(C), complex(tail.lam[k])
 
-    def r_view(self, r) -> RadialView:
-        """u(r) and radial derivatives through order five, assembled from the state.
+    def scaled_derivs(self, t) -> np.ndarray:
+        """S[k] = r^{k+a} u^{(k)}(r) at r = e^{-t} for k = 0..5, shape (6, m), from the state.
 
-        u''''  comes from the radial equation Delta^2 u = u^p and u''''' from
-        its derivative, so no numerical differentiation is involved.
+        With u = r^{-a} ubar(-log r), a = 4/(p-1), the operator r d/dr acts on
+        r^{-a} f(-log r) as r^{-a} (-a - d/dt) f, so
+        r^{k+a} u^{(k)} = prod_{i<k} (-a - d/dt - i) ubar; ubar'''' and ubar'''''
+        come from the Emden-Fowler equation and its derivative.  No power of r
+        is formed, so S is finite wherever the state is.  The radial operators
+        are homogeneous in r, so r^{a+2} Delta u = lap_radial(N, 1, S[1], S[2])
+        and r^{a+3} (Delta u)' = dlap_radial(N, 1, S[1], S[2], S[3]).
         """
+        p, a = self.params.p, self.params.singular_rate
+        K = self.coeffs
+        y = self.ubar_state(t)
+        up = np.abs(y[0]) ** (p - 1.0)
+        d4 = up * y[0] - K.K3 * y[3] - K.K2 * y[2] - K.K1 * y[1] - K.K0 * y[0]
+        d5 = p * up * y[1] - K.K3 * d4 - K.K2 * y[3] - K.K1 * y[2] - K.K0 * y[1]
+        derivs = np.vstack([y, d4, d5])
+        return np.stack([(-1) ** k * polyfromroots(-a - np.arange(k)) @ derivs[:k + 1]
+                         for k in range(6)])
+
+    def r_view(self, r) -> RadialView:
+        """u(r) and radial derivatives through order four: S[k] r^{-(k+a)} of `scaled_derivs`."""
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0.0):
             raise ValueError("radii must be positive")
-        N, p = self.params.N, self.params.p
-        a = self.params.singular_rate
-        t = -np.log(r)
-        ub, ub1, ub2, ub3 = self.ubar_state(t)
-        rma = r**-a
-        u = rma * ub
-        du = -(rma / r) * (a * ub + ub1)
-        q = a * (a + 1.0) * ub + (2.0 * a + 1.0) * ub1 + ub2
-        d2u = (rma / r**2) * q
-        dq = a * (a + 1.0) * ub1 + (2.0 * a + 1.0) * ub2 + ub3
-        d3u = -(rma / r**3) * ((a + 2.0) * q + dq)
-        lap = lap_radial(N, r, du, d2u)
-        dlap = dlap_radial(N, r, du, d2u, d3u)
-        return RadialView(r=r, u=u, du=du, d2u=d2u, d3u=d3u, lap=lap, dlap=dlap, N=N, p=p)
+        N, a = self.params.N, self.params.singular_rate
+        S = self.scaled_derivs(-np.log(r))
+        u, du, d2u, d3u, d4u = (S[k] * r ** -(k + a) for k in range(5))
+        return RadialView(r=r, u=u, du=du, d2u=d2u, d3u=d3u, d4u=d4u,
+                          lap=lap_radial(N, r, du, d2u), dlap=dlap_radial(N, r, du, d2u, d3u))
 
 
 # ---------------------------------------------------------------------------
@@ -805,9 +791,10 @@ def dissipation_check(profile: RadialProfile, t0: float, t1: float, n: int = 800
 # r-view reports
 # ---------------------------------------------------------------------------
 
-def _loglog_slope(r: np.ndarray, vals: np.ndarray) -> float:
+def _loglog_slope(logr: np.ndarray, vals: np.ndarray) -> float:
+    """Fitted slope of log|vals| against log r over the nonzero samples."""
     mask = np.abs(vals) > 0
-    return float(np.polyfit(np.log(r[mask]), np.log(np.abs(vals[mask])), 1)[0])
+    return float(np.polyfit(logr[mask], np.log(np.abs(vals[mask])), 1)[0])
 
 
 @dataclass
@@ -830,49 +817,41 @@ class MonotonicityReport:
         return err
 
 
-def monotonicity_report(profile: RadialProfile, r=None,
-                        fit_decades: float = 1.0) -> MonotonicityReport:
+def monotonicity_report(profile: RadialProfile, r=None) -> MonotonicityReport:
     """Verify u' < 0, Delta u < 0, (Delta u)' > 0 and fit the eight end rates.
 
-    The increasing radii r default to 600 points one unit inside the mesh ends.
+    Everything is read from `RadialProfile.scaled_derivs` at t = -log r, with
+    no power of r: r^{k+a} u^{(k)} > 0 carries the sign of u^{(k)}, and each
+    rate is the slope of log|r^{k+a} u^{(k)}| against log r over the decade
+    at either end, minus (a + k).  A sample that is not of the required sign,
+    NaN included, is a violation.  The increasing radii r default to 600
+    points, equally spaced in log r, one unit inside the mesh ends.
     """
     N = profile.params.N
     a = profile.params.singular_rate
-    if r is None:
-        r = np.geomspace(math.exp(-(profile.t_hi - 1.0)), math.exp(-(profile.t_lo + 1.0)), 600)
-    r_lo, r_hi = r[0], r[-1]
-    v = profile.r_view(r)
+    logr = np.linspace(1.0 - profile.t_hi, -1.0 - profile.t_lo, 600) if r is None else np.log(r)
+    S = profile.scaled_derivs(-logr)
+    fields = {"u": S[0], "du": S[1], "lap": lap_radial(N, 1.0, S[1], S[2]),
+              "dlap": dlap_radial(N, 1.0, S[1], S[2], S[3])}
     violations = []
-    if not np.all(v.du < 0):
-        violations.append(("u' < 0", int(np.sum(v.du >= 0))))
-    if not np.all(v.lap < 0):
-        violations.append(("Delta u < 0", int(np.sum(v.lap >= 0))))
-    if not np.all(v.dlap > 0):
-        violations.append(("(Delta u)' > 0", int(np.sum(v.dlap <= 0))))
+    for name, key, sign in (("u' < 0", "du", -1.0), ("Delta u < 0", "lap", -1.0),
+                            ("(Delta u)' > 0", "dlap", 1.0)):
+        bad = int(np.count_nonzero(~(sign * fields[key] > 0)))
+        if bad:
+            violations.append((name, bad))
 
-    far = r >= r_hi / 10**fit_decades
-    near = r <= r_lo * 10**fit_decades
-    slopes_far = {
-        "u": _loglog_slope(r[far], v.u[far]),
-        "du": _loglog_slope(r[far], v.du[far]),
-        "lap": _loglog_slope(r[far], v.lap[far]),
-        "dlap": _loglog_slope(r[far], v.dlap[far]),
-    }
-    slopes_near = {
-        "u": _loglog_slope(r[near], v.u[near]),
-        "du": _loglog_slope(r[near], v.du[near]),
-        "lap": _loglog_slope(r[near], v.lap[near]),
-        "dlap": _loglog_slope(r[near], v.dlap[near]),
-    }
-    nominal_far = {"u": 4.0 - N, "du": 3.0 - N, "lap": 2.0 - N, "dlap": 1.0 - N}
-    nominal_near = {"u": -a, "du": -a - 1.0, "lap": -a - 2.0, "dlap": -a - 3.0}
+    order = {"u": 0, "du": 1, "lap": 2, "dlap": 3}
+
+    def slopes(at):  # of log|u^(k)| over the decade `at`
+        return {k: _loglog_slope(logr[at], v[at]) - a - order[k] for k, v in fields.items()}
+
     return MonotonicityReport(
         signs_ok=not violations,
         violations=violations,
-        slopes_far=slopes_far,
-        slopes_near=slopes_near,
-        nominal_far=nominal_far,
-        nominal_near=nominal_near,
+        slopes_far=slopes(logr >= logr[-1] - math.log(10.0)),
+        slopes_near=slopes(logr <= logr[0] + math.log(10.0)),
+        nominal_far={k: 4.0 - N - k_ for k, k_ in order.items()},
+        nominal_near={k: -a - k_ for k, k_ in order.items()},
     )
 
 
@@ -910,7 +889,7 @@ class KelvinProfile:
     def tail_slope(self, decades: float = 1.0) -> float:
         hi = math.exp(self.profile.t_hi)
         rho = np.geomspace(hi / 10**decades, hi / 1.05, 200)
-        return _loglog_slope(rho, self.value(rho))
+        return _loglog_slope(np.log(rho), self.value(rho))
 
     def weak_residual(self, rho_lo: float, rho_hi: float, n: int = 4001) -> float:
         """Relative residual of the weighted equation against a C^4 annulus bump.

@@ -139,17 +139,14 @@ class GlueConfig:
 
 
 def _profile_derivs(profile: RadialProfile, r: np.ndarray, eps: float):
-    """u_eps and radial derivatives through order 4 at radii r (r > 0)."""
+    """u_eps = eps^{-a} u(r/eps) and its radial derivatives through order 4 at radii r > 0.
+
+    u_eps^{(k)}(r) = r^{-(k+a)} S[k] at t = log(eps/r), S of `RadialProfile.scaled_derivs`:
+    the dilation enters through t alone.
+    """
     a = profile.params.singular_rate
-    v = profile.r_view(r / eps)
-    scale = eps**-a
-    return (
-        scale * v.u,
-        scale / eps * v.du,
-        scale / eps**2 * v.d2u,
-        scale / eps**3 * v.d3u,
-        scale / eps**4 * v.d4u,
-    )
+    S = profile.scaled_derivs(np.log(eps / r))
+    return tuple(S[k] * r ** -(k + a) for k in range(5))
 
 
 def _product_derivs(chi: list, vd: tuple) -> list:

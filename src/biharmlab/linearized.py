@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.polynomial import polyfromroots
 
 from .core import Params, SolverError
 from .delaunay import RadialProfile
@@ -292,26 +291,15 @@ def translation_kernel_residual(profile: RadialProfile, t) -> np.ndarray:
 
     Differentiating the radial equation shows u1' solves the j = 1 kernel
     equation exactly.  Every term carries the factor r^{-a-5}, a = 4/(p-1), so
-    the relative residual is formed from the ubar state alone, with no power
-    of r: u = r^{-a} ubar(-log r) gives r^{k+a} u^{(k)} = prod_{i<k} (-a - d/dt - i) ubar,
-    the fourth and fifth derivatives of ubar come from the Emden-Fowler
-    equation, and V = p r^4 u^{p-1} = p |ubar|^{p-1}.
+    the relative residual is formed from S[k] = r^{k+a} u^{(k)} of
+    `RadialProfile.scaled_derivs`, with no power of r, and V = p r^4 u^{p-1}
+    = p |ubar|^{p-1}.
     """
     par = profile.params
-    p, a = par.p, par.singular_rate
-    K = profile.coeffs
     a1, a2, a3, a4 = mode_coefficients(par.N, 1)
-    y = profile.ubar_state(t)
-    V = p * np.abs(y[0]) ** (p - 1.0)
-    d4 = V / p * y[0] - K.K3 * y[3] - K.K2 * y[2] - K.K1 * y[1] - K.K0 * y[0]
-    d5 = V * y[1] - K.K3 * d4 - K.K2 * y[3] - K.K1 * y[2] - K.K0 * y[1]
-    derivs = np.vstack([y, d4, d5])
-
-    def scaled(k):  # r^{k+a} u^{(k)}
-        return (-1) ** k * polyfromroots(-a - np.arange(k)) @ derivs[:k + 1]
-
-    terms = np.stack([scaled(5), a1 * scaled(4), a2 * scaled(3), -a3 * scaled(2),
-                      (a4 - V) * scaled(1)])
+    S = profile.scaled_derivs(t)
+    V = par.p * np.abs(S[0]) ** (par.p - 1.0)
+    terms = np.stack([S[5], a1 * S[4], a2 * S[3], -a3 * S[2], (a4 - V) * S[1]])
     return np.abs(np.sum(terms, axis=0)) / np.max(np.abs(terms), axis=0)
 
 

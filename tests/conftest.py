@@ -33,3 +33,32 @@ def kernel10():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def chain_rule_derivs():
+    """Reference u, u', ..., u''''' at radii r, formed in r-space.
+
+    u = r^{-a} ubar(-log r) is differentiated by the chain rule through u''',
+    and u'''' and u''''' come from the radial equation Delta^2 u = u^p and its
+    derivative; an independent route to what `RadialProfile.scaled_derivs`
+    gives in Emden-Fowler time.
+    """
+
+    def derivs(profile, r):
+        N, p, a = profile.params.N, profile.params.p, profile.params.singular_rate
+        ub, ub1, ub2, ub3 = profile.ubar_state(-np.log(r))
+        rma = r**-a
+        u = rma * ub
+        du = -(rma / r) * (a * ub + ub1)
+        q = a * (a + 1.0) * ub + (2.0 * a + 1.0) * ub1 + ub2
+        d2u = (rma / r**2) * q
+        dq = a * (a + 1.0) * ub1 + (2.0 * a + 1.0) * ub2 + ub3
+        d3u = -(rma / r**3) * ((a + 2.0) * q + dq)
+        d4u = (np.abs(u) ** (p - 1.0) * u - 2.0 * (N - 1.0) * d3u / r
+               - (N - 1.0) * (N - 3.0) * (d2u / r**2 - du / r**3))
+        d5u = (p * np.abs(u) ** (p - 1.0) * du - 2.0 * (N - 1.0) * (d4u / r - d3u / r**2)
+               - (N - 1.0) * (N - 3.0) * (d3u / r**2 - 3.0 * d2u / r**3 + 3.0 * du / r**4))
+        return [u, du, d2u, d3u, d4u, d5u]
+
+    return derivs

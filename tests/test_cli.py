@@ -184,9 +184,10 @@ KNOWN_FAILURES = {
 }
 
 
-@pytest.mark.parametrize("N, p", [(10, 2.0)] + [(N, _window_p(N, f)) for N, f in
-                                                 ((5, 0.25), (5, 0.75), (8, 0.75), (11, 0.25),
-                                                  (14, 0.25), (14, 0.75))])
+@pytest.mark.parametrize("N, p", [(10, 2.0), (14, 1.4128)]
+                         + [(N, _window_p(N, f)) for N, f in ((5, 0.02), (5, 0.25), (5, 0.75),
+                                                              (8, 0.75), (11, 0.25), (14, 0.25),
+                                                              (14, 0.75))])
 def test_verify_all_across_the_window(N, p, tmp_path, capsys):
     from biharmlab.core import validate_params
 
@@ -196,6 +197,14 @@ def test_verify_all_across_the_window(N, p, tmp_path, capsys):
     assert rc == (1 if failed else 0)
     params = validate_params(N, p)
     assert all(name in KNOWN_FAILURES and KNOWN_FAILURES[name](params) for name in failed), failed
+
+
+def test_delaunay_report_at_the_serrin_end(tmp_path):
+    # at (14, 1.4128) (f = 0.032) the mesh is long enough that r-space powers of
+    # the profile overflow; the report reads signs and rates in Emden-Fowler time
+    out = tmp_path / "d.json"
+    assert run(["delaunay", "--N", "14", "--p", "1.4128", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["signs_ok"] is True
 
 
 def test_glue_default_weight_lies_in_the_window(tmp_path):

@@ -111,6 +111,62 @@ def test_monotonicity_and_asymptotic_rates(profile10):
     assert rep.max_slope_error() <= 0.05
 
 
+def test_scaled_derivs_match_the_r_space_chain_rule(profile10, chain_rule_derivs):
+    # on an annulus and one unit inside each mesh end, where r spans 2e-8 to 27
+    a = profile10.params.singular_rate
+    r = np.concatenate([np.geomspace(0.3, 3.0, 50),
+                        np.exp([-(profile10.t_hi - 1.0), -(profile10.t_lo + 1.0)])])
+    S = profile10.scaled_derivs(-np.log(r))
+    assert S.shape == (6, r.size)
+    for k, ref in enumerate(chain_rule_derivs(profile10, r)):
+        assert_allclose(S[k] * r ** -(k + a), ref, rtol=1e-12, atol=0.0, err_msg=f"k={k}")
+
+
+@pytest.mark.parametrize("N, p", [(5, 5.0 + 0.02 * 4.0), (10, 10 / 6.0 + 0.02 * 4.0 / 6.0),
+                                  (14, 1.4128)])
+def test_monotonicity_report_at_the_serrin_end(N, p):
+    # long meshes (t_lo = -731.5 at N = 5): e^{-t_lo} and r-space powers of the
+    # profile overflow there, so every sign and rate is read in Emden-Fowler time
+    rep = monotonicity_report(solve_singular(validate_params(N, p), beta=1.0, tol=1e-4))
+    assert rep.signs_ok, rep.violations
+    assert rep.max_slope_error() <= 0.05
+
+
+def test_sign_check_counts_nan_as_violation(profile10, monkeypatch):
+    scaled = profile10.scaled_derivs
+
+    def planted(t):
+        S = scaled(t)
+        S[3, 300] = np.nan
+        return S
+
+    monkeypatch.setattr(profile10, "scaled_derivs", planted)
+    rep = monotonicity_report(profile10)
+    assert not rep.signs_ok
+    assert rep.violations == [("(Delta u)' > 0", 1)]
+
+
+def _negate_du(S, t):
+    S[1, 290:295] *= -1.0
+    return S
+
+
+@pytest.mark.parametrize("plant, failing", [
+    (None, None),
+    (_negate_du, "delaunay.signs"),
+    (lambda S, t: S * np.exp(0.1 * t), "delaunay.slopes"),
+], ids=["unpatched", "du-sign", "rate-shift"])
+def test_planted_defects_fail_their_check(profile10, monkeypatch, plant, failing):
+    from biharmlab.verify import suite_delaunay
+
+    if plant is not None:
+        scaled = profile10.scaled_derivs
+        monkeypatch.setattr(profile10, "scaled_derivs", lambda t: plant(scaled(t), t))
+    ok = {c["name"]: c["ok"] for c in suite_delaunay(10, 2.0, profile10)}
+    for name in ("delaunay.signs", "delaunay.slopes"):
+        assert ok[name] == (name != failing), name
+
+
 def test_r_view_system_consistency(profile10):
     """Radial residual on an annulus via finite differences (non-circular).
 

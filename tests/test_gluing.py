@@ -48,6 +48,18 @@ def test_smoothstep_derivative_consistency():
 # approximate solution and error field
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("eps", [2.0**-3, 2.0**-7])
+def test_profile_derivs_match_the_rescaled_r_view(profile10, chain_rule_derivs, eps):
+    # u_eps^{(k)}(r) = eps^{-a-k} u^{(k)}(r/eps) on the cutoff's support (0, 2R)
+    from biharmlab.gluing import _profile_derivs
+
+    a = profile10.params.singular_rate
+    r = np.geomspace(0.01, 2.0, 60)
+    ref = chain_rule_derivs(profile10, r / eps)
+    for k, got in enumerate(_profile_derivs(profile10, r, eps)):
+        assert_allclose(got, eps ** (-a - k) * ref[k], rtol=1e-12, atol=0.0, err_msg=f"k={k}")
+
+
 def test_exact_inside_and_zero_outside(params10, profile10, rng):
     cfg = _points_config(params10, profile10, 0.25)
     ef = error_field(cfg)
