@@ -5,9 +5,10 @@ Outputs are JSON (nested: config echo, library version, results) or CSV
 All sampled quantities take their randomness from --seed, and reports carry
 no timestamps, so identical invocations produce byte-identical files.
 
-Exit codes: 0 success, 1 verification failure (a PASS-expected check failed),
-2 usage error, 3 numerical failure (a solver raised SolverError naming the
-stage that failed).
+Exit codes: 0 success, 1 verification failure (a PASS-expected check failed;
+in verify-all a suite whose solver raised SolverError is one such check,
+`<suite>.solver`), 2 usage error, 3 numerical failure (a solver raised
+SolverError naming the stage that failed).
 """
 
 from __future__ import annotations
@@ -229,17 +230,15 @@ def cmd_glue(args) -> int:
 
     params = validate_params(args.N, args.p)
     if args.gamma_w is None:
-        args.gamma_w = default_gamma_w(params, args.mode)
+        args.gamma_w = default_gamma_w(params)
     eps_list = [float(tok) for tok in args.eps_list.split(",")]
     prof = solve_singular(params, beta=1.0, tol=args.tol)
-    fit = decay_fit(params, prof, eps_list, args.gamma_w, mode=args.mode,
-                    edge_k=args.k, seed=args.seed)
+    fit = decay_fit(params, prof, eps_list, args.gamma_w, seed=args.seed)
     results = {
         "mode": args.mode, "gamma_w": args.gamma_w, "eps": fit.eps_list,
         "norms": fit.norms, "slope": fit.slope, "nominal": fit.nominal,
-        "extrapolated_target": fit.extrapolated_target,
     }
-    emit(_config_echo(args, ["N", "p", "gamma_w", "eps_list", "mode", "k", "seed",
+    emit(_config_echo(args, ["N", "p", "gamma_w", "eps_list", "mode", "seed",
                              "format", "out"]), results, args)
     return 0
 
@@ -318,12 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("glue", help="approximate-solution error decay fit")
     common(sp)
-    sp.add_argument("--mode", choices=("points", "flat_edge"), default="points")
+    sp.add_argument("--mode", choices=("points",), default="points",
+                    help="singular set; point singularities are the only model")
     sp.add_argument("--gamma-w", type=float, default=None,
-                    help="weight; default 5/12 of the way across (4-N, 0) for points, "
-                         "0.8 of the way across (-4/(p-1), (p-5)/(p-1)) for flat_edge")
+                    help="weight; default 5/12 of the way across (4-N, 0)")
     sp.add_argument("--eps-list", default=DEFAULT_EPS)
-    sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--tol", type=float, default=1e-4)
     sp.set_defaults(fn=cmd_glue)
 

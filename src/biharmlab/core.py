@@ -92,10 +92,9 @@ def k_of(N: int, p: float) -> float:
 class Params:
     """A validated problem instance with its derived constants.
 
-    N is the ambient radial dimension (for a point singularity N = n, for
-    the flat-edge model N = n - k).  alpha_w = (N-4)p - (N+4) is the weight
-    exponent produced by the Kelvin transform; it lies in (-4, 0) exactly
-    when p is admissible.
+    N is the ambient dimension of the point singularity.  alpha_w =
+    (N-4)p - (N+4) is the weight exponent produced by the Kelvin transform;
+    it lies in (-4, 0) exactly when p is admissible.
     """
 
     N: int

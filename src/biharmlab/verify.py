@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (emden_coeffs, k_of, origin_spectrum, serrin_exponent, sobolev_exponent,
-                   validate_params)
+from .core import (SolverError, emden_coeffs, k_of, origin_spectrum, serrin_exponent,
+                   sobolev_exponent, validate_params)
 from .indicial import indicial_roots, indicial_roots_for, verify_ordering, weight_window
 
 ALL_SUITES = ("constants", "indicial", "symbol", "delaunay", "modes", "auxball", "glue")
+# the suites that share one profile solve
+PROFILE_SUITES = ("delaunay", "modes", "glue")
 
 
 def _check(name, ok, detail) -> dict:
@@ -247,18 +249,11 @@ def suite_glue(N, p, profile, seed=0, eps_list=None, **_) -> list:
     checks = []
     params = validate_params(N, p)
     eps_list = eps_list or [2.0**-k for k in range(3, 8)]
-    prof = profile
-    fit = decay_fit(params, prof, eps_list, default_gamma_w(params, "points"), mode="points",
-                    seed=seed)
+    fit = decay_fit(params, profile, eps_list, default_gamma_w(params), seed=seed)
     lo, hi = fit.nominal - 0.3, fit.nominal + 0.3
     checks.append(_check("glue.points_decay", lo <= fit.slope <= hi,
                          f"fitted slope {fit.slope:.3f} vs nominal {fit.nominal:.3f} "
                          f"in [{lo:g}, {hi:g}]"))
-    fit2 = decay_fit(params, prof, eps_list, default_gamma_w(params, "flat_edge"),
-                     mode="flat_edge", edge_k=2, seed=seed)
-    checks.append(_check("glue.flat_decay", fit2.slope >= 0.1,
-                         f"fitted slope {fit2.slope:.3f} >= 0.1 (nominal {fit2.nominal:.3f}, "
-                         "extrapolated target)"))
     rng = np.random.default_rng(seed)
     ub = rng.uniform(0.5, 2.0, 200)
     v = ub * rng.uniform(-0.1, 0.1, 200)
@@ -271,17 +266,25 @@ def suite_glue(N, p, profile, seed=0, eps_list=None, **_) -> list:
 
 
 def run_suites(N, p, seed=0, suites=None, grid_m=160, eps_list=None, cache_dir=None) -> list:
-    """Run the requested suites (all by default) and return check records."""
+    """Run the requested suites (all by default) and return check records.
+
+    A suite whose solver raises SolverError yields one FAIL record
+    `<suite>.solver` with the error's `stage: detail`, and the other suites
+    still run; a failed profile solve marks every suite in PROFILE_SUITES.
+    """
     selected = list(suites) if suites else list(ALL_SUITES)
     unknown = [s for s in selected if s not in ALL_SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}; available {ALL_SUITES}")
     checks = []
-    profile = None
-    if any(s in selected for s in ("delaunay", "modes", "glue")):
+    profile = profile_error = None
+    if any(s in selected for s in PROFILE_SUITES):
         from .delaunay import solve_singular
 
-        profile = solve_singular(validate_params(N, p), beta=1.0, tol=1e-4)
+        try:
+            profile = solve_singular(validate_params(N, p), beta=1.0, tol=1e-4)
+        except SolverError as exc:
+            profile_error = exc
     table = {
         "constants": suite_constants,
         "indicial": suite_indicial,
@@ -292,6 +295,12 @@ def run_suites(N, p, seed=0, suites=None, grid_m=160, eps_list=None, cache_dir=N
         "glue": suite_glue,
     }
     for name in selected:
-        checks.extend(table[name](N, p, profile=profile, seed=seed, grid_m=grid_m,
-                                  eps_list=eps_list, cache_dir=cache_dir))
+        if profile_error is not None and name in PROFILE_SUITES:
+            checks.append(_check(f"{name}.solver", False, str(profile_error)))
+            continue
+        try:
+            checks.extend(table[name](N, p, profile=profile, seed=seed, grid_m=grid_m,
+                                      eps_list=eps_list, cache_dir=cache_dir))
+        except SolverError as exc:
+            checks.append(_check(f"{name}.solver", False, str(exc)))
     return checks

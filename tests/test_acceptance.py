@@ -40,7 +40,7 @@ CHECKS = {
         "symbol.spot_value_225", "symbol.cylinder_hyperbolic_identical"),
     7: ("auxball.green_oracle", "auxball.self_adjoint", "auxball.picard_minimal",
         "auxball.pohozaev"),
-    8: ("glue.points_decay", "glue.flat_decay", "glue.remainder_taylor"),
+    8: ("glue.points_decay", "glue.remainder_taylor"),
 }
 
 
@@ -220,10 +220,10 @@ def test_criterion_8_gluing_decay(params10, acc_profile, suite_runs, rng):
     t0 = time.perf_counter()
     # scaling covariance to 1e-12
     eps = 0.25
-    cfg = GlueConfig(mode="points", params=params10, profile=prof,
+    cfg = GlueConfig(params=params10, profile=prof,
                      cutoff=CutoffSpec(1.0), gamma_w=-3.5,
                      centers=np.zeros((1, 10)), eps=[eps], box_halfwidth=4.0)
-    cfg_ref = GlueConfig(mode="points", params=params10, profile=prof,
+    cfg_ref = GlueConfig(params=params10, profile=prof,
                          cutoff=CutoffSpec(1.0 / eps), gamma_w=-3.5,
                          centers=np.zeros((1, 10)), eps=[1.0],
                          box_halfwidth=2.0 / eps + 1.0)

@@ -44,9 +44,11 @@ def test_constants_csv_header(tmp_path):
 def test_usage_errors():
     assert run(["constants", "--N", "10", "--p", "3"]) == 2  # above Sobolev
     assert run(["constants", "--N", "4", "--p", "2"]) == 2
-    with pytest.raises(SystemExit) as exc:
-        run(["no-such-command"])
-    assert exc.value.code == 2
+    # point singularities are the only gluing model
+    for argv in (["no-such-command"], ["glue", "--mode", "flat_edge"], ["glue", "--k", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_solver_error_exits_3(monkeypatch, capsys):
@@ -59,6 +61,25 @@ def test_solver_error_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(auxball, "blowup_family", failing)
     assert run(["auxball", "--N", "10", "--p", "2", "--grid", "64", "--blowup"]) == 3
     assert "error: amplitude continuation: no convergence" in capsys.readouterr().err
+
+
+def test_verify_all_reports_a_failed_profile_solve(monkeypatch, tmp_path, capsys):
+    from biharmlab import delaunay
+    from biharmlab.core import SolverError, validate_params
+
+    def failing(params, **_):
+        raise SolverError("collocation polish", "singular Jacobian")
+
+    monkeypatch.setattr(delaunay, "solve_singular", failing)
+    out = tmp_path / "report.json"
+    assert run(["verify-all", "--N", "10", "--p", "2", "--out", str(out)]) == 1
+    failed = {c["name"]: c["detail"] for c in json.loads(out.read_text())["results"] if not c["ok"]}
+    solver = {f"{s}.solver" for s in ("delaunay", "modes", "glue")}
+    assert solver <= set(failed), failed
+    params = validate_params(10, 2.0)
+    assert all(KNOWN_FAILURES[name](params) for name in set(failed) - solver), failed
+    assert all(failed[name] == "collocation polish: singular Jacobian" for name in solver)
+    assert "FAIL glue.solver: collocation polish: singular Jacobian" in capsys.readouterr().err
 
 
 def test_indicial_output(tmp_path):
@@ -175,19 +196,16 @@ def _window_p(N: int, f: float) -> float:
 
 # verify-all checks that fail today at some admissible points, and where:
 # the kernel-free clamped solve behind the Pohozaev identity integrates its
-# s^(alpha+1) singularity by trapezoid, and the flat-edge error's sampled
-# decay slope falls below its 0.1 target at N <= 9 for large p (and at N = 5
-# for small p too)
+# s^(alpha+1) singularity by trapezoid
 KNOWN_FAILURES = {
     "auxball.pohozaev": lambda params: params.alpha_w <= -2.0,
-    "glue.flat_decay": lambda params: params.N <= 9,
 }
 
 
 @pytest.mark.parametrize("N, p", [(10, 2.0), (14, 1.4128)]
                          + [(N, _window_p(N, f)) for N, f in ((5, 0.02), (5, 0.25), (5, 0.75),
-                                                              (8, 0.75), (11, 0.25), (14, 0.25),
-                                                              (14, 0.75))])
+                                                              (6, 0.75), (7, 0.75), (8, 0.75),
+                                                              (11, 0.25), (14, 0.25), (14, 0.75))])
 def test_verify_all_across_the_window(N, p, tmp_path, capsys):
     from biharmlab.core import validate_params
 

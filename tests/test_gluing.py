@@ -12,9 +12,8 @@ from biharmlab.gluing import (CutoffSpec, GlueConfig, approx_solution, decay_fit
 def _points_config(params, profile, eps, centers=None, R=1.0, gamma_w=-3.5, L=4.0):
     centers = np.zeros((1, params.N)) if centers is None else np.asarray(centers)
     eps = np.atleast_1d(eps)
-    return GlueConfig(mode="points", params=params, profile=profile,
-                      cutoff=CutoffSpec(R), gamma_w=gamma_w, centers=centers,
-                      eps=eps, box_halfwidth=L)
+    return GlueConfig(params=params, profile=profile, cutoff=CutoffSpec(R),
+                      gamma_w=gamma_w, centers=centers, eps=eps, box_halfwidth=L)
 
 
 # ---------------------------------------------------------------------------
@@ -109,68 +108,6 @@ def test_fd_cross_check(params10, profile10, rng):
     assert np.max(np.abs(gdot - rfd) / (1.0 + np.abs(gdot))) <= 1e-4
 
 
-def test_fd_cross_check_flat(params10, profile10, rng):
-    cfg = GlueConfig(mode="flat_edge", params=params10, profile=profile10,
-                     cutoff=CutoffSpec(1.0), gamma_w=-3.2, eps=[0.25], edge_k=2,
-                     box_halfwidth=3.0)
-    ap = approx_solution(cfg)
-    x = rng.standard_normal((60, 10))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    x *= rng.uniform(0.4, 1.8, (60, 1))
-    y = rng.uniform(-2.2, 2.2, (60, 2))
-    pts = np.concatenate([x, y], axis=1)
-    val, grad, lap, glap, bilap = ap.fields(pts)
-    h = 3e-4
-    lap_fd = np.zeros(len(pts))
-    for k in range(12):
-        e = np.zeros(12)
-        e[k] = h
-        lap_fd += (-ap.value(pts + 2 * e) + 16 * ap.value(pts + e) - 30 * val
-                   + 16 * ap.value(pts - e) - ap.value(pts - 2 * e)) / (12 * h * h)
-    assert np.max(np.abs(lap_fd - lap) / (1.0 + np.abs(lap))) <= 1e-5
-    bilap_fd = np.zeros(len(pts))
-    for k in range(12):
-        e = np.zeros(12)
-        e[k] = h
-        lp = [ap.fields(pts + m * e)[2] for m in (-2, -1, 1, 2)]
-        bilap_fd += (-lp[3] + 16 * lp[2] - 30 * lap + 16 * lp[1] - lp[0]) / (12 * h * h)
-    assert np.max(np.abs(bilap_fd - bilap) / (1.0 + np.abs(bilap))) <= 1e-5
-
-
-def test_flat_error_three_terms(params10, profile10, rng):
-    """f reduces to u^p(chi - chi^p) + 2 lap_x u lap_y chi + u bilap_y chi."""
-    from biharmlab.radial import bilap_radial, lap_radial
-
-    eps = 0.25
-    cfg = GlueConfig(mode="flat_edge", params=params10, profile=profile10,
-                     cutoff=CutoffSpec(1.0), gamma_w=-3.2, eps=[eps], edge_k=2,
-                     box_halfwidth=3.0)
-    ef = error_field(cfg)
-    x = rng.standard_normal((50, 10))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    x *= rng.uniform(0.3, 2.0, (50, 1))
-    y = rng.uniform(-2.1, 2.1, (50, 2))
-    pts = np.concatenate([x, y], axis=1)
-    rx = np.linalg.norm(x, axis=1)
-    ry = np.linalg.norm(y, axis=1)
-    a = params10.singular_rate
-    v = profile10.r_view(rx / eps)
-    u = eps**-a * v.u
-    lap_u = lap_radial(10, rx, eps ** (-a - 1) * v.du, eps ** (-a - 2) * v.d2u)
-    cut = cfg.cutoff
-    chi = cut.chi(ry, 0)
-    lap_chi = lap_radial(2, ry, cut.chi(ry, 1), cut.chi(ry, 2))
-    bilap_chi = bilap_radial(2, ry, cut.chi(ry, 1), cut.chi(ry, 2),
-                             cut.chi(ry, 3), cut.chi(ry, 4))
-    expect = u**2 * (chi - chi**2) + 2.0 * lap_u * lap_chi + u * bilap_chi
-    got = ef.value(pts)
-    assert_allclose(got, expect, rtol=1e-9, atol=1e-9)
-    # in the chi = 1 slab the x-directions cancel exactly
-    pts_in = pts.copy()
-    pts_in[:, 10:] = 0.3 * pts_in[:, 10:] / ry[:, None]
-    assert np.max(np.abs(ef.value(pts_in)) / (1.0 + ef._approx.value(pts_in) ** 2)) <= 1e-7
-
-
 def test_superposition_two_points(params10, profile10):
     centers = np.zeros((2, 10))
     centers[0, 0] = -2.0
@@ -211,9 +148,6 @@ def test_config_validation(params10, profile10):
         _points_config(params10, profile10, 0.1, gamma_w=0.5)
     with pytest.raises(ValueError, match="dilation"):
         _points_config(params10, profile10, 1.5)
-    with pytest.raises(ValueError, match="gamma_w"):
-        GlueConfig(mode="flat_edge", params=params10, profile=profile10,
-                   cutoff=CutoffSpec(1.0), gamma_w=-5.0, eps=[0.25], edge_k=2)
 
 
 def test_weighted_norm_pure_power(params10, profile10):
@@ -241,34 +175,51 @@ def test_weighted_norm_holder_quotient(params10, profile10):
     assert rep.sample_counts["n_shells"] == 10
 
 
-def test_decay_fit_points(params10, profile10):
-    eps_list = [2.0**-k for k in range(3, 8)]
-    fit = decay_fit(params10, profile10, eps_list, -3.5, mode="points", seed=0)
-    assert fit.nominal == pytest.approx(2.0)
-    assert 1.7 <= fit.slope <= 2.3
-    assert not fit.extrapolated_target
-
-
-def test_decay_fit_flat(params10, profile10):
-    eps_list = [2.0**-k for k in range(3, 8)]
-    fit = decay_fit(params10, profile10, eps_list, -3.2, mode="flat_edge",
-                    edge_k=2, seed=0)
-    assert fit.nominal == pytest.approx(0.2, abs=1e-12)
-    assert fit.extrapolated_target
-    assert fit.slope >= 0.1
-
-
 def test_decay_fit_reproducible_across_ranges(params10, profile10):
-    lo = decay_fit(params10, profile10, [2.0**-k for k in range(3, 6)], -3.5,
-                   mode="points", seed=0)
-    hi = decay_fit(params10, profile10, [2.0**-k for k in range(5, 8)], -3.5,
-                   mode="points", seed=0)
+    lo = decay_fit(params10, profile10, [2.0**-k for k in range(3, 6)], -3.5, seed=0)
+    hi = decay_fit(params10, profile10, [2.0**-k for k in range(5, 8)], -3.5, seed=0)
     assert abs(lo.slope - hi.slope) <= 0.15
 
 
 def test_decay_fit_needs_multiple_eps(params10, profile10):
     with pytest.raises(ValueError):
         decay_fit(params10, profile10, [0.125], -3.5)
+
+
+def _scale_fourth_derivative(monkeypatch, gluing):
+    # the fourth derivative of u_eps times (1 + 1e-3) leaves an error 1e-3 u_eps^(4)
+    # where chi = 1; on the shells where u_eps is near c_p r^-a it does not decay with eps
+    derivs = gluing._profile_derivs
+
+    def scaled(*args):
+        *low, d4 = derivs(*args)
+        return (*low, (1.0 + 1e-3) * d4)
+
+    monkeypatch.setattr(gluing, "_profile_derivs", scaled)
+
+
+def _linear_remainder(monkeypatch, gluing):
+    # a term linear in v breaks the quadratic Taylor bound at small v
+    remainder = gluing.remainder_Q
+    monkeypatch.setattr(gluing, "remainder_Q", lambda ub, v, p: remainder(ub, v, p) + 1e-3 * v)
+
+
+@pytest.mark.parametrize("plant, failing", [
+    (None, None),
+    (_scale_fourth_derivative, "glue.points_decay"),
+    (_linear_remainder, "glue.remainder_taylor"),
+], ids=["unpatched", "fourth-derivative", "linear-remainder"])
+def test_planted_defects_fail_their_check(params10, profile10, monkeypatch, plant, failing):
+    from biharmlab import gluing
+    from biharmlab.verify import suite_glue
+
+    assert gluing.nominal_decay_exponent(params10) == 2.0
+    if plant is not None:
+        plant(monkeypatch, gluing)
+    ok = {c["name"]: c["ok"] for c in suite_glue(10, 2.0, profile10)}
+    assert sorted(ok) == ["glue.points_decay", "glue.remainder_taylor"]
+    for name in ok:
+        assert ok[name] == (name != failing), name
 
 
 def test_remainder_q():
@@ -280,25 +231,6 @@ def test_remainder_q():
         remainder_Q(np.array([1.0]), np.array([-2.0]), 2.0)
     out = remainder_Q(np.array([1.0]), np.array([-2.0]), 2.0, absolute=True)
     assert np.isfinite(out[0])
-
-
-def test_export_interfaces(params10, profile10, tmp_path):
-    from biharmlab.gluing import export_error_samples, export_norm_report
-
-    cfg = _points_config(params10, profile10, 0.25)
-    ef = error_field(cfg)
-    rep = weighted_norm(ef.value, cfg, -7.5, n_shells=4, seed=2)
-    p1 = tmp_path / "samples.txt"
-    export_error_samples(p1, ef._approx, rep)
-    lines = p1.read_text().splitlines()
-    data_lines = [ln for ln in lines if not ln.startswith("#")]
-    assert len(data_lines) == sum(len(v) for _, _, v in rep.samples)
-    assert len(data_lines[0].split()) == 10 + 3  # coordinates, ubar, f, shell
-    p2 = tmp_path / "norm.txt"
-    export_norm_report(p2, rep)
-    text = p2.read_text()
-    assert f"total = {rep.total!r}" in text
-    assert "shell[" in text and "outer = " in text
 
 
 def test_remainder_taylor_bound(rng):
