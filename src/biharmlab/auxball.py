@@ -104,8 +104,8 @@ def sphere_area(N: int) -> float:
 
 
 def make_grid(M: int = 160, sigma_g: float = 2.0, alpha_w: float = 0.0) -> RadialGrid:
-    if M % 2 != 0:
-        raise ValueError(f"M={M} must be even (composite Simpson)")
+    if M < 2 or M % 2 != 0:
+        raise ValueError(f"grid size M={M} must be an even integer >= 2 (composite Simpson)")
     xi = np.arange(1, M + 1) / M
     nodes = xi**sigma_g
     # Simpson weights over xi in [0,1] including the xi=0 endpoint, then the

@@ -78,6 +78,18 @@ def emit(config: dict, results, args) -> None:
         sys.stdout.write(text)
 
 
+def _at_least(least: int):
+    """argparse type: an integer >= least."""
+
+    def integer(text):
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
+        return n
+
+    return integer
+
+
 def _config_echo(args, fields) -> dict:
     return {k: getattr(args, k) for k in fields if getattr(args, k, None) is not None}
 
@@ -282,15 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("indicial", help="indicial roots, ordering, weight window")
     common(sp)
-    sp.add_argument("--jmax", type=int, default=None)
+    sp.add_argument("--jmax", type=_at_least(0), default=None)
     sp.set_defaults(fn=cmd_indicial)
 
     sp = sub.add_parser("symbol", help="conformal Fourier symbol and gamma=2 identity")
     common(sp)
     sp.add_argument("--gamma", type=float, default=2.0)
-    sp.add_argument("--jmax", type=int, default=10)
+    sp.add_argument("--jmax", type=_at_least(0), default=10)
     sp.add_argument("--xi-max", type=float, default=10.0)
-    sp.add_argument("--xi-points", type=int, default=100)
+    sp.add_argument("--xi-points", type=_at_least(1), default=100)
     sp.set_defaults(fn=cmd_symbol)
 
     sp = sub.add_parser("delaunay", help="singular radial profile by gauged collocation")
@@ -302,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("modes", help="mode certificates, kernel residual, scans")
     common(sp)
-    sp.add_argument("--jmax", type=int, default=None)
+    sp.add_argument("--jmax", type=_at_least(0), default=None)
     sp.add_argument("--beta", type=float, default=1.0)
     sp.add_argument("--tol", type=float, default=1e-4)
     sp.set_defaults(fn=cmd_modes)

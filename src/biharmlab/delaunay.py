@@ -33,7 +33,7 @@ The profile is defined on all of R: the collocation spline on the mesh
 [t_lo, t_hi]; before t_lo the origin's unstable manifold (slow and fast
 modes plus the first nonlinear term); past t_hi c_p plus the stable modes
 at c_p.  The tails are the eigen-projections the boundary conditions impose,
-taken from the end states, so an imported profile has them too.
+taken from the end states.
 
 `shoot_once` is kept as a standalone overshoot/undershoot classifier of
 single orbits seeded on the unstable manifold; the solver does not use it,
@@ -61,7 +61,6 @@ from .radial import bilap_radial, dlap_radial, lap_radial, simpson
 
 __all__ = [
     "RadialProfile",
-    "RadialView",
     "ShotOutcome",
     "ShootingError",
     "solve_singular",
@@ -74,7 +73,6 @@ __all__ = [
     "monotonicity_report",
     "kelvin_transform",
     "export_profile",
-    "import_profile",
 ]
 
 H_REL = 1e-6          # slow amplitude at the anchor frame's t = 0, relative to c_p
@@ -146,20 +144,6 @@ class ShotOutcome:
     classification: str
     t_end: float
     state_end: np.ndarray
-
-
-@dataclass(frozen=True)
-class RadialView:
-    """r-view of the profile: u and its radial derivatives through order four at radii r."""
-
-    r: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
-    d2u: np.ndarray
-    d3u: np.ndarray
-    d4u: np.ndarray
-    lap: np.ndarray
-    dlap: np.ndarray
 
 
 @dataclass
@@ -277,17 +261,6 @@ class RadialProfile:
         derivs = np.vstack([y, d4, d5])
         return np.stack([(-1) ** k * polyfromroots(-a - np.arange(k)) @ derivs[:k + 1]
                          for k in range(6)])
-
-    def r_view(self, r) -> RadialView:
-        """u(r) and radial derivatives through order four: S[k] r^{-(k+a)} of `scaled_derivs`."""
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0):
-            raise ValueError("radii must be positive")
-        N, a = self.params.N, self.params.singular_rate
-        S = self.scaled_derivs(-np.log(r))
-        u, du, d2u, d3u, d4u = (S[k] * r ** -(k + a) for k in range(5))
-        return RadialView(r=r, u=u, du=du, d2u=d2u, d3u=d3u, d4u=d4u,
-                          lap=lap_radial(N, r, du, d2u), dlap=dlap_radial(N, r, du, d2u, d3u))
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +633,10 @@ def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4) -> Radi
     either meets them or raises ShootingError naming the stage.  The mesh
     is chosen here; the returned profile evaluates every t through its tails.
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta={beta} must be positive")
-    if tol <= 2e-6:
-        raise ValueError(f"tol={tol} below the manifold-truncation floor ~2e-6")
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta={beta} must be positive and finite")
+    if not tol > 2e-6:
+        raise ValueError(f"tol={tol} must exceed the manifold-truncation floor ~2e-6")
     coeffs = emden_coeffs(params)
     h = H_REL * params.c_p
 
@@ -788,7 +761,7 @@ def dissipation_check(profile: RadialProfile, t0: float, t1: float, n: int = 800
 
 
 # ---------------------------------------------------------------------------
-# r-view reports
+# monotonicity and rate reports
 # ---------------------------------------------------------------------------
 
 def _loglog_slope(logr: np.ndarray, vals: np.ndarray) -> float:
@@ -799,7 +772,7 @@ def _loglog_slope(logr: np.ndarray, vals: np.ndarray) -> float:
 
 @dataclass
 class MonotonicityReport:
-    """Sign checks and fitted asymptotic rates of the r-view."""
+    """Sign checks and fitted asymptotic rates of u, u', Delta u and (Delta u)'."""
 
     signs_ok: bool
     violations: list
@@ -913,14 +886,14 @@ def kelvin_transform(profile: RadialProfile) -> KelvinProfile:
 
 
 # ---------------------------------------------------------------------------
-# text export / import
+# text export
 # ---------------------------------------------------------------------------
 
 def export_profile(profile: RadialProfile, path) -> None:
     """Columnar text export: header (N, p, beta, grid spec), rows t ubar ubar' ubar'' ubar'''.
 
-    Values are written with 17 significant digits, so the file round-trips
-    exactly at double precision.
+    Values are written with 17 significant digits, so reading the file back
+    (np.loadtxt) recovers the exact doubles.
     """
     t = profile.t_grid - profile.t_shift
     y = profile.ubar_state(t)
@@ -933,51 +906,3 @@ def export_profile(profile: RadialProfile, path) -> None:
         fh.write("# columns: t ubar ubar1 ubar2 ubar3\n")
         for k in range(t.size):
             fh.write("%.17g %.17g %.17g %.17g %.17g\n" % (t[k], y[0, k], y[1, k], y[2, k], y[3, k]))
-
-
-def import_profile(path) -> RadialProfile:
-    """Rebuild a profile from the columnar export.
-
-    The interpolant is reconstructed as a piecewise polynomial matching
-    (ubar, ubar', ubar'', ubar''') at every exported node, which preserves
-    the stored samples exactly and evaluates between nodes to interpolation
-    accuracy.
-    """
-    from .core import validate_params
-
-    header = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                if "=" in line:
-                    key, val = line[1:].split("=", 1)
-                    header[key.strip()] = val.strip()
-                continue
-            rows.append([float(tok) for tok in line.split()])
-    data = np.asarray(rows, dtype=float)
-    params = validate_params(int(header["N"]), float(header["p"]))
-    beta = float(header["beta"])
-    t = data[:, 0]
-    # Hermite reconstruction: 3 derivatives of ubar known, lower orders for the rest
-    return RadialProfile(params=params, coeffs=emden_coeffs(params), beta=beta, t_grid=t,
-                         _sol=_StateSpline(t, data[:, 1:5]), diagnostics={"imported": True})
-
-
-class _StateSpline:
-    """Piecewise-polynomial state interpolant built from exported samples.
-
-    Component 0 uses the full derivative stack (degree-7 Hermite pieces);
-    components 1..3 use their remaining derivative information.
-    """
-
-    def __init__(self, t, state):
-        from scipy.interpolate import BPoly
-
-        cols = [state[:, 0:4], state[:, 1:4], state[:, 2:4], state[:, 3:4]]
-        self._polys = [BPoly.from_derivatives(t, c) for c in cols]
-        self._dpolys = [pp.derivative() for pp in self._polys]
-
-    def __call__(self, tq, deriv: bool = False):
-        tq = np.asarray(tq, dtype=float)
-        return np.stack([pp(tq) for pp in (self._dpolys if deriv else self._polys)])

@@ -12,13 +12,13 @@ Everything is assembled analytically from the profile's radial derivatives
 and the cutoff's closed-form derivatives; no finite differences enter.
 
 Weighted Holder norms are *sampled* suprema over dyadic shells around the
-singular set (lower bounds of the true norms); sample counts and the RNG
-seed are part of the report, and a fixed seed makes reports byte-stable.
+singular set (lower bounds of the true norms); a fixed RNG seed makes them
+byte-stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,10 @@ from .radial import bilap_radial, dlap_radial, lap_radial
 __all__ = [
     "CutoffSpec",
     "GlueConfig",
+    "ApproxSolution",
+    "ErrorField",
     "NormReport",
     "DecayFit",
-    "approx_solution",
-    "error_field",
     "weighted_norm",
     "decay_fit",
     "default_gamma_w",
@@ -89,13 +89,10 @@ class GlueConfig:
     centers: np.ndarray
     eps: np.ndarray
     box_halfwidth: float = 4.0
-    sigma: float | None = None  # tubular radius of the norm shells; default 2R
 
     def __post_init__(self):
         N = self.params.N
         R = self.cutoff.radius
-        if self.sigma is None:
-            self.sigma = 2.0 * R
         self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         self.eps = np.atleast_1d(np.asarray(self.eps, dtype=float))
         if self.centers.shape[1] != N:
@@ -194,14 +191,6 @@ class ErrorField:
         return bilap - np.abs(val) ** (self.config.params.p - 1.0) * val
 
 
-def approx_solution(config: GlueConfig) -> ApproxSolution:
-    return ApproxSolution(config)
-
-
-def error_field(config: GlueConfig) -> ErrorField:
-    return ErrorField(config)
-
-
 # ---------------------------------------------------------------------------
 # weighted Holder norms (sampled)
 # ---------------------------------------------------------------------------
@@ -211,64 +200,56 @@ class NormReport:
     """Sampled weighted norm: per-shell seminorms, outer norm, and their total.
 
     total = outer + max over shells of s^{-gamma} (sup + s^alpha * quotient);
-    all suprema are sampled lower bounds.  Sample counts and seed are echoed
-    for reproducibility.
+    all suprema are sampled lower bounds.
     """
 
-    gamma_w: float
-    alpha_h: float
-    sigma: float
-    shells: list = field(default_factory=list)   # (s, sup, hoelder_quotient, weighted)
-    outer: float = 0.0
-    total: float = 0.0
-    sample_counts: dict = field(default_factory=dict)
-    seed: int = 0
+    shells: list  # (s, sup, hoelder_quotient, weighted)
+    outer: float
+    total: float
 
 
-def _unit_vectors(rng, n_dirs: int, dim: int) -> np.ndarray:
-    v = rng.standard_normal((n_dirs, dim))
+# samples per center and shell: N_RADIAL radii times N_DIRS random directions;
+# N_PAIRS random point pairs per shell for the Holder quotient
+N_RADIAL, N_DIRS, N_PAIRS = 6, 16, 20
+
+
+def _unit_vectors(rng, count: int, dim: int) -> np.ndarray:
+    v = rng.standard_normal((count, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _shell_points_for_center(rng, center, dim, s_lo, s_hi, n_radial, n_dirs):
-    radii = np.geomspace(s_lo, s_hi, n_radial)
-    dirs = _unit_vectors(rng, n_dirs, dim)
+def _shell_points_for_center(rng, center, dim, s_lo, s_hi, radii_count):
+    radii = np.geomspace(s_lo, s_hi, radii_count)
+    dirs = _unit_vectors(rng, N_DIRS, dim)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
     return pts + center[None, :]
 
 
 def weighted_norm(value_fn, config: GlueConfig, gamma_w: float, alpha_h: float = 0.0,
-                  n_shells: int = 10, n_radial: int = 6, n_dirs: int = 16,
-                  n_pairs: int = 20, seed: int = 0) -> NormReport:
+                  n_shells: int = 10, seed: int = 0) -> NormReport:
     """Sampled C^{0,alpha}_{gamma} norm of a scalar field around the singular set.
 
-    Dyadic shells s_m = sigma 2^{-m}, m = 0..n_shells-1; on each shell the
-    sup of |w| and (for alpha_h > 0) sampled Holder quotients of w.  The
-    outer region contributes its unweighted sup.  value_fn maps an (m, dim)
-    array of points to values.
+    Dyadic shells s_m = sigma 2^{-m}, m = 0..n_shells-1, with sigma = 2R the
+    cutoff's outer radius; on each shell the sup of |w| and (for alpha_h > 0)
+    sampled Holder quotients of w.  The outer region contributes its
+    unweighted sup.  value_fn maps an (m, dim) array of points to values.
     """
     cfg = config
     rng = np.random.default_rng(seed)
-    sigma = cfg.sigma
+    sigma = 2.0 * cfg.cutoff.radius
     N = cfg.params.N
-    report = NormReport(gamma_w=gamma_w, alpha_h=alpha_h, sigma=sigma, seed=seed)
-    report.sample_counts = dict(n_shells=n_shells, n_radial=n_radial,
-                                n_dirs=n_dirs, n_pairs=n_pairs)
-
     centers = list(cfg.centers)
 
     def shell_pts(s_lo, s_hi):
         return np.concatenate([
-            _shell_points_for_center(rng, c, N, s_lo, s_hi, n_radial, n_dirs) for c in centers
+            _shell_points_for_center(rng, c, N, s_lo, s_hi, N_RADIAL) for c in centers
         ])
 
     def outer_pts():
         out = [
-            _shell_points_for_center(rng, c, N, sigma / 2.0, 2.0 * cfg.cutoff.radius,
-                                     2 * n_radial, n_dirs)
-            for c in centers
+            _shell_points_for_center(rng, c, N, sigma / 2.0, sigma, 2 * N_RADIAL) for c in centers
         ]
-        box = rng.uniform(-cfg.box_halfwidth, cfg.box_halfwidth, (n_dirs, N))
+        box = rng.uniform(-cfg.box_halfwidth, cfg.box_halfwidth, (N_DIRS, N))
         keep = np.array([
             min(np.linalg.norm(b - c) for c in centers) > sigma / 2.0 for b in box
         ])
@@ -283,9 +264,9 @@ def weighted_norm(value_fn, config: GlueConfig, gamma_w: float, alpha_h: float =
         sup = float(np.max(np.abs(vals)))
         hq = 0.0
         if alpha_h > 0.0:
-            base = pts[rng.integers(0, pts.shape[0], n_pairs)]
-            step = s * 10.0 ** rng.uniform(-2.0, -0.5, n_pairs)
-            dirs = _unit_vectors(rng, n_pairs, N)
+            base = pts[rng.integers(0, pts.shape[0], N_PAIRS)]
+            step = s * 10.0 ** rng.uniform(-2.0, -0.5, N_PAIRS)
+            dirs = _unit_vectors(rng, N_PAIRS, N)
             mate = base + step[:, None] * dirs
             # keep the pair inside the same closed shell
             d = np.min(np.stack([
@@ -298,10 +279,8 @@ def weighted_norm(value_fn, config: GlueConfig, gamma_w: float, alpha_h: float =
         weighted = s**-gamma_w * (sup + s**alpha_h * hq)
         shells.append((s, sup, hq, weighted))
     outer_vals = value_fn(outer_pts())
-    report.outer = float(np.max(np.abs(outer_vals))) if outer_vals.size else 0.0
-    report.shells = shells
-    report.total = report.outer + max(w for _, _, _, w in shells)
-    return report
+    outer = float(np.max(np.abs(outer_vals))) if outer_vals.size else 0.0
+    return NormReport(shells=shells, outer=outer, total=outer + max(w for _, _, _, w in shells))
 
 
 # ---------------------------------------------------------------------------
@@ -326,33 +305,25 @@ def decay_fit(params: Params, profile: RadialProfile, eps_list, gamma_w: float,
     """Least-squares slope of log ||f_eps||_{C^{0,alpha}_{gamma-4}} against log eps,
     one point singularity at the origin per eps."""
     eps_list = [float(e) for e in eps_list]
-    if len(eps_list) < 2:
-        raise ValueError("decay fit needs at least two dilations (>= 4 recommended)")
+    if len(set(eps_list)) < 2:
+        raise ValueError(f"decay fit needs at least two distinct dilations, got {eps_list}")
     cutoff = CutoffSpec(radius=1.0)
     norms = []
     for eps in eps_list:
         cfg = GlueConfig(params=params, profile=profile, cutoff=cutoff, gamma_w=gamma_w,
                          centers=np.zeros((1, params.N)), eps=[eps],
                          box_halfwidth=2.0 * cutoff.radius + 1.0)
-        norms.append(weighted_norm(error_field(cfg).value, cfg, gamma_w - 4.0, seed=seed).total)
+        norms.append(weighted_norm(ErrorField(cfg).value, cfg, gamma_w - 4.0, seed=seed).total)
     slope = float(np.polyfit(np.log(eps_list), np.log(norms), 1)[0])
     return DecayFit(eps_list=eps_list, norms=norms, slope=slope,
                     nominal=nominal_decay_exponent(params))
 
 
-def remainder_Q(ubar, v, p: float, absolute: bool = False) -> np.ndarray:
-    """Nonlinear remainder Q(v) = -(ubar+v)^p + ubar^p + p ubar^{p-1} v.
-
-    Requires ubar + v >= 0 unless absolute=True, which switches to the
-    |ubar + v|^p variant used to keep the fixed-point iteration well-defined.
-    """
+def remainder_Q(ubar, v, p: float) -> np.ndarray:
+    """Nonlinear remainder Q(v) = -(ubar+v)^p + ubar^p + p ubar^{p-1} v, for ubar, ubar + v >= 0."""
     ubar = np.asarray(ubar, dtype=float)
     v = np.asarray(v, dtype=float)
     w = ubar + v
-    if absolute:
-        head = -np.abs(w) ** p
-    else:
-        if np.any(w < 0.0) or np.any(ubar < 0.0):
-            raise ValueError("remainder needs ubar + v >= 0 (use absolute=True otherwise)")
-        head = -(w**p)
-    return head + ubar**p + p * ubar ** (p - 1.0) * v
+    if np.any(w < 0.0) or np.any(ubar < 0.0):
+        raise ValueError("remainder needs ubar >= 0 and ubar + v >= 0")
+    return -(w**p) + ubar**p + p * ubar ** (p - 1.0) * v

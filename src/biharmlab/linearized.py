@@ -76,7 +76,7 @@ def mode_coefficients(N: int, j: int) -> tuple[float, float, float, float]:
 
 @dataclass(frozen=True)
 class ModeData:
-    """Mode index, eigenvalue, printed coefficients, and the sampled potential."""
+    """Mode index, eigenvalue, printed coefficients, and the profile that sets the potential."""
 
     j: int
     lambda_j: float
@@ -85,9 +85,6 @@ class ModeData:
     a3: float
     a4: float
     profile: RadialProfile
-
-    def potential(self, r) -> np.ndarray:
-        return mode_potential(self.profile, r)
 
 
 def make_mode(params: Params, profile: RadialProfile, j: int) -> ModeData:

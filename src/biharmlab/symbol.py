@@ -17,16 +17,12 @@ evaluated as exp(2 Re log Gamma) throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .indicial import indicial_polynomial, sphere_eigenvalue
 
 __all__ = [
-    "SymbolQuery",
     "complex_log_gamma",
-    "theta",
     "theta_cylinder",
     "theta_hyperbolic",
     "symbol_indicial_identity",
@@ -79,23 +75,6 @@ def complex_log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SymbolQuery:
-    """One symbol evaluation: sphere factor N, order parameter gamma in (0, N/2),
-    mode j, and frequency xi (cylinder Fourier or Fourier-Helgason)."""
-
-    N: int
-    gamma: float
-    j: int
-    xi: float
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < self.N / 2.0:
-            raise ValueError(f"gamma={self.gamma} outside (0, N/2) for N={self.N}")
-        if self.j < 0:
-            raise ValueError(f"mode j={self.j} must be >= 0")
-
-
 def _theta_values(N: int, gamma: float, j: int, xi: np.ndarray) -> np.ndarray:
     lam = sphere_eigenvalue(j, N)
     half_s = 0.5 * np.sqrt((N / 2.0 - 1.0) ** 2 + lam)
@@ -106,15 +85,13 @@ def _theta_values(N: int, gamma: float, j: int, xi: np.ndarray) -> np.ndarray:
     return 2.0 ** (2.0 * gamma) * np.exp(log_ratio)
 
 
-def theta(q: SymbolQuery) -> float:
-    """Symbol value Theta_gamma^j(xi); positive and even in xi."""
-    return float(_theta_values(q.N, q.gamma, q.j, np.asarray(q.xi, dtype=float)))
-
-
 def theta_cylinder(N: int, gamma: float, j: int, xi) -> np.ndarray:
-    """Cylinder entry point, vectorized over xi."""
-    xi = np.asarray(xi, dtype=float)
-    return _theta_values(N, gamma, j, xi)
+    """Theta_gamma^j(xi), gamma in (0, N/2), mode j >= 0; vectorized, even and positive in xi."""
+    if not 0.0 < gamma < N / 2.0:
+        raise ValueError(f"gamma={gamma} outside (0, N/2) for N={N}")
+    if j < 0:
+        raise ValueError(f"mode j={j} must be >= 0")
+    return _theta_values(N, gamma, j, np.asarray(xi, dtype=float))
 
 
 def theta_hyperbolic(N: int, gamma: float, j: int, lam) -> np.ndarray:

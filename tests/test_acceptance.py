@@ -214,7 +214,7 @@ def test_criterion_7_ball_solver(suite_runs):
 
 
 def test_criterion_8_gluing_decay(params10, acc_profile, suite_runs, rng):
-    from biharmlab.gluing import CutoffSpec, GlueConfig, error_field
+    from biharmlab.gluing import CutoffSpec, ErrorField, GlueConfig
 
     prof, _ = acc_profile
     t0 = time.perf_counter()
@@ -230,8 +230,8 @@ def test_criterion_8_gluing_decay(params10, acc_profile, suite_runs, rng):
     pts = rng.standard_normal((60, 10))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts *= rng.uniform(0.2, 2.2, (60, 1))
-    lhs = error_field(cfg).value(pts)
-    rhs = eps**-8.0 * error_field(cfg_ref).value(pts / eps)
+    lhs = ErrorField(cfg).value(pts)
+    rhs = eps**-8.0 * ErrorField(cfg_ref).value(pts / eps)
     cov = float(np.max(np.abs(lhs - rhs)) / (np.max(np.abs(lhs)) + 1e-300))
     checks_ok, suite_s, summary = _suite_checks(suite_runs, 8)
     _report(8, cov <= 1e-12 and checks_ok, time.perf_counter() - t0 + suite_s,

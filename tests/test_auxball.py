@@ -38,6 +38,13 @@ def ring_by_quad(N, r, s):
     return sphere_area(N - 1) * val
 
 
+def test_make_grid_needs_an_even_size_of_two_or_more():
+    for M in (0, -2, 7):
+        with pytest.raises(ValueError, match=f"grid size M={M} must be an even integer >= 2"):
+            make_grid(M=M)
+    assert make_grid(M=2).nodes.tolist() == [0.25, 1.0]
+
+
 @pytest.mark.parametrize("N", [5, 6, 9, 10, 14])  # sqrt path, even path, single factor
 def test_ring_kernel_matches_quadrature(N):
     s = make_grid(M=16).nodes

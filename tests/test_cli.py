@@ -1,10 +1,12 @@
 """CLI surface: outputs, provenance, exit codes, determinism."""
 
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,28 @@ def test_usage_errors():
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
+
+
+BAD_INPUTS = {
+    "symbol --gamma 7.3": "gamma=7.3 outside (0, N/2) for N=10",
+    "symbol --gamma 6": "gamma=6.0 outside (0, N/2) for N=10",
+    "symbol --xi-points 0": "argument --xi-points: must be >= 1, got 0",
+    "indicial --jmax -1": "argument --jmax: must be >= 0, got -1",
+    "modes --jmax -1": "argument --jmax: must be >= 0, got -1",
+    "glue --eps-list 0.1,0.1": "at least two distinct dilations, got [0.1, 0.1]",
+    "auxball --grid 0": "grid size M=0 must be an even integer >= 2",
+    "delaunay --beta nan": "beta=nan must be positive and finite",
+}
+
+
+@pytest.mark.parametrize("command", BAD_INPUTS)
+def test_bad_input_is_a_usage_error_naming_it(command, capsys):
+    try:
+        rc = run(command.split())
+    except SystemExit as exc:  # rejected by the argument parser
+        rc = exc.code
+    assert rc == 2
+    assert BAD_INPUTS[command] in capsys.readouterr().err
 
 
 def test_solver_error_exits_3(monkeypatch, capsys):
@@ -188,6 +212,34 @@ def test_commands_load_only_scipy_linalg(tmp_path):
     for sub in ("integrate", "interpolate", "special", "optimize"):
         assert not any(m == f"scipy.{sub}" or m.startswith(f"scipy.{sub}.")
                        for m in loaded["solvers"]), sub
+
+
+def test_src_imports_of_scipy():
+    """Every scipy import statement under src/, with the function it sits in.
+
+    A lazy import inside a function that no README command runs escapes
+    test_commands_load_only_scipy_linalg; this lists them all from the source.
+    """
+    found = set()
+    for path in sorted(Path(biharmlab.__file__).parent.glob("*.py")):
+        scopes = [(None, ast.parse(path.read_text()))]
+        while scopes:
+            scope, node = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.FunctionDef):
+                    scopes.append((child.name, child))
+                    continue
+                scopes.append((scope, child))
+                if isinstance(child, ast.Import):
+                    modules = [a.name for a in child.names]
+                elif isinstance(child, ast.ImportFrom):
+                    modules = [child.module or ""]
+                else:
+                    continue
+                found |= {(path.name, m, scope) for m in modules if m.split(".")[0] == "scipy"}
+    assert found == {("auxball.py", "scipy.linalg", None),
+                     ("delaunay.py", "scipy.linalg.lapack", None),
+                     ("delaunay.py", "scipy.integrate", "shoot_once")}
 
 
 def _window_p(N: int, f: float) -> float:

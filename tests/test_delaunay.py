@@ -21,14 +21,20 @@ from scipy.optimize import brentq
 
 import biharmlab
 from biharmlab import delaunay
+from biharmlab.cli import main
 from biharmlab.core import validate_params
-from biharmlab.delaunay import (ShootingError, dissipation_check, energy,
-                                export_profile, hamiltonian, import_profile,
+from biharmlab.delaunay import (ShootingError, dissipation_check, energy, hamiltonian,
                                 kelvin_transform, monotonicity_report,
                                 normalize_small_tail, scale_to_beta, shoot_once,
                                 solve_singular)
+from biharmlab.radial import dlap_radial, lap_radial
 
 T_LO, T_HI = -18.0, 24.63
+
+
+def _u(profile, r):
+    """u(r) = r^{-a} ubar(-log r)."""
+    return r ** -profile.params.singular_rate * profile.ubar(-np.log(r))
 
 
 def test_endpoint_convergence(params10, profile10):
@@ -172,12 +178,15 @@ def test_r_view_system_consistency(profile10):
 
     Differentiate Delta u numerically and compare with the state's (Delta u)'
     and with the closed radial equation; this checks the Emden-Fowler to
-    r-view transformation independently of the construction of u''''.
+    r-space transformation of `scaled_derivs` independently of the
+    construction of u''''.
     """
     tau = np.linspace(np.log(0.3), np.log(3.0), 4001)
     h = tau[1] - tau[0]
     r = np.exp(tau)
-    v = profile10.r_view(r)
+    S = profile10.scaled_derivs(-tau)
+    u, du, d2u, d3u = (S[k] * r ** -(k + profile10.params.singular_rate) for k in range(4))
+    lap, dlap = lap_radial(10, r, du, d2u), dlap_radial(10, r, du, d2u, d3u)
 
     def d_dtau4(f):
         # fourth-order central stencil on the uniform log grid (interior)
@@ -185,15 +194,15 @@ def test_r_view_system_consistency(profile10):
 
     mid = slice(2, -2)
     # differentiate in the log variable: power-law fields stay well-scaled
-    dlap_fd = d_dtau4(v.lap) / r[mid]
-    assert np.max(np.abs(dlap_fd - v.dlap[mid]) / np.abs(v.dlap[mid])) <= 1e-8
+    dlap_fd = d_dtau4(lap) / r[mid]
+    assert np.max(np.abs(dlap_fd - dlap[mid]) / np.abs(dlap[mid])) <= 1e-8
     # second radial derivative of Delta u closes the equation Delta^2 u = u^p;
     # the two linear terms cancel to the size of u^p, so normalize by the
     # largest participating term
-    d2lap_fd = d_dtau4(v.dlap) / r[mid]
-    lower = (10 - 1.0) / r[mid] * v.dlap[mid]
-    resid = d2lap_fd + lower - v.u[mid] ** 2
-    scale = np.maximum(np.abs(d2lap_fd), np.maximum(np.abs(lower), v.u[mid] ** 2))
+    d2lap_fd = d_dtau4(dlap) / r[mid]
+    lower = (10 - 1.0) / r[mid] * dlap[mid]
+    resid = d2lap_fd + lower - u[mid] ** 2
+    scale = np.maximum(np.abs(d2lap_fd), np.maximum(np.abs(lower), u[mid] ** 2))
     assert np.max(np.abs(resid) / scale) <= 1e-8
 
 
@@ -245,9 +254,7 @@ def test_dilation_acts_on_far_field(params10, profile10):
     a = params10.singular_rate
     prof2 = scale_to_beta(profile10, profile10.beta * eps**params10.slow_rate)
     r = np.geomspace(5.0, 50.0, 20)
-    u2 = prof2.r_view(r).u
-    u1 = profile10.r_view(r / eps).u
-    assert_allclose(u2, eps**-a * u1, rtol=1e-12)
+    assert_allclose(_u(prof2, r), eps**-a * _u(profile10, r / eps), rtol=1e-12)
 
 
 def test_translation_equivariance_vs_fresh_solve(params10, profile10):
@@ -262,7 +269,7 @@ def test_translation_equivariance_vs_fresh_solve(params10, profile10):
 def test_normalize_small_tail(params10, profile10):
     prof = normalize_small_tail(profile10, 0.01)
     r = np.geomspace(1.0, 1e6, 400)
-    vals = r**4 * prof.r_view(r).u ** (params10.p - 1.0)
+    vals = r**4 * _u(prof, r) ** (params10.p - 1.0)
     assert np.max(vals) <= 0.01 * (1.0 + 1e-9)
     # identity when the bound already holds globally
     big = (params10.p + 1.0) / 2.0 * params10.k_const
@@ -274,7 +281,7 @@ def test_normalize_small_tail(params10, profile10):
     # a bound the mesh start already exceeds is met on the far-field tail
     assert profile10.ubar(profile10.t_lo) ** (params10.p - 1.0) > 1e-6
     prof = normalize_small_tail(profile10, 1e-6)
-    vals = r**4 * prof.r_view(r).u ** (params10.p - 1.0)
+    vals = r**4 * _u(prof, r) ** (params10.p - 1.0)
     assert np.max(vals) <= 1e-6 * (1.0 + 1e-9)
 
 
@@ -292,28 +299,32 @@ def test_kelvin_transform(params10, profile10):
     assert kv.weak_residual(0.5, 4.0) <= 1e-4
 
 
-def test_export_import_roundtrip(profile10, tmp_path):
+def test_profile_out_reads_back_exactly(profile10, tmp_path):
+    # the file `delaunay --profile-out` writes holds the mesh times and the
+    # state there to the last bit, under a header naming N, p and beta
     path = tmp_path / "profile.txt"
-    export_profile(profile10, path)
-    prof2 = import_profile(path)
-    path2 = tmp_path / "profile2.txt"
-    export_profile(prof2, path2)
-    assert path.read_bytes() == path2.read_bytes()
-    tt = np.linspace(profile10.t_lo + 0.2, profile10.t_hi - 0.2, 300)
-    assert_allclose(prof2.ubar(tt), profile10.ubar(tt), atol=1e-9 * 192.0)
-    assert prof2.beta == profile10.beta
-    assert prof2.params.N == 10
-    # the tails come from the exported end states, so they survive the round trip
-    tails = np.concatenate([np.linspace(T_LO, profile10.t_lo - 0.01, 50),
-                            np.linspace(profile10.t_hi + 0.01, T_HI, 50)])
-    assert_allclose(prof2.ubar_state(tails), profile10.ubar_state(tails), rtol=1e-12, atol=0.0)
+    assert main(["delaunay", "--N", "10", "--p", "2", "--beta", "1", "--profile-out", str(path),
+                 "--out", str(tmp_path / "d.json")]) == 0
+    header = {}
+    for line in path.read_text().splitlines():
+        if line.startswith("#") and "=" in line:
+            key, val = line[1:].split("=", 1)
+            header[key.strip()] = val.strip()
+    assert (int(header["N"]), float(header["p"]), float(header["beta"])) == (10, 2.0, 1.0)
+    data = np.loadtxt(path)
+    assert data.shape == (int(header["rows"]), 5)
+    t = data[:, 0]
+    assert np.array_equal(t, profile10.t_grid - profile10.t_shift)
+    assert np.array_equal(data[:, 1:].T, profile10.ubar_state(t))
 
 
 def test_solve_rejects_bad_arguments(params10):
-    with pytest.raises(ValueError):
-        solve_singular(params10, beta=-1.0)
-    with pytest.raises(ValueError):
-        solve_singular(params10, beta=1.0, tol=1e-7)
+    for beta in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            solve_singular(params10, beta=beta)
+    for tol in (1e-7, math.nan):
+        with pytest.raises(ValueError, match="must exceed the manifold-truncation floor"):
+            solve_singular(params10, beta=1.0, tol=tol)
 
 
 def test_solver_never_shoots(monkeypatch, params10):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from biharmlab.symbol import (GammaPoleError, SymbolQuery, complex_log_gamma,
-                              symbol_indicial_identity, theta, theta_cylinder,
-                              theta_hyperbolic)
+from biharmlab.symbol import (GammaPoleError, complex_log_gamma, symbol_indicial_identity,
+                              theta_cylinder, theta_hyperbolic)
 
 
 def test_log_gamma_trivials():
@@ -30,8 +29,7 @@ def test_log_gamma_pole():
 
 
 def test_theta_spot_value_225():
-    q = SymbolQuery(N=10, gamma=2.0, j=0, xi=0.0)
-    assert theta(q) == pytest.approx(225.0, rel=1e-12)
+    assert float(theta_cylinder(10, 2.0, 0, 0.0)) == pytest.approx(225.0, rel=1e-12)
 
 
 def test_theta_recurrence_closed_form():
@@ -39,7 +37,7 @@ def test_theta_recurrence_closed_form():
     N = 10
     for xi in (0.0, 1.0, 2.0, 5.0):
         expect = ((N - 4.0) ** 2 + 4.0 * xi**2) * (N**2 + 4.0 * xi**2) / 16.0
-        assert theta(SymbolQuery(N=N, gamma=2.0, j=0, xi=xi)) == pytest.approx(expect, rel=1e-12)
+        assert float(theta_cylinder(N, 2.0, 0, xi)) == pytest.approx(expect, rel=1e-12)
         # same thing through the |z(z+1)|^2 form
         z = (N - 4.0) / 4.0 + 0.5j * xi
         assert expect == pytest.approx(16.0 * abs(z * (z + 1.0)) ** 2, rel=1e-14)
@@ -84,10 +82,13 @@ def test_identity_spot_values():
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        SymbolQuery(N=10, gamma=5.0, j=0, xi=0.0)
-    with pytest.raises(ValueError):
-        SymbolQuery(N=10, gamma=2.0, j=-1, xi=0.0)
+    # gamma in (0, N/2) and j >= 0, on both entry points
+    for entry in (theta_cylinder, theta_hyperbolic):
+        for gamma in (0.0, 5.0, 6.0, 7.3):
+            with pytest.raises(ValueError, match=r"outside \(0, N/2\) for N=10"):
+                entry(10, gamma, 0, np.zeros(3))
+        with pytest.raises(ValueError, match="mode j=-1"):
+            entry(10, 2.0, -1, np.zeros(3))
 
 
 def test_overflow_resistance():
