@@ -90,6 +90,22 @@ def _at_least(least: int):
     return integer
 
 
+def _finite(text):
+    """argparse type: a finite float."""
+    x = float(text)
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
+
+
+def _eps_list(text: str) -> list:
+    """The floats of a comma list given as --eps-list."""
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--eps-list must be a comma list of numbers, got {text!r}") from None
+
+
 def _config_echo(args, fields) -> dict:
     return {k: getattr(args, k) for k in fields if getattr(args, k, None) is not None}
 
@@ -243,9 +259,9 @@ def cmd_glue(args) -> int:
     params = validate_params(args.N, args.p)
     if args.gamma_w is None:
         args.gamma_w = default_gamma_w(params)
-    eps_list = [float(tok) for tok in args.eps_list.split(",")]
+    eps_list = _eps_list(args.eps_list)
     prof = solve_singular(params, beta=1.0, tol=args.tol)
-    fit = decay_fit(params, prof, eps_list, args.gamma_w, seed=args.seed)
+    fit = decay_fit(params, prof, eps_list, args.gamma_w)
     results = {
         "mode": args.mode, "gamma_w": args.gamma_w, "eps": fit.eps_list,
         "norms": fit.norms, "slope": fit.slope, "nominal": fit.nominal,
@@ -260,7 +276,7 @@ def cmd_verify_all(args) -> int:
 
     suites = args.suites.split(",") if args.suites else None
     checks = run_suites(args.N, args.p, seed=args.seed, suites=suites,
-                        grid_m=args.grid, eps_list=[float(t) for t in args.eps_list.split(",")],
+                        grid_m=args.grid, eps_list=_eps_list(args.eps_list),
                         cache_dir=args.cache_dir)
     for c in checks:
         sys.stderr.write(f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}: {c['detail']}\n")
@@ -301,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--gamma", type=float, default=2.0)
     sp.add_argument("--jmax", type=_at_least(0), default=10)
-    sp.add_argument("--xi-max", type=float, default=10.0)
+    sp.add_argument("--xi-max", type=_finite, default=10.0)
     sp.add_argument("--xi-points", type=_at_least(1), default=100)
     sp.set_defaults(fn=cmd_symbol)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["smoothstep4", "radial_cutoff", "annulus_bump", "CUTOFF_DERIV_BOUNDS"]
+__all__ = ["smoothstep4", "radial_cutoff", "annulus_bump"]
 
 # s4 coefficients, ascending powers x^5..x^9
 _S4 = np.array([126.0, -420.0, 540.0, -315.0, 70.0])
@@ -64,11 +64,3 @@ def annulus_bump(r, r_lo: float, r_hi: float, order: int = 0):
     # the two transitions have disjoint support, so no product rule is needed
     return np.where(r <= 0.5 * (r_lo + r_hi), up, down)
 
-
-def _sup_abs(fn, order, lo, hi, n=20001):
-    xs = np.linspace(lo, hi, n)
-    return float(np.max(np.abs(fn(xs, order))))
-
-
-# Recorded sup-norms of chi and its derivatives on the transition [1,2].
-CUTOFF_DERIV_BOUNDS = tuple(_sup_abs(radial_cutoff, k, 1.0, 2.0) for k in range(5))

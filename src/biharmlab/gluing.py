@@ -1,19 +1,18 @@
-"""Cutoff-glued approximate solutions and their equation error.
+"""Cutoff-glued approximate solution of one point singularity and its equation error.
 
-For centers x_i with dilations eps_i,
+The singular profile u1, dilated by eps and cut off at the origin,
 
-    ubar(x) = sum_i chi_R(x - x_i) eps_i^{-4/(p-1)} u1(|x - x_i| / eps_i),
+    ubar(x) = chi_R(r) eps^{-4/(p-1)} u1(r / eps),    r = |x|,
 
-with chi_R a fixed C^4 polynomial cutoff (1 on B_R, 0 outside B_2R) whose
-supports are pairwise disjoint and contained in the box domain.  The error
-f = Delta^2 ubar - ubar^p is then supported in the transition annuli.
+with chi_R a fixed C^4 polynomial cutoff (1 on B_R, 0 outside B_2R).  ubar
+is radial, so it and its error f = Delta^2 ubar - ubar^p are functions of r
+alone; f is supported in the transition annulus R <= r <= 2R.
 
 Everything is assembled analytically from the profile's radial derivatives
 and the cutoff's closed-form derivatives; no finite differences enter.
 
-Weighted Holder norms are *sampled* suprema over dyadic shells around the
-singular set (lower bounds of the true norms); a fixed RNG seed makes them
-byte-stable.
+Weighted norms are weighted suprema of |f| at fixed radii on dyadic shells
+around the origin (lower bounds of the true sup norms); no randomness enters.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Params
-from .cutoff import CUTOFF_DERIV_BOUNDS, radial_cutoff
+from .cutoff import radial_cutoff
 from .delaunay import RadialProfile
 from .radial import bilap_radial, dlap_radial, lap_radial
 
@@ -59,54 +58,29 @@ def default_gamma_w(params: Params) -> float:
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Radial C^4 cutoff chi_R: 1 on B_R, 0 outside B_2R, polynomial transition.
-
-    deriv_bounds records sup |chi_R^{(k)}| on the transition region.
-    """
+    """Radial C^4 cutoff chi_R: 1 on B_R, 0 outside B_2R, polynomial transition."""
 
     radius: float = 1.0
 
     def chi(self, r, order: int = 0):
         return radial_cutoff(np.asarray(r, dtype=float) / self.radius, order) / self.radius**order
 
-    @property
-    def deriv_bounds(self) -> tuple[float, ...]:
-        return tuple(b / self.radius**k for k, b in enumerate(CUTOFF_DERIV_BOUNDS))
 
-
-@dataclass
+@dataclass(frozen=True)
 class GlueConfig:
-    """Geometry, dilations, cutoff, profile, and norm weight of one gluing run.
-
-    `centers` (K, N) with dilations `eps` (K,), all cutoff balls B_2R
-    pairwise disjoint and inside the box [-L, L]^N.
-    """
+    """Profile, dilation eps in (0, 1], cutoff and norm weight of one point singularity
+    at the origin."""
 
     params: Params
     profile: RadialProfile
     cutoff: CutoffSpec
     gamma_w: float
-    centers: np.ndarray
-    eps: np.ndarray
-    box_halfwidth: float = 4.0
+    eps: float
 
     def __post_init__(self):
-        N = self.params.N
-        R = self.cutoff.radius
-        self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        self.eps = np.atleast_1d(np.asarray(self.eps, dtype=float))
-        if self.centers.shape[1] != N:
-            raise ValueError(f"centers must have {N} columns")
-        if self.centers.shape[0] != self.eps.size:
-            raise ValueError("one dilation per center required")
-        if np.any(self.eps <= 0.0) or np.any(self.eps > 1.0):
-            raise ValueError("dilations must lie in (0, 1]")
-        for i in range(self.centers.shape[0]):
-            if np.max(np.abs(self.centers[i])) + 2.0 * R > self.box_halfwidth:
-                raise ValueError(f"cutoff ball at center {i} leaves the box")
-            for jj in range(i + 1, self.centers.shape[0]):
-                if np.linalg.norm(self.centers[i] - self.centers[jj]) < 4.0 * R:
-                    raise ValueError(f"cutoff balls {i} and {jj} overlap")
+        # written so that NaN fails it
+        if not 0.0 < self.eps <= 1.0:
+            raise ValueError(f"dilation eps={self.eps} must lie in (0, 1]")
         lo, hi = weight_interval(self.params)
         if not lo < self.gamma_w < hi:
             raise ValueError(f"gamma_w must lie in ({lo}, {hi}), got {self.gamma_w}")
@@ -135,152 +109,88 @@ def _product_derivs(chi: list, vd: tuple) -> list:
 
 
 class ApproxSolution:
-    """Pointwise evaluator of (ubar, grad, Delta, grad Delta, Delta^2).
+    """Radial evaluator of ubar = chi_R u_eps.
 
-    Points must avoid the centers; everything is assembled from closed
-    forms, exact to profile residual where chi = 1.
+    `fields(r)` returns (ubar, ubar', Delta ubar, (Delta ubar)', Delta^2 ubar) at
+    radii r > 0, assembled from closed forms: exact to profile residual where
+    chi = 1, and zero for r >= 2R.
     """
 
     def __init__(self, config: GlueConfig):
         self.config = config
 
-    def fields(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    def fields(self, r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r <= 0.0):
+            raise ValueError("evaluation at or inside the singular point r = 0")
         cfg = self.config
         N = cfg.params.N
-        m = pts.shape[0]
-        val = np.zeros(m)
-        grad = np.zeros((m, N))
-        lap = np.zeros(m)
-        glap = np.zeros((m, N))
-        bilap = np.zeros(m)
-        R = cfg.cutoff.radius
-        for center, eps in zip(cfg.centers, cfg.eps):
-            y = pts - center[None, :]
-            r = np.linalg.norm(y, axis=1)
-            if np.any(r == 0.0):
-                raise ValueError("evaluation exactly on a singular point")
-            hit = r < 2.0 * R
-            if not np.any(hit):
-                continue
-            rr = r[hit]
-            chi = [cfg.cutoff.chi(rr, k) for k in range(5)]
-            vd = _profile_derivs(cfg.profile, rr, eps)
-            P = _product_derivs(chi, vd)
-            rhat = y[hit] / rr[:, None]
-            val[hit] += P[0]
-            grad[hit] += P[1][:, None] * rhat
-            lap[hit] += lap_radial(N, rr, P[1], P[2])
-            glap[hit] += dlap_radial(N, rr, P[1], P[2], P[3])[:, None] * rhat
-            bilap[hit] += bilap_radial(N, rr, P[1], P[2], P[3], P[4])
-        return val, grad, lap, glap, bilap
-
-    def value(self, pts) -> np.ndarray:
-        return self.fields(pts)[0]
+        out = [np.zeros(r.shape) for _ in range(5)]
+        hit = r < 2.0 * cfg.cutoff.radius
+        rr = r[hit]
+        chi = [cfg.cutoff.chi(rr, k) for k in range(5)]
+        P = _product_derivs(chi, _profile_derivs(cfg.profile, rr, cfg.eps))
+        out[0][hit] = P[0]
+        out[1][hit] = P[1]
+        out[2][hit] = lap_radial(N, rr, P[1], P[2])
+        out[3][hit] = dlap_radial(N, rr, P[1], P[2], P[3])
+        out[4][hit] = bilap_radial(N, rr, P[1], P[2], P[3], P[4])
+        return tuple(out)
 
 
 class ErrorField:
-    """f = Delta^2 ubar - ubar^p, assembled analytically."""
+    """f = Delta^2 ubar - ubar^p at radii r > 0, assembled analytically."""
 
     def __init__(self, config: GlueConfig):
         self.config = config
         self._approx = ApproxSolution(config)
 
-    def value(self, pts) -> np.ndarray:
-        val, _, _, _, bilap = self._approx.fields(pts)
+    def value(self, r) -> np.ndarray:
+        val, _, _, _, bilap = self._approx.fields(r)
         return bilap - np.abs(val) ** (self.config.params.p - 1.0) * val
 
 
 # ---------------------------------------------------------------------------
-# weighted Holder norms (sampled)
+# weighted norms (sampled at fixed radii)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class NormReport:
-    """Sampled weighted norm: per-shell seminorms, outer norm, and their total.
+    """Sampled weighted norm: per-shell suprema, outer norm, and their total.
 
-    total = outer + max over shells of s^{-gamma} (sup + s^alpha * quotient);
-    all suprema are sampled lower bounds.
+    total = outer + max over shells of s^{-gamma} sup; all suprema are
+    sampled lower bounds.
     """
 
-    shells: list  # (s, sup, hoelder_quotient, weighted)
+    shells: list  # (s, sup, weighted)
     outer: float
     total: float
 
 
-# samples per center and shell: N_RADIAL radii times N_DIRS random directions;
-# N_PAIRS random point pairs per shell for the Holder quotient
-N_RADIAL, N_DIRS, N_PAIRS = 6, 16, 20
+# geometric radii per dyadic shell; the outer term samples 2 N_RADIAL radii on [R, 2R]
+N_RADIAL = 6
 
 
-def _unit_vectors(rng, count: int, dim: int) -> np.ndarray:
-    v = rng.standard_normal((count, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+def weighted_norm(value_fn, config: GlueConfig, gamma_w: float,
+                  n_shells: int = 10) -> NormReport:
+    """Sampled weighted sup norm of a radial field around the origin.
 
-
-def _shell_points_for_center(rng, center, dim, s_lo, s_hi, radii_count):
-    radii = np.geomspace(s_lo, s_hi, radii_count)
-    dirs = _unit_vectors(rng, N_DIRS, dim)
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
-    return pts + center[None, :]
-
-
-def weighted_norm(value_fn, config: GlueConfig, gamma_w: float, alpha_h: float = 0.0,
-                  n_shells: int = 10, seed: int = 0) -> NormReport:
-    """Sampled C^{0,alpha}_{gamma} norm of a scalar field around the singular set.
-
-    Dyadic shells s_m = sigma 2^{-m}, m = 0..n_shells-1, with sigma = 2R the
-    cutoff's outer radius; on each shell the sup of |w| and (for alpha_h > 0)
-    sampled Holder quotients of w.  The outer region contributes its
-    unweighted sup.  value_fn maps an (m, dim) array of points to values.
+    Dyadic shells [s/2, s], s = sigma 2^{-m}, m = 0..n_shells-1, with sigma = 2R
+    the cutoff's outer radius, each contribute s^{-gamma} times the sup of |w|
+    at N_RADIAL geometric radii.  The outer region [R, 2R] contributes its
+    unweighted sup at 2 N_RADIAL radii; the glued fields vanish beyond 2R.
+    value_fn maps a 1-D array of radii to values; it is called once.
     """
-    cfg = config
-    rng = np.random.default_rng(seed)
-    sigma = 2.0 * cfg.cutoff.radius
-    N = cfg.params.N
-    centers = list(cfg.centers)
-
-    def shell_pts(s_lo, s_hi):
-        return np.concatenate([
-            _shell_points_for_center(rng, c, N, s_lo, s_hi, N_RADIAL) for c in centers
-        ])
-
-    def outer_pts():
-        out = [
-            _shell_points_for_center(rng, c, N, sigma / 2.0, sigma, 2 * N_RADIAL) for c in centers
-        ]
-        box = rng.uniform(-cfg.box_halfwidth, cfg.box_halfwidth, (N_DIRS, N))
-        keep = np.array([
-            min(np.linalg.norm(b - c) for c in centers) > sigma / 2.0 for b in box
-        ])
-        out.append(box[keep] if np.any(keep) else np.empty((0, N)))
-        return np.concatenate(out)
-
-    shells = []
-    for mshell in range(n_shells):
-        s = sigma * 2.0 ** (-mshell)
-        pts = shell_pts(s / 2.0, s)
-        vals = value_fn(pts)
-        sup = float(np.max(np.abs(vals)))
-        hq = 0.0
-        if alpha_h > 0.0:
-            base = pts[rng.integers(0, pts.shape[0], N_PAIRS)]
-            step = s * 10.0 ** rng.uniform(-2.0, -0.5, N_PAIRS)
-            dirs = _unit_vectors(rng, N_PAIRS, N)
-            mate = base + step[:, None] * dirs
-            # keep the pair inside the same closed shell
-            d = np.min(np.stack([
-                np.linalg.norm(mate - c[None, :], axis=1) for c in centers
-            ]), axis=0)
-            ok = (d >= s / 2.0) & (d <= s)
-            if np.any(ok):
-                qv = np.abs(value_fn(base[ok]) - value_fn(mate[ok])) / step[ok] ** alpha_h
-                hq = float(np.max(qv))
-        weighted = s**-gamma_w * (sup + s**alpha_h * hq)
-        shells.append((s, sup, hq, weighted))
-    outer_vals = value_fn(outer_pts())
-    outer = float(np.max(np.abs(outer_vals))) if outer_vals.size else 0.0
-    return NormReport(shells=shells, outer=outer, total=outer + max(w for _, _, _, w in shells))
+    sigma = 2.0 * config.cutoff.radius
+    s = sigma * 2.0 ** -np.arange(n_shells)
+    shell_r = np.geomspace(s / 2.0, s, N_RADIAL, axis=1)
+    outer_r = np.geomspace(sigma / 2.0, sigma, 2 * N_RADIAL)
+    vals = np.abs(value_fn(np.concatenate([shell_r.ravel(), outer_r])))
+    sups = vals[:shell_r.size].reshape(shell_r.shape).max(axis=1)
+    shells = [(float(si), float(sup), float(si) ** -gamma_w * float(sup))
+              for si, sup in zip(s, sups)]
+    outer = float(np.max(vals[shell_r.size:]))
+    return NormReport(shells=shells, outer=outer, total=outer + max(w for _, _, w in shells))
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +210,8 @@ def nominal_decay_exponent(params: Params) -> float:
     return params.N - 4.0 * params.p / (params.p - 1.0)
 
 
-def decay_fit(params: Params, profile: RadialProfile, eps_list, gamma_w: float,
-              seed: int = 0) -> DecayFit:
-    """Least-squares slope of log ||f_eps||_{C^{0,alpha}_{gamma-4}} against log eps,
+def decay_fit(params: Params, profile: RadialProfile, eps_list, gamma_w: float) -> DecayFit:
+    """Least-squares slope of log ||f_eps||_{C^0_{gamma-4}} against log eps,
     one point singularity at the origin per eps."""
     eps_list = [float(e) for e in eps_list]
     if len(set(eps_list)) < 2:
@@ -310,10 +219,8 @@ def decay_fit(params: Params, profile: RadialProfile, eps_list, gamma_w: float,
     cutoff = CutoffSpec(radius=1.0)
     norms = []
     for eps in eps_list:
-        cfg = GlueConfig(params=params, profile=profile, cutoff=cutoff, gamma_w=gamma_w,
-                         centers=np.zeros((1, params.N)), eps=[eps],
-                         box_halfwidth=2.0 * cutoff.radius + 1.0)
-        norms.append(weighted_norm(ErrorField(cfg).value, cfg, gamma_w - 4.0, seed=seed).total)
+        cfg = GlueConfig(params=params, profile=profile, cutoff=cutoff, gamma_w=gamma_w, eps=eps)
+        norms.append(weighted_norm(ErrorField(cfg).value, cfg, gamma_w - 4.0).total)
     slope = float(np.polyfit(np.log(eps_list), np.log(norms), 1)[0])
     return DecayFit(eps_list=eps_list, norms=norms, slope=slope,
                     nominal=nominal_decay_exponent(params))

@@ -24,7 +24,6 @@ from .indicial import indicial_polynomial, sphere_eigenvalue
 __all__ = [
     "complex_log_gamma",
     "theta_cylinder",
-    "theta_hyperbolic",
     "symbol_indicial_identity",
 ]
 
@@ -92,15 +91,6 @@ def theta_cylinder(N: int, gamma: float, j: int, xi) -> np.ndarray:
     if j < 0:
         raise ValueError(f"mode j={j} must be >= 0")
     return _theta_values(N, gamma, j, np.asarray(xi, dtype=float))
-
-
-def theta_hyperbolic(N: int, gamma: float, j: int, lam) -> np.ndarray:
-    """Hyperbolic-edge entry point (Fourier-Helgason frequency).
-
-    The expression is definitionally the same as the cylinder symbol; this
-    wrapper exists so both routes can be asserted bit-identical.
-    """
-    return theta_cylinder(N, gamma, j, lam)
 
 
 def symbol_indicial_identity(N: int, j: int, xi) -> np.ndarray:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -62,13 +63,20 @@ BAD_INPUTS = {
     "glue --eps-list 0.1,0.1": "at least two distinct dilations, got [0.1, 0.1]",
     "auxball --grid 0": "grid size M=0 must be an even integer >= 2",
     "delaunay --beta nan": "beta=nan must be positive and finite",
+    "glue --eps-list 0.1,nan": "dilation eps=nan must lie in (0, 1]",
+    "glue --eps-list ,": "--eps-list must be a comma list of numbers, got ','",
+    "verify-all --suites glue --eps-list 0.1,x": "--eps-list must be a comma list of numbers",
+    "symbol --xi-max nan": "argument --xi-max: must be finite, got nan",
+    "symbol --xi-max inf": "argument --xi-max: must be finite, got inf",
 }
 
 
 @pytest.mark.parametrize("command", BAD_INPUTS)
 def test_bad_input_is_a_usage_error_naming_it(command, capsys):
     try:
-        rc = run(command.split())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the input is named, not met by a numpy warning
+            rc = run(command.split())
     except SystemExit as exc:  # rejected by the argument parser
         rc = exc.code
     assert rc == 2

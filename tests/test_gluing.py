@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from biharmlab.cutoff import CUTOFF_DERIV_BOUNDS, radial_cutoff, smoothstep4
+from biharmlab.core import validate_params
+from biharmlab.cutoff import radial_cutoff, smoothstep4
 from biharmlab.gluing import (ApproxSolution, CutoffSpec, ErrorField, GlueConfig, decay_fit,
-                              remainder_Q, weighted_norm)
+                              default_gamma_w, remainder_Q, weighted_norm)
 
 
-def _points_config(params, profile, eps, centers=None, R=1.0, gamma_w=-3.5, L=4.0):
-    centers = np.zeros((1, params.N)) if centers is None else np.asarray(centers)
-    eps = np.atleast_1d(eps)
+def _points_config(params, profile, eps, R=1.0, gamma_w=-3.5):
     return GlueConfig(params=params, profile=profile, cutoff=CutoffSpec(R),
-                      gamma_w=gamma_w, centers=centers, eps=eps, box_halfwidth=L)
+                      gamma_w=gamma_w, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +31,6 @@ def test_cutoff_c4_matching():
     assert np.all((0.0 <= chi) & (chi <= 1.0))
     assert np.all(chi[r <= 1.0] == 1.0)
     assert np.all(chi[r >= 2.0] == 0.0)
-    assert len(CUTOFF_DERIV_BOUNDS) == 5 and all(np.isfinite(b) for b in CUTOFF_DERIV_BOUNDS)
 
 
 def test_smoothstep_derivative_consistency():
@@ -63,91 +61,72 @@ def test_exact_inside_and_zero_outside(params10, profile10, rng):
     cfg = _points_config(params10, profile10, 0.25)
     ef = ErrorField(cfg)
     ap = ApproxSolution(cfg)
-    dirs = rng.standard_normal((40, 10))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    inside = dirs * rng.uniform(0.05, 0.99, (40, 1))
-    vals = ap.value(inside)
+    inside = rng.uniform(0.05, 0.99, 40)
+    vals = ap.fields(inside)[0]
     f_in = ef.value(inside)
     # exact solution region: residual at profile-residual level
     assert np.max(np.abs(f_in) / (1.0 + vals**2)) <= 1e-7
-    outside = dirs * rng.uniform(2.01, 3.5, (40, 1))
-    assert np.all(ap.value(outside) == 0.0)
+    outside = rng.uniform(2.01, 3.5, 40)
+    assert all(np.all(field == 0.0) for field in ap.fields(outside))
     assert np.all(ef.value(outside) == 0.0)
-    annulus = dirs * rng.uniform(1.05, 1.95, (40, 1))
+    annulus = rng.uniform(1.05, 1.95, 40)
     assert np.max(np.abs(ef.value(annulus))) > 0.0
+    with pytest.raises(ValueError, match="singular point"):
+        ap.fields(np.array([0.5, 0.0]))
 
 
 def test_fd_cross_check(params10, profile10, rng):
-    """Analytic Delta and Delta^2 match centered 4th-order differences."""
+    """The radial fields at |x| match centered 4th-order differences in Cartesian x."""
     eps = 0.25
     cfg = _points_config(params10, profile10, eps)
     ap = ApproxSolution(cfg)
+
+    def at(x, field=0):
+        return ap.fields(np.linalg.norm(x, axis=1))[field]
+
     pts = rng.standard_normal((100, 10))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts *= rng.uniform(0.35, 1.9, (100, 1))
-    val, grad, lap, glap, bilap = ap.fields(pts)
+    r = np.linalg.norm(pts, axis=1)
+    val, du, lap, dlap, bilap = ap.fields(r)
     h = 3e-4  # tuned for eps = 0.25
     lap_fd = np.zeros(len(pts))
     for k in range(10):
         e = np.zeros(10)
         e[k] = h
-        lap_fd += (-ap.value(pts + 2 * e) + 16 * ap.value(pts + e) - 30 * val
-                   + 16 * ap.value(pts - e) - ap.value(pts - 2 * e)) / (12 * h * h)
+        lap_fd += (-at(pts + 2 * e) + 16 * at(pts + e) - 30 * val
+                   + 16 * at(pts - e) - at(pts - 2 * e)) / (12 * h * h)
     assert np.max(np.abs(lap_fd - lap) / (1.0 + np.abs(lap))) <= 1e-5
     bilap_fd = np.zeros(len(pts))
     for k in range(10):
         e = np.zeros(10)
         e[k] = h
-        lp = [ap.fields(pts + m * e)[2] for m in (-2, -1, 1, 2)]
+        lp = [at(pts + m * e, 2) for m in (-2, -1, 1, 2)]
         bilap_fd += (-lp[3] + 16 * lp[2] - 30 * lap + 16 * lp[1] - lp[0]) / (12 * h * h)
     assert np.max(np.abs(bilap_fd - bilap) / (1.0 + np.abs(bilap))) <= 1e-5
-    # gradient directions
-    gdot = np.einsum("ij,ij->i", grad, pts / np.linalg.norm(pts, axis=1, keepdims=True))
-    vfd = (ap.value(pts * (1 + 1e-6)) - ap.value(pts * (1 - 1e-6)))
-    rfd = vfd / (2e-6 * np.linalg.norm(pts, axis=1))
-    assert np.max(np.abs(gdot - rfd) / (1.0 + np.abs(gdot))) <= 1e-4
-
-
-def test_superposition_two_points(params10, profile10):
-    centers = np.zeros((2, 10))
-    centers[0, 0] = -2.0
-    centers[1, 0] = 2.01
-    cfg2 = _points_config(params10, profile10, [0.25, 0.125], centers=centers, L=4.5)
-    cfg_a = _points_config(params10, profile10, 0.25, centers=centers[:1], L=4.5)
-    cfg_b = _points_config(params10, profile10, 0.125, centers=centers[1:], L=4.5)
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(-4.4, 4.4, (300, 10))
-    f2 = ErrorField(cfg2).value(pts)
-    fa = ErrorField(cfg_a).value(pts)
-    fb = ErrorField(cfg_b).value(pts)
-    # disjoint supports: the cross-term in ubar^p vanishes identically
-    assert_allclose(f2, fa + fb, rtol=1e-12, atol=1e-12)
+    # radial derivatives of u and Delta u along x / |x|
+    for field, deriv in ((0, du), (2, dlap)):
+        rfd = (at(pts * (1 + 1e-6), field) - at(pts * (1 - 1e-6), field)) / (2e-6 * r)
+        assert np.max(np.abs(deriv - rfd) / (1.0 + np.abs(deriv))) <= 1e-4, field
 
 
 def test_scaling_covariance(params10, profile10, rng):
     """f for (eps, R) equals eps^{-4p/(p-1)} (f for (1, R/eps))(./eps), to 1e-12."""
     eps, R = 0.25, 1.0
     cfg = _points_config(params10, profile10, eps, R=R)
-    cfg_ref = _points_config(params10, profile10, 1.0, R=R / eps, L=2.0 * R / eps + 1.0)
-    pts = rng.standard_normal((80, 10))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts *= rng.uniform(0.2, 2.2 * R, (80, 1))
-    lhs = ErrorField(cfg).value(pts)
-    rhs = eps ** (-4.0 * 2.0 / (2.0 - 1.0)) * ErrorField(cfg_ref).value(pts / eps)
+    cfg_ref = _points_config(params10, profile10, 1.0, R=R / eps)
+    r = rng.uniform(0.2, 2.2 * R, 80)
+    lhs = ErrorField(cfg).value(r)
+    rhs = eps ** (-4.0 * 2.0 / (2.0 - 1.0)) * ErrorField(cfg_ref).value(r / eps)
     assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * np.max(np.abs(lhs)))
 
 
 def test_config_validation(params10, profile10):
-    with pytest.raises(ValueError, match="overlap"):
-        centers = np.zeros((2, 10))
-        centers[1, 0] = 3.0
-        _points_config(params10, profile10, [0.1, 0.1], centers=centers, L=8.0)
-    with pytest.raises(ValueError, match="box"):
-        _points_config(params10, profile10, 0.1, L=1.5)
     with pytest.raises(ValueError, match="gamma_w"):
         _points_config(params10, profile10, 0.1, gamma_w=0.5)
-    with pytest.raises(ValueError, match="dilation"):
-        _points_config(params10, profile10, 1.5)
+    for eps in (1.5, 0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"dilation eps=.* must lie in \(0, 1\]"):
+            _points_config(params10, profile10, eps)
 
 
 def test_weighted_norm_pure_power(params10, profile10):
@@ -155,30 +134,47 @@ def test_weighted_norm_pure_power(params10, profile10):
     cfg = _points_config(params10, profile10, 0.25)
     gamma = -3.5
 
-    def w(pts):
-        return np.linalg.norm(pts, axis=1) ** gamma
+    def w(r):
+        return r**gamma
 
-    rep = weighted_norm(w, cfg, gamma, n_shells=8, seed=3)
-    weighted = np.array([row[3] for row in rep.shells])
+    rep = weighted_norm(w, cfg, gamma, n_shells=8)
+    assert len(rep.shells) == 8
+    weighted = np.array([row[2] for row in rep.shells])
     assert float(np.max(weighted) / np.min(weighted)) <= 1.0 + 1e-10
     # sup over a larger shell family never decreases the total
-    rep_more = weighted_norm(w, cfg, gamma, n_shells=12, seed=3)
+    rep_more = weighted_norm(w, cfg, gamma, n_shells=12)
     assert rep_more.total >= rep.total - 1e-12
 
 
-def test_weighted_norm_holder_quotient(params10, profile10):
-    cfg = _points_config(params10, profile10, 0.25)
-    ef = ErrorField(cfg)
-    rep = weighted_norm(ef.value, cfg, -7.5, alpha_h=0.4, seed=1)
-    assert rep.total > rep.outer >= 0.0
-    assert all(row[2] >= 0.0 for row in rep.shells)
-    assert len(rep.shells) == 10
-
-
 def test_decay_fit_reproducible_across_ranges(params10, profile10):
-    lo = decay_fit(params10, profile10, [2.0**-k for k in range(3, 6)], -3.5, seed=0)
-    hi = decay_fit(params10, profile10, [2.0**-k for k in range(5, 8)], -3.5, seed=0)
+    lo = decay_fit(params10, profile10, [2.0**-k for k in range(3, 6)], -3.5)
+    hi = decay_fit(params10, profile10, [2.0**-k for k in range(5, 8)], -3.5)
     assert abs(lo.slope - hi.slope) <= 0.15
+
+
+# decay_fit over eps = 2^-3..2^-7 at the default weight, as computed by the Cartesian
+# sampler (6 radii x 16 random directions per shell) that the radial one replaced;
+# p = 8 and 1.625 sit at window fractions 0.75 and 0.25
+FROZEN_DECAY = {
+    (10, 2.0): ([314.23643588761973, 78.56732058752031, 19.642409392439852,
+                 4.9106427244354975, 1.227663464230682], 1.9999528649230813),
+    (5, 8.0): ([5101.898609489247, 3791.9194515638915, 2817.615126447626,
+                 2093.522917161925, 1555.489544735335], 0.4284326668978206),
+    (12, 1.625): ([1207.8957693385325, 398.73294580679783, 131.57850159233288,
+                  43.41226903133952, 14.32196384633259], 1.5995493734984207),
+}
+
+
+@pytest.mark.parametrize("N, p", FROZEN_DECAY, ids=lambda v: str(v))
+def test_decay_fit_matches_frozen_norms(profile10, N, p):
+    from biharmlab.delaunay import solve_singular
+
+    params = validate_params(N, p)
+    profile = profile10 if N == 10 else solve_singular(params, beta=1.0, tol=1e-4)
+    fit = decay_fit(params, profile, [2.0**-k for k in range(3, 8)], default_gamma_w(params))
+    norms, slope = FROZEN_DECAY[N, p]
+    assert_allclose(fit.norms, norms, rtol=1e-12, atol=0.0)
+    assert_allclose(fit.slope, slope, rtol=1e-12, atol=0.0)
 
 
 def test_decay_fit_needs_multiple_eps(params10, profile10):

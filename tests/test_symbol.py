@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from biharmlab.symbol import (GammaPoleError, complex_log_gamma, symbol_indicial_identity,
-                              theta_cylinder, theta_hyperbolic)
+                              theta_cylinder)
 
 
 def test_log_gamma_trivials():
@@ -65,13 +65,6 @@ def test_theta_monotone_in_mode():
             prev = th
 
 
-def test_cylinder_hyperbolic_bit_identical():
-    xi = np.linspace(0.0, 20.0, 301)
-    a = theta_cylinder(11, 1.5, 4, xi)
-    b = theta_hyperbolic(11, 1.5, 4, xi)
-    assert np.array_equal(a, b)
-
-
 def test_identity_spot_values():
     # both sides 225 at xi=0 and 260 at xi=1 (N=10, j=0)
     assert symbol_indicial_identity(10, 0, 0.0) <= 1e-12
@@ -82,13 +75,12 @@ def test_identity_spot_values():
 
 
 def test_query_validation():
-    # gamma in (0, N/2) and j >= 0, on both entry points
-    for entry in (theta_cylinder, theta_hyperbolic):
-        for gamma in (0.0, 5.0, 6.0, 7.3):
-            with pytest.raises(ValueError, match=r"outside \(0, N/2\) for N=10"):
-                entry(10, gamma, 0, np.zeros(3))
-        with pytest.raises(ValueError, match="mode j=-1"):
-            entry(10, 2.0, -1, np.zeros(3))
+    # gamma in (0, N/2) and j >= 0
+    for gamma in (0.0, 5.0, 6.0, 7.3):
+        with pytest.raises(ValueError, match=r"outside \(0, N/2\) for N=10"):
+            theta_cylinder(10, gamma, 0, np.zeros(3))
+    with pytest.raises(ValueError, match="mode j=-1"):
+        theta_cylinder(10, 2.0, -1, np.zeros(3))
 
 
 def test_overflow_resistance():
