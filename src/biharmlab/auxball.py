@@ -47,9 +47,9 @@ from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import solve_banded
 
 from .core import SolverError
+from .radial import band_solver
 
 __all__ = [
     "RadialGrid",
@@ -353,8 +353,8 @@ def picard_minimal(kernel: BallKernel, lam: float, p: float, alpha_w: float,
     `cap` is reported as lambda beyond the convergent range, with the failure
     flagged rather than raised.
     """
-    if lam < 0:
-        raise ValueError(f"lambda={lam} must be >= 0")
+    if not 0.0 <= lam < math.inf:  # NaN fails too
+        raise ValueError(f"lambda={lam} must lie in [0, inf)")
     u = np.zeros_like(kernel.grid.nodes)
     monotone = True
     for it in range(1, max_iter + 1):
@@ -392,25 +392,26 @@ def _newton_band(kernel: BallKernel, p: float, alpha_w: float):
     carries the unknowns (du_i, P_i, Q_i, R_i, T_i, dlam_i) and the rows
     (Newton equation, the four recurrences, dlam_i = dlam_{i-1}); node 0's
     sixth row is the amplitude border R_0 + C_0 w_0 + G0 dlam = -F0.  Every
-    coupling lies within 6 of the diagonal; the band (ab[6 + i - j, j] = A[i, j])
-    is built once per call and only its u-dependent entries change per step.
+    coupling lies within 6 of the diagonal; the band (ab[12 + i - j, j] = A[i, j],
+    rows 0..5 left to LAPACK's fill-in) is built once per call and only its
+    u-dependent entries change per step.
     """
     s = kernel.grid.nodes
     M = s.size
     C, L = _ring_terms(kernel.N, s)
     C, L = kernel.norm_constant * C, kernel.norm_constant * L
     s2 = s * s
-    ab = np.zeros((13, 6 * M))
-    ab[6] = 1.0
-    ab[5, 1::6], ab[4, 2::6], ab[3, 3::6], ab[2, 4::6] = -1.0, 1.0, -1.0, 1.0  # -(P-Q+R-T)
-    ab[12, 1:-6:6] = -C[1:] / C[:-1]  # P_{k-1}, Q_{k-1} in the recurrences of node k
-    ab[12, 2:-6:6] = -L[1:] / L[:-1]
-    ab[0, 9::6] = -1.0  # R_{k+1}, T_{k+1} in those of node k
-    ab[0, 10::6] = -s2[:-1] / s2[1:]
-    ab[12, 5:-6:6] = -1.0  # dlam_i = dlam_{i-1}
-    ab[8, 3] = 1.0  # border: R_0
+    ab = np.zeros((19, 6 * M))
+    ab[12] = 1.0
+    ab[11, 1::6], ab[10, 2::6], ab[9, 3::6], ab[8, 4::6] = -1.0, 1.0, -1.0, 1.0  # -(P-Q+R-T)
+    ab[18, 1:-6:6] = -C[1:] / C[:-1]  # P_{k-1}, Q_{k-1} in the recurrences of node k
+    ab[18, 2:-6:6] = -L[1:] / L[:-1]
+    ab[6, 9::6] = -1.0  # R_{k+1}, T_{k+1} in those of node k
+    ab[6, 10::6] = -s2[:-1] / s2[1:]
+    ab[18, 5:-6:6] = -1.0  # dlam_i = dlam_{i-1}
+    ab[14, 3] = 1.0  # border: R_0
     # couplings to du_k (column 6k): rows of P_k, Q_k, R_{k-1}, T_{k-1}, border
-    w_rows = [7, 8, 3, 4, 11]
+    w_rows = [13, 14, 9, 10, 17]
     gen = np.zeros((5, M))
     gen[0], gen[1] = -C, -L * s2
     gen[2, 1:], gen[3, 1:] = -C[1:], -s2[:-1] * L[1:]
@@ -420,13 +421,12 @@ def _newton_band(kernel: BallKernel, p: float, alpha_w: float):
     def step(u, lam, Gu, G0, F, F0):
         band = ab.copy()
         band[w_rows, 0::6] = gen * (lam * weight * (1.0 + np.abs(u)) ** (p - 1.0))
-        band[1, 5::6] = -Gu
-        band[6, 5] = G0
+        band[7, 5::6] = -Gu
+        band[12, 5] = G0
         b = np.zeros(6 * M)
         b[0::6] = -F
         b[5] = -F0
-        x = solve_banded((6, 6), band, b, overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
+        x = band_solver(band, 6, 6)(b)
         return x[0::6], x[5]
 
     return step

@@ -98,6 +98,14 @@ def _finite(text):
     return x
 
 
+def _finite_nonnegative(text):
+    """argparse type: a finite float >= 0."""
+    x = _finite(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return x
+
+
 def _eps_list(text: str) -> list:
     """The floats of a comma list given as --eps-list."""
     try:
@@ -337,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("auxball", help="clamped-ball kernel, Picard branch, Pohozaev")
     common(sp)
-    sp.add_argument("--lam", type=float, default=1e-3)
+    sp.add_argument("--lam", type=_finite_nonnegative, default=1e-3)
     sp.add_argument("--grid", type=int, default=160)
     sp.add_argument("--cache-dir", default=None)
     sp.add_argument("--blowup", action="store_true")

@@ -53,11 +53,10 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyfromroots
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .core import EmdenCoeffs, Params, ShootingError, emden_coeffs, equilibrium_spectrum
 from .cutoff import annulus_bump
-from .radial import bilap_radial, dlap_radial, lap_radial, simpson
+from .radial import band_solver, bilap_radial, dlap_radial, lap_radial, simpson
 
 __all__ = [
     "RadialProfile",
@@ -460,16 +459,17 @@ def _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol):
             njev += 1
             if not np.isfinite(ab).all():
                 return y, True
-            lu, piv, info = dgbtrf(ab.T, _KL, _KU, overwrite_ab=1)
-            if info > 0:
+            try:
+                solve = band_solver(ab.T, _KL, _KU)
+            except np.linalg.LinAlgError:
                 return y, True
-            step = dgbtrs(lu, _KL, _KU, res, piv)[0]
+            step = solve(res)
             cost = step @ step
         alpha = 1.0
         for trial in range(5):
             y_new = y - alpha * step.reshape(-1, 4).T
             res, y_mid, done = residual(y_new)
-            step_new = dgbtrs(lu, _KL, _KU, res, piv)[0]
+            step_new = solve(res)
             cost_new = step_new @ step_new
             if cost_new < (1 - 2 * alpha * 0.2) * cost:
                 break

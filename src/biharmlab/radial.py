@@ -6,7 +6,8 @@ For a radial function f(|x|) on R^N:
     (Delta f)'    = f''' + (N-1)(f''/r - f'/r^2)
     Delta^2 f     = f'''' + 2(N-1)/r f''' + (N-1)(N-3)(f''/r^2 - f'/r^3)
 
-plus the composite Simpson rule that radial integrals are taken with.
+plus the composite Simpson rule that radial integrals are taken with, and
+the banded LAPACK solve of the collocation's and the blow-up's Newton steps.
 """
 
 from __future__ import annotations
@@ -46,3 +47,18 @@ def simpson(y, x) -> float:
     return float(np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / h0divh1)
                                       + y[1::2] * (hsum * (hsum / (h0 * h1)))
                                       + y[2::2] * (2.0 - h0divh1))))
+
+
+def band_solver(ab, kl: int, ku: int):
+    """Factor a banded A once (LAPACK dgbtrf) and return b -> x solving A x = b (dgbtrs).
+
+    ab is dgbtrf's band storage, A[i, j] at ab[kl + ku + i - j, j] below kl
+    rows of fill-in space, overwritten if Fortran-ordered.  Raises
+    np.linalg.LinAlgError on a zero pivot.  scipy loads at the first call.
+    """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return lambda b: dgbtrs(lu, kl, ku, b, piv)[0]

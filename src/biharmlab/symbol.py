@@ -49,7 +49,7 @@ def complex_log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     where log Gamma(z) is near 0, so they are formed in np.longdouble, the
     x87 80-bit format on x86-64.  Against 30-digit mpmath.loggamma, Re log
     Gamma is then within 8.9e-16 absolute on the arguments the symbol suite
-    evaluates (N = 6..14, j <= 10, |xi| <= 12, gamma in {1, 1.5, 2}); in
+    evaluates (N = 5..14, j <= 10, |xi| <= 12, gamma in {1, 1.5, 2}); in
     double precision the same steps reach 1.1e-14.  The imaginary part sums
     the factors' arguments, which keeps the branch.
     """

@@ -36,8 +36,7 @@ CHECKS = {
         "delaunay.signs", "delaunay.slopes", "delaunay.dissipation",
         "delaunay.translation_equivariance"),
     5: ("modes.translation_kernel", "modes.certificates", "modes.hardy_chain"),
-    6: ("symbol.gamma2_identity", "symbol.even_positive", "symbol.mode_monotone",
-        "symbol.spot_value_225"),
+    6: ("symbol.gamma2_identity", "symbol.even_positive", "symbol.mode_monotone"),
     7: ("auxball.green_oracle", "auxball.self_adjoint", "auxball.picard_minimal",
         "auxball.pohozaev"),
     8: ("glue.points_decay", "glue.remainder_taylor"),
@@ -185,7 +184,7 @@ def test_criterion_5_mode_kernel(acc_profile, suite_runs):
 def test_criterion_6_symbol_identity(suite_runs):
     checks_ok, suite_s, summary = _suite_checks(suite_runs, 6)
     _report(6, checks_ok, suite_s,
-            f"Theta_2 = Q_j on the critical line; Theta(0;0,10) = 225; {summary}")
+            f"Theta_2 = Q_j on the critical line; {summary}")
 
 
 def test_criterion_7_ball_solver(suite_runs):

@@ -68,6 +68,9 @@ BAD_INPUTS = {
     "verify-all --suites glue --eps-list 0.1,x": "--eps-list must be a comma list of numbers",
     "symbol --xi-max nan": "argument --xi-max: must be finite, got nan",
     "symbol --xi-max inf": "argument --xi-max: must be finite, got inf",
+    "auxball --lam nan": "argument --lam: must be finite, got nan",
+    "auxball --lam inf": "argument --lam: must be finite, got inf",
+    "auxball --lam -1": "argument --lam: must be >= 0, got -1",
 }
 
 
@@ -245,8 +248,7 @@ def test_src_imports_of_scipy():
                 else:
                     continue
                 found |= {(path.name, m, scope) for m in modules if m.split(".")[0] == "scipy"}
-    assert found == {("auxball.py", "scipy.linalg", None),
-                     ("delaunay.py", "scipy.linalg.lapack", None),
+    assert found == {("radial.py", "scipy.linalg.lapack", "band_solver"),
                      ("delaunay.py", "scipy.integrate", "shoot_once")}
 
 
@@ -275,6 +277,20 @@ def test_verify_all_across_the_window(N, p, tmp_path, capsys):
     assert rc == (1 if failed else 0)
     params = validate_params(N, p)
     assert all(name in KNOWN_FAILURES and KNOWN_FAILURES[name](params) for name in failed), failed
+
+
+# the checks that scan a domain: each scans the N it is asked about, and says so
+SCANS_AT_N = ("constants.k_positive_K3_pos_K1_neg", "constants.A_p_monotone",
+              "constants.mode_estimate_bound", "constants.serrin_zero",
+              "indicial.ordering_chain", "symbol.gamma2_identity", "modes.certificates",
+              "auxball.green_oracle")
+
+
+def test_verify_all_details_name_the_dimension_asked():
+    from biharmlab.verify import run_suites
+
+    details = {c["name"]: c["detail"] for c in run_suites(7, _window_p(7, 0.5))}
+    assert {name: details[name] for name in SCANS_AT_N if "N=7" not in details[name]} == {}
 
 
 def test_delaunay_report_at_the_serrin_end(tmp_path):

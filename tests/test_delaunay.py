@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_bvp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -415,7 +416,7 @@ def test_singular_newton_matrix_raises_typed_error(monkeypatch, params10):
     def singular(ab, kl, ku, **kwargs):
         return ab, np.zeros(ab.shape[1], dtype=np.int32), 1
 
-    monkeypatch.setattr(delaunay, "dgbtrf", singular)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", singular)
     with pytest.raises(ShootingError, match="collocation polish: A singular Jacobian"):
         solve_singular(params10, beta=1.0, tol=1e-4)
 
@@ -429,7 +430,7 @@ def test_non_finite_newton_matrix_is_never_factored(monkeypatch):
         calls.append(1)
         return dgbtrf(*args, **kwargs)
 
-    monkeypatch.setattr(delaunay, "dgbtrf", counting)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", counting)
     with pytest.raises(ShootingError, match="collocation polish"):
         solve_singular(validate_params(10, 2.32), beta=1.0, tol=1e-4)
     assert not calls

@@ -8,6 +8,7 @@ from biharmlab.core import serrin_exponent, sobolev_exponent, validate_params
 from biharmlab.indicial import (indicial_polynomial, indicial_roots,
                                 indicial_roots_for, sphere_eigenvalue,
                                 verify_ordering, weight_window)
+from biharmlab.verify import _p_grid
 
 
 def test_sphere_eigenvalue():
@@ -90,6 +91,14 @@ def test_ordering_chain(params10):
     assert rep.all_ok, rep.failures()
     d = indicial_roots(params10, 0)
     assert d.root("++").real > 2.0
+
+
+def test_ordering_chain_across_the_window():
+    # verify-all checks the chain at the (N, p) it is asked about; this is the window
+    for N in range(5, 15):
+        for p in _p_grid(N, 20):
+            rep = verify_ordering(validate_params(N, float(p)))
+            assert rep.all_ok, (N, float(p), rep.failures())
 
 
 def test_branch_continuity_to_zero_potential(params10):

@@ -59,6 +59,25 @@ def test_translation_mode_in_kernel(profile10):
     assert float(np.max(resid)) <= 1e-6
 
 
+@pytest.mark.parametrize("scale, ok", [(None, True), (1.0 + 1e-6, False)],
+                         ids=["unpatched", "a1-scaled"])
+def test_planted_defect_fails_the_translation_kernel_check(profile10, monkeypatch, scale, ok):
+    # a1 of the j = 1 operator times (1 + 1e-6) leaves a residual of about 1e-6
+    from biharmlab import linearized
+    from biharmlab.verify import suite_modes
+
+    if scale is not None:
+        coefficients = linearized.mode_coefficients
+
+        def planted(N, j):
+            a1, *rest = coefficients(N, j)
+            return (scale * a1 if j == 1 else a1, *rest)
+
+        monkeypatch.setattr(linearized, "mode_coefficients", planted)
+    checks = {c["name"]: c["ok"] for c in suite_modes(10, 2.0, profile10)}
+    assert checks["modes.translation_kernel"] == ok
+
+
 def test_mode_solve_zero_potential_monomial(params10, profile10):
     mode = make_mode(params10, profile10, 0)
     for g in (2.0, 0.0):

@@ -74,6 +74,14 @@ def test_identity_spot_values():
     assert symbol_indicial_identity(10, 1, 0.0) <= 1e-10
 
 
+def test_gamma2_identity_across_the_window():
+    # verify-all checks the identity at the N it is asked about; this is N = 5..14
+    xi = np.linspace(0.0, 12.0, 100)
+    for N in range(5, 15):
+        for j in range(0, 11):
+            assert float(np.max(symbol_indicial_identity(N, j, xi))) <= 1e-12, (N, j)
+
+
 def test_query_validation():
     # gamma in (0, N/2) and j >= 0
     for gamma in (0.0, 5.0, 6.0, 7.3):
@@ -98,7 +106,7 @@ def test_log_gamma_matches_mpmath():
 
     xi = np.linspace(-12.0, 12.0, 199)
     zs = []
-    for N in range(6, 15):
+    for N in range(5, 15):
         for j in range(11):
             half_s = 0.5 * np.sqrt((N / 2.0 - 1.0) ** 2 + sphere_eigenvalue(j, N))
             for g in (1.0, 1.5, 2.0):
