@@ -17,10 +17,11 @@ taken in closed form, not by angular quadrature: on |y| = s >= r the mean
 of |x-y|^{4-N} is s^{4-N} + (4-N) r^2 s^{2-N}/N (it is biharmonic in x),
 the mean of [x,y]^{4-N} is 1 + (4-N)(rs)^2/N and that of [x,y]^{2-N} is 1
 (the pole lies outside the unit sphere), and |x-y|^2 = [x,y]^2 -
-(1-r^2)(1-s^2) reduces the remaining term to these.  The overall
-normalization of K is fixed empirically against the exact clamped solution
-(1-r^2)^2 / (8N(N+2)) of Delta^2 u = 1 rather than trusting a constant
-transcription.
+(1-r^2)(1-s^2) reduces the remaining term to these.  Boggio's constant
+kN = Gamma(N/2) / (8 pi^{N/2}) times the sphere's area |S^{N-1}| is exactly
+1/4, so the normalized kernel needs no constant beyond that quarter.  The
+exact clamped solution (1-r^2)^2 / (8N(N+2)) of Delta^2 u = 1 is then an
+independent oracle: build_kernel gates the assembled kernel on it.
 
 The radial grid is graded, r_i = (i/M)^2, to resolve the |y|^alpha weight
 (alpha in (-4,0)); quadrature is composite Simpson in the uniform variable
@@ -70,7 +71,7 @@ __all__ = [
     "unit_load_error",
 ]
 
-KERNEL_FORMAT_VERSION = 3  # 3: closed-form spherical mean, no angular quadrature
+KERNEL_FORMAT_VERSION = 4  # 4: Boggio's constant in closed form, none stored
 
 
 @dataclass(frozen=True)
@@ -153,36 +154,37 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 
 def _ring_terms(N: int, s: np.ndarray):
-    """(C, L) with K_raw(r, s) = C(s) - r^2 L(s) for r <= s <= 1.
+    """(C, L) with K(r, s) = C(s) - r^2 L(s) for r <= s <= 1.
 
     With x = -log s, a = N-4, b = N-2 and phi2 as above,
 
-        C = |S^{N-1}|/b [2a x^2 phi2(a x) + 4x^2 phi2(-2x)],
-        L = |S^{N-1}|/b [(2b^2/N) x^2 phi2(b x) + (b/N) 4x^2 phi2(-2x)];
+        C = 1/(4b) [2a x^2 phi2(a x) + 4x^2 phi2(-2x)],
+        L = 1/(4b) [(2b^2/N) x^2 phi2(b x) + (b/N) 4x^2 phi2(-2x)],
 
-    the terms linear in x cancel analytically, so both are O(x^2) near s = 1
-    with no cancellation and exactly 0 at s = 1.  C alone is the r = 0 row.
+    where 1/4 is Boggio's kN times |S^{N-1}|, exactly.  The terms linear in
+    x cancel analytically, so both are O(x^2) near s = 1 with no
+    cancellation and exactly 0 at s = 1.  C alone is the r = 0 row.
     """
     a, b = N - 4.0, N - 2.0
     x = -np.log(s)
     x2 = x * x
     e2 = 4.0 * x2 * _phi2(-2.0 * x)
-    scale = sphere_area(N) / b
+    scale = 1.0 / (4.0 * b)
     C = scale * (2.0 * a * x2 * _phi2(a * x) + e2)
     L = scale * ((2.0 * b * b / N) * x2 * _phi2(b * x) + (b / N) * e2)
     return C, L
 
 
 def _boggio_ring(N: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Unnormalized spherical average of the Boggio Green function, in closed form.
+    """Spherical average of the Boggio Green function, in closed form.
 
-    K_raw(r, s) = int_{S^{N-1}} G(r e1, s omega) dsigma(omega) with kN = 1 and
+    K(r, s) = int_{S^{N-1}} G(r e1, s omega) dsigma(omega) with
 
-        G = |x-y|^{4-N} [ (A^{4-N}-1)/(4-N) - (A^{2-N}-1)/(2-N) ],
+        G = kN |x-y|^{4-N} [ (A^{4-N}-1)/(4-N) - (A^{2-N}-1)/(2-N) ],
         A = [x,y]/|x-y|,
 
-    i.e. G = ([x,y]^{4-N} - |x-y|^{4-N})/(4-N)
-             - (|x-y|^2 [x,y]^{2-N} - |x-y|^{4-N})/(2-N).
+    i.e. G/kN = ([x,y]^{4-N} - |x-y|^{4-N})/(4-N)
+                - (|x-y|^2 [x,y]^{2-N} - |x-y|^{4-N})/(2-N).
     Each power has an exact spherical mean over |y| = s, for r <= s:
     |x-y|^{4-N} is biharmonic in x inside the sphere, so its mean is
     s^{4-N} + (4-N) r^2 s^{2-N}/N; [x,y] = |s x - y/s| puts the pole outside
@@ -208,16 +210,16 @@ def _boggio_ring(N: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
 class BallKernel:
     """Ring-reduced clamped Green kernel on a graded grid, plus the r = 0 row.
 
-    green_apply(f)(r_i) = sum_j K[i,j] f(s_j) s_j^{N-1} w_j; K is symmetric,
-    positive in the interior, and normalized so that f = 1 reproduces the
-    exact clamped solution of Delta^2 u = 1.
+    green_apply(f)(r_i) = sum_j K[i,j] f(s_j) s_j^{N-1} w_j; K is exactly
+    symmetric, positive in the interior, and carries Boggio's constant, so
+    f = 1 reproduces the exact clamped solution of Delta^2 u = 1 up to
+    quadrature error.
     """
 
     N: int
     grid: RadialGrid
     K: np.ndarray
     K_origin: np.ndarray
-    norm_constant: float
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         dens = f * self.grid.nodes ** (self.N - 1.0) * self.grid.weights
@@ -249,7 +251,6 @@ class BallKernel:
                     weights=self.grid.weights,
                     K=self.K,
                     K_origin=self.K_origin,
-                    norm_constant=self.norm_constant,
                 )
             os.replace(tmp, path)
         except BaseException:
@@ -265,8 +266,7 @@ class BallKernel:
                 M=int(data["M"]), sigma_g=float(data["sigma_g"]), alpha_w=float(data["alpha_w"]),
                 nodes=data["nodes"], weights=data["weights"],
             )
-            return cls(N=int(data["N"]), grid=grid, K=data["K"], K_origin=data["K_origin"],
-                       norm_constant=float(data["norm_constant"]))
+            return cls(N=int(data["N"]), grid=grid, K=data["K"], K_origin=data["K_origin"])
 
 
 def exact_unit_load(N: int, r: np.ndarray) -> np.ndarray:
@@ -294,18 +294,11 @@ def build_kernel(N: int, grid: RadialGrid, cache_dir: str | None = None) -> Ball
                 kern.grid = grid  # kernel is alpha-independent; keep the caller's grid
                 return kern
     r = grid.nodes
-    K_raw = _boggio_ring(N, r, r)
-    K0_raw = _ring_terms(N, r)[0]  # the r = 0 row
-    kern = BallKernel(N=N, grid=grid, K=K_raw, K_origin=K0_raw, norm_constant=1.0)
-    # empirical normalization against the f = 1 oracle
-    u_raw = kern.apply(np.ones_like(r))
-    u_ex = exact_unit_load(N, r)
-    c = float(u_raw @ u_ex / (u_raw @ u_raw))
-    kern.K = c * K_raw
-    kern.K_origin = c * K0_raw
-    kern.norm_constant = c
-    # the remaining sup deviation is pure quadrature error; gate it here so a
-    # degraded grid surfaces at build time, not inside a solve
+    kern = BallKernel(N=N, grid=grid, K=_boggio_ring(N, r, r),
+                      K_origin=_ring_terms(N, r)[0])  # C alone is the r = 0 row
+    # the kernel's constant is exact, so the unit-load deviation is quadrature
+    # error; gate it here so a degraded grid surfaces at build time, not
+    # inside a solve
     rel = unit_load_error(kern)
     if not (rel <= 1e-4):  # NaN fails too
         raise SolverError(
@@ -381,7 +374,7 @@ def _newton_band(kernel: BallKernel, p: float, alpha_w: float):
 
     g = p s^alpha (1+|u|)^{p-1} s^{N-1} weights, solved exactly in O(M) as a
     banded system, never assembled densely.  K[i,j] = C(s_hi) - s_lo^2 L(s_hi)
-    (generators times the normalization), so with w = lam g du,
+    (_ring_terms), so with w = lam g du,
     (K w)_i = P_i - Q_i + R_i - T_i for the running sums
 
         P_i = C_i sum_{j<=i} w_j,   Q_i = L_i sum_{j<=i} s_j^2 w_j,
@@ -399,7 +392,6 @@ def _newton_band(kernel: BallKernel, p: float, alpha_w: float):
     s = kernel.grid.nodes
     M = s.size
     C, L = _ring_terms(kernel.N, s)
-    C, L = kernel.norm_constant * C, kernel.norm_constant * L
     s2 = s * s
     ab = np.zeros((19, 6 * M))
     ab[12] = 1.0

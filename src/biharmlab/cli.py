@@ -2,8 +2,8 @@
 
 Outputs are JSON (nested: config echo, library version, results) or CSV
 (config echoed as leading '# key=value' comment lines, single header row).
-All sampled quantities take their randomness from --seed, and reports carry
-no timestamps, so identical invocations produce byte-identical files.
+Nothing is sampled at random (--seed is accepted and ignored), and reports
+carry no timestamps, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 verification failure (a PASS-expected check failed;
 in verify-all a suite whose solver raised SolverError is one such check,
@@ -237,7 +237,6 @@ def cmd_auxball(args) -> int:
     results = {
         "grid_M": grid.M,
         "green_oracle_rel": unit_load_error(kern),
-        "norm_constant": kern.norm_constant,
         "picard_converged": pic.converged,
         "picard_iterations": pic.iterations,
         "picard_u0": pic.u_origin,
@@ -274,8 +273,8 @@ def cmd_glue(args) -> int:
         "mode": args.mode, "gamma_w": args.gamma_w, "eps": fit.eps_list,
         "norms": fit.norms, "slope": fit.slope, "nominal": fit.nominal,
     }
-    emit(_config_echo(args, ["N", "p", "gamma_w", "eps_list", "mode", "seed",
-                             "format", "out"]), results, args)
+    emit(_config_echo(args, ["N", "p", "gamma_w", "eps_list", "mode", "format", "out"]),
+         results, args)
     return 0
 
 
@@ -283,14 +282,12 @@ def cmd_verify_all(args) -> int:
     from .verify import run_suites
 
     suites = args.suites.split(",") if args.suites else None
-    checks = run_suites(args.N, args.p, seed=args.seed, suites=suites,
-                        grid_m=args.grid, eps_list=_eps_list(args.eps_list),
-                        cache_dir=args.cache_dir)
+    checks = run_suites(args.N, args.p, suites=suites, grid_m=args.grid,
+                        eps_list=_eps_list(args.eps_list), cache_dir=args.cache_dir)
     for c in checks:
         sys.stderr.write(f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}: {c['detail']}\n")
     n_fail = sum(not c["ok"] for c in checks)
-    config = _config_echo(args, ["N", "p", "seed", "grid", "eps_list", "suites",
-                                 "format", "out"])
+    config = _config_echo(args, ["N", "p", "grid", "eps_list", "suites", "format", "out"])
     emit(config, checks, args)
     return 1 if n_fail else 0
 
@@ -310,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=float, default=p)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=0, help="ignored; nothing is sampled")
 
     sp = sub.add_parser("constants", help="closed-form constants")
     common(sp)

@@ -192,8 +192,16 @@ class RadialProfile:
         return float(self.t_grid[-1] - self.t_shift)
 
     def shifted(self, delta: float) -> "RadialProfile":
-        """Profile with ubar_new(t) = ubar(t + delta) (same orbit, new frame)."""
-        beta_new = self.beta * math.exp(self.params.slow_rate * delta)
+        """Profile with ubar_new(t) = ubar(t + delta) (same orbit, new frame).
+
+        A shift that takes the slow amplitude out of floating-point range
+        raises ShootingError (stage "frame shift").
+        """
+        with np.errstate(over="ignore"):
+            beta_new = float(np.exp(math.log(self.beta) + self.params.slow_rate * delta))
+        if not 0.0 < beta_new < math.inf:  # NaN fails too
+            raise ShootingError("frame shift", f"shift {delta!r} takes the slow amplitude "
+                                              f"{self.beta!r} out of floating-point range")
         return replace(self, beta=beta_new, t_shift=self.t_shift + delta,
                        diagnostics=dict(self.diagnostics))
 
@@ -625,18 +633,19 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp):
 def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4) -> RadialProfile:
     """Compute the singular radial profile with far-field coefficient beta.
 
-    tol controls the asymptotic-fit guarantees at both ends of the mesh
-    (it must exceed the 1e-6 manifold-truncation floor of the left boundary
-    condition);
-    the ODE-residual quality is fixed by the collocation tolerance and is
-    reported in profile.diagnostics.  Every gate fails on NaN, so a solve
-    either meets them or raises ShootingError naming the stage.  The mesh
-    is chosen here; the returned profile evaluates every t through its tails.
+    tol controls the asymptotic-fit guarantees at both ends of the mesh; it
+    must lie in (2e-6, 1), above the manifold-truncation floor of the left
+    boundary condition.  The ODE-residual quality is fixed by the
+    collocation tolerance and is reported in profile.diagnostics.  Every
+    gate fails on NaN, so a solve either meets them or raises ShootingError
+    naming the stage.  The mesh is chosen here; the returned profile
+    evaluates every t through its tails.
     """
     if not 0.0 < beta < math.inf:
         raise ValueError(f"beta={beta} must be positive and finite")
-    if not tol > 2e-6:
-        raise ValueError(f"tol={tol} must exceed the manifold-truncation floor ~2e-6")
+    if not 2e-6 < tol < 1.0:  # NaN fails too
+        raise ValueError(f"tol={tol} must exceed the manifold-truncation floor ~2e-6 "
+                         "and lie below 1")
     coeffs = emden_coeffs(params)
     h = H_REL * params.c_p
 
@@ -681,7 +690,7 @@ def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4) -> Radi
         "beta_fit_rel": beta_fit_rel,
     }
     # shift the frame so the slow amplitude equals the requested beta
-    prof = prof.shifted(math.log(beta / h) / params.slow_rate)
+    prof = prof.shifted((math.log(beta) - math.log(h)) / params.slow_rate)
     prof.beta = beta  # exact by construction; avoids exp/log roundoff
     prof.diagnostics["tol"] = tol
     return prof
@@ -693,9 +702,9 @@ def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4) -> Radi
 
 def scale_to_beta(profile: RadialProfile, beta_new: float) -> RadialProfile:
     """Time-translated profile with slow amplitude beta_new (same orbit)."""
-    if beta_new <= 0.0:
-        raise ValueError(f"beta_new={beta_new} must be positive")
-    delta = math.log(beta_new / profile.beta) / profile.params.slow_rate
+    if not 0.0 < beta_new < math.inf:
+        raise ValueError(f"beta_new={beta_new} must be positive and finite")
+    delta = (math.log(beta_new) - math.log(profile.beta)) / profile.params.slow_rate
     out = profile.shifted(delta)
     out.beta = beta_new
     return out

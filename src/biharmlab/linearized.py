@@ -197,7 +197,8 @@ def mode_solve(mode: ModeData, gamma_seed: complex, potential: str = "profile",
     complex seed propagates as two real columns.  A branch whose
     seed-normalized state reaches OVERFLOW stops there: blowup_tau is that
     point, found log-linearly between samples, and the solution is sampled
-    again on [tau0, blowup_tau], where the far exponent is fitted.
+    again on [tau0, blowup_tau], where the far exponent is fitted.  A seed
+    whose e^{gamma tau0} overflows raises SolverError (stage "mode seed").
     """
     prof = mode.profile
     par = prof.params
@@ -246,7 +247,12 @@ def mode_solve(mode: ModeData, gamma_seed: complex, potential: str = "profile",
     complex_mode = abs(complex(gamma_seed).imag) > 0 or abs(complex(kappa).imag) > 0
     scale = max(abs(y0c[0]), 1e-290)
     y0c = y0c / scale  # mode ODE is linear; normalize the seed
-    norm = scale * np.exp((g if complex_mode else g.real) * tau0)  # w ~ e^{gamma tau} at the seed
+    # w ~ e^{gamma tau} at the seed; an overflow is reported below, once
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = scale * np.exp((g if complex_mode else g.real) * tau0)
+    if not np.isfinite(norm):
+        raise SolverError("mode seed", f"w ~ e^(gamma tau) overflows at the seed tau0={tau0:.6g} "
+                          f"(j={j}, gamma={gamma_seed}); the profile's frame is shifted too far")
     # a complex seed propagates as two real columns under the real step matrices
     y0 = np.stack([y0c.real, y0c.imag], axis=1) if complex_mode else y0c.real[:, None]
 

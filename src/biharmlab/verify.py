@@ -2,11 +2,11 @@
 
 Each suite returns check records {name, ok, detail} about the (N, p) it is
 given, and a detail that scans names the N it scanned; the scans across the
-window are unit tests of the same library functions.  Every detail string
-is built from numbers computed in-process with a fixed seed, so repeated
-runs are byte-identical.  The acceptance tests assert these checks by name
-at (N, p) = (10, 2), and the CLI reports the figures it shares with them
-through profile_figures, translation_residual and auxball.unit_load_error.
+window are unit tests of the same library functions.  Every input is a
+fixed grid or lattice, nothing is drawn at random, so repeated runs are
+byte-identical.  The acceptance tests assert these checks by name at
+(N, p) = (10, 2), and the CLI reports the figures it shares with them
+through profile_figures and translation_residual.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def suite_delaunay(N, p, profile, **_) -> list:
     return checks
 
 
-def suite_modes(N, p, profile, seed=0, **_) -> list:
+def suite_modes(N, p, profile, **_) -> list:
     from .cutoff import annulus_bump
     from .linearized import hardy_chain_check, quadratic_certificates
 
@@ -167,40 +167,31 @@ def suite_modes(N, p, profile, seed=0, **_) -> list:
     bad = [(j, cbar) for j, cbar in cbars.items() if not cbar < 1.0]
     checks.append(_check("modes.certificates", not bad,
                          f"Cbar(N,j) < 1 for j in [N+1, 4N] at N={N}; failures {bad[:3]}"))
-    rng = np.random.default_rng(seed)
     worst_slack = np.inf
     hardy_ok = True
-    for _ in range(20):
-        lo = rng.uniform(0.3, 1.5)
-        width = rng.uniform(0.5, 3.0)
-        rr = np.linspace(lo * 0.9, (lo + width) * 1.1, 3001)
-        rep = hardy_chain_check(N, rr, *(annulus_bump(rr, lo, lo + width, k) for k in range(3)))
-        hardy_ok &= rep.first_ok and rep.second_ok
-        worst_slack = min(worst_slack, rep.first_slack, rep.second_slack)
+    for lo in np.linspace(0.3, 1.5, 5):  # bumps supported on [lo, lo + width]
+        for width in np.linspace(0.5, 3.0, 4):
+            rr = np.linspace(lo * 0.9, (lo + width) * 1.1, 3001)
+            rep = hardy_chain_check(N, rr, *(annulus_bump(rr, lo, lo + width, k) for k in range(3)))
+            hardy_ok &= rep.first_ok and rep.second_ok
+            worst_slack = min(worst_slack, rep.first_slack, rep.second_slack)
     checks.append(_check("modes.hardy_chain", bool(hardy_ok),
-                         f"20 random bumps; worst slack {worst_slack:.3f}"))
+                         f"20 bumps, lo in [0.3, 1.5] x width in [0.5, 3]; "
+                         f"worst slack {worst_slack:.3f}"))
     return checks
 
 
-def suite_auxball(N, p, grid_m=160, seed=0, cache_dir=None, **_) -> list:
-    from .auxball import (build_kernel, green_apply, make_grid, picard_minimal,
-                          pohozaev_residual, unit_load_error)
+def suite_auxball(N, p, grid_m=160, cache_dir=None, **_) -> list:
+    from .auxball import build_kernel, make_grid, picard_minimal, pohozaev_residual
 
     checks = []
     params = validate_params(N, p)
     grid = make_grid(M=grid_m, alpha_w=params.alpha_w)
+    # build_kernel raises SolverError ("kernel quadrature") off the unit-load oracle
     kern = build_kernel(N, grid, cache_dir=cache_dir)
-    err = unit_load_error(kern)
-    checks.append(_check("auxball.green_oracle", err <= 1e-4,
-                         f"N={N}: sup rel error vs (1-r^2)^2/(8N(N+2)): {err:.3e} (tol 1e-4)"))
-    rng = np.random.default_rng(seed)
-    f = rng.standard_normal(grid.nodes.size)
-    g = rng.standard_normal(grid.nodes.size)
-    inner = grid.nodes ** (N - 1.0) * grid.weights
-    lhs = float((green_apply(kern, f) * g) @ inner)
-    rhs = float((f * green_apply(kern, g)) @ inner)
-    checks.append(_check("auxball.self_adjoint", abs(lhs - rhs) <= 1e-8 * max(abs(lhs), 1e-30),
-                         f"<Gf,g> vs <f,Gg> mismatch {abs(lhs - rhs):.3e}"))
+    asym = int(np.count_nonzero(kern.K != kern.K.T))
+    checks.append(_check("auxball.self_adjoint", asym == 0,
+                         f"K = K^T exactly: {asym} of {kern.K.size} entries differ"))
     pic = picard_minimal(kern, 1e-3, p, params.alpha_w)
     ok = pic.converged and pic.monotone and bool(np.all(pic.u >= 0)) \
         and bool(np.all(np.diff(pic.u) <= 1e-12))
@@ -213,7 +204,7 @@ def suite_auxball(N, p, grid_m=160, seed=0, cache_dir=None, **_) -> list:
     return checks
 
 
-def suite_glue(N, p, profile, seed=0, eps_list=None, **_) -> list:
+def suite_glue(N, p, profile, eps_list=None, **_) -> list:
     from .gluing import decay_fit, default_gamma_w, remainder_Q
 
     checks = []
@@ -224,18 +215,21 @@ def suite_glue(N, p, profile, seed=0, eps_list=None, **_) -> list:
     checks.append(_check("glue.points_decay", lo <= fit.slope <= hi,
                          f"fitted slope {fit.slope:.3f} vs nominal {fit.nominal:.3f} "
                          f"in [{lo:g}, {hi:g}]"))
-    rng = np.random.default_rng(seed)
-    ub = rng.uniform(0.5, 2.0, 200)
-    v = ub * rng.uniform(-0.1, 0.1, 200)
+    # |v|/ubar spaced geometrically down to 1e-4, where a term linear in v
+    # would outgrow the quadratic bound
+    ub = np.linspace(0.5, 2.0, 16)[:, None]
+    frac = np.geomspace(1e-4, 0.1, 13)
+    v = ub * np.concatenate([-frac, frac])
     Q = remainder_Q(ub, v, p)
     Cp = p * (p - 1.0) * 1.1 ** abs(p - 2.0)
     taylor_ok = bool(np.all(np.abs(Q) <= Cp * ub ** (p - 2.0) * v**2 + 1e-14))
     checks.append(_check("glue.remainder_taylor", taylor_ok,
-                         "|Q(v)| <= p(p-1) 1.1^|p-2| ubar^{p-2} v^2 on random samples"))
+                         "|Q(v)| <= p(p-1) 1.1^|p-2| ubar^{p-2} v^2 on ubar in [0.5, 2] "
+                         "x |v|/ubar in [1e-4, 0.1]"))
     return checks
 
 
-def run_suites(N, p, seed=0, suites=None, grid_m=160, eps_list=None, cache_dir=None) -> list:
+def run_suites(N, p, suites=None, grid_m=160, eps_list=None, cache_dir=None) -> list:
     """Run the requested suites (all by default) and return check records.
 
     A suite whose solver raises SolverError yields one FAIL record
@@ -269,7 +263,7 @@ def run_suites(N, p, seed=0, suites=None, grid_m=160, eps_list=None, cache_dir=N
             checks.append(_check(f"{name}.solver", False, str(profile_error)))
             continue
         try:
-            checks.extend(table[name](N, p, profile=profile, seed=seed, grid_m=grid_m,
+            checks.extend(table[name](N, p, profile=profile, grid_m=grid_m,
                                       eps_list=eps_list, cache_dir=cache_dir))
         except SolverError as exc:
             checks.append(_check(f"{name}.solver", False, str(exc)))

@@ -24,8 +24,13 @@ P, ALPHA = 2.0, -2.0
 AMPLITUDES = [1e2, 1e3, 1e4, 1e5, 1e6]
 
 
+def boggio_constant(N):
+    """Boggio's kN = Gamma(N/2) / (8 pi^{N/2}) of the clamped bilaplacian in B_1."""
+    return math.gamma(N / 2.0) / (8.0 * math.pi ** (N / 2.0))
+
+
 def ring_by_quad(N, r, s):
-    """K_raw(r, s) by adaptive quadrature of the Boggio integrand, with pow."""
+    """K(r, s) by adaptive quadrature of the Boggio integrand, with pow."""
     e4, e2 = (4.0 - N) / 2.0, (2.0 - N) / 2.0
 
     def integrand(phi):
@@ -36,7 +41,7 @@ def ring_by_quad(N, r, s):
         return G * math.sin(phi) ** (N - 2)
 
     val = quad(integrand, 0.0, math.pi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-    return sphere_area(N - 1) * val
+    return boggio_constant(N) * sphere_area(N - 1) * val
 
 
 def test_make_grid_needs_an_even_size_of_two_or_more():
@@ -61,7 +66,7 @@ def test_ring_kernel_matches_quadrature(N):
 
 
 def ring_by_mpmath(mp, N, r, s):
-    """K_raw(r, s) to 40 digits: mpmath.quad of the Boggio ring integrand."""
+    """K(r, s) to 40 digits: mpmath.quad of the Boggio ring integrand times mpmath's kN."""
     with mp.workdps(40):
         r, s = mp.mpf(r), mp.mpf(s)
         e4, e2 = mp.mpf(4 - N) / 2, mp.mpf(2 - N) / 2
@@ -79,7 +84,8 @@ def ring_by_mpmath(mp, N, r, s):
             pts.append(h)
             h *= 4
         area = 2 * mp.pi ** (mp.mpf(N - 1) / 2) / mp.gamma(mp.mpf(N - 1) / 2)
-        return float(area * mp.quad(integrand, pts + [mp.pi]))
+        kN = mp.gamma(mp.mpf(N) / 2) / (8 * mp.pi ** (mp.mpf(N) / 2))
+        return float(kN * area * mp.quad(integrand, pts + [mp.pi]))
 
 
 @pytest.mark.parametrize("N", [5, 6, 9, 10, 14])
@@ -88,12 +94,12 @@ def test_ring_kernel_matches_mpmath(N):
     grid = make_grid(M=320, sigma_g=3.0)
     s = grid.nodes
     kern = build_kernel(N, grid)
-    K = kern.K / kern.norm_constant
+    K = kern.K
     last = s.size - 2  # the last interior node, 9.3e-3 from the sphere
     entries = [(K[last, last], s[last], s[last]),
                (K[last - 1, last], s[last - 1], s[last]),
                (K[40, 200], s[40], s[200]),
-               (kern.K_origin[last] / kern.norm_constant, 0.0, s[last])]
+               (kern.K_origin[last], 0.0, s[last])]
     for val, r, ss in entries:
         ref = ring_by_mpmath(mp, N, r, ss)
         assert abs(val - ref) <= 1e-13 * abs(ref), (r, ss, val, ref)
@@ -101,9 +107,9 @@ def test_ring_kernel_matches_mpmath(N):
 
 def test_kernel_origin_row_closed_form(kernel10):
     N, s = 10, kernel10.grid.nodes
-    K0 = kernel10.K_origin / kernel10.norm_constant
-    closed = sphere_area(N) * ((1.0 - s ** (4.0 - N)) / (4.0 - N)
-                               - (s**2 - s ** (4.0 - N)) / (2.0 - N))
+    K0 = kernel10.K_origin
+    closed = boggio_constant(N) * sphere_area(N) * ((1.0 - s ** (4.0 - N)) / (4.0 - N)
+                                                    - (s**2 - s ** (4.0 - N)) / (2.0 - N))
     assert_allclose(K0, closed, rtol=1e-12, atol=0.0)
     assert K0[-1] == 0.0
     for j in (0, 40, 100, 158):
@@ -306,7 +312,7 @@ def test_amplitude_continuation_non_finite_residual_is_typed():
 
 @pytest.mark.parametrize("M, sigma_g", [(160, 2.0), (320, 3.0)])
 def test_kernel_is_generator_representable(M, sigma_g):
-    # K[i, j] = c (C[hi] - s[lo]^2 L[hi]): the rank-2 semiseparable form the
+    # K[i, j] = C[hi] - s[lo]^2 L[hi]: the rank-2 semiseparable form the
     # banded Newton step relies on
     grid = make_grid(M=M, sigma_g=sigma_g)
     s = grid.nodes
@@ -315,10 +321,10 @@ def test_kernel_is_generator_representable(M, sigma_g):
     for N in range(5, 15):
         kern = build_kernel(N, grid)
         C, L = auxball._ring_terms(N, s)
-        gen = kern.norm_constant * (C[hi] - s[lo] ** 2 * L[hi])
+        gen = C[hi] - s[lo] ** 2 * L[hi]
         scale = float(np.max(np.abs(kern.K)))
         assert float(np.max(np.abs(kern.K - gen))) <= 1e-14 * scale, N
-        assert_allclose(kern.K_origin, kern.norm_constant * C, rtol=1e-15, atol=0.0)
+        assert_allclose(kern.K_origin, C, rtol=1e-15, atol=0.0)
 
 
 def norm(v):
@@ -363,14 +369,55 @@ def test_kernel_quadrature_breach_is_typed(monkeypatch):
     assert exc.value.stage == "kernel quadrature"
 
 
+def _scale_kernel_constant(monkeypatch):
+    # Boggio's constant times (1 + 1e-3): build_kernel's unit-load gate trips
+    ring_terms = auxball._ring_terms
+    monkeypatch.setattr(auxball, "_ring_terms",
+                        lambda N, s: tuple((1.0 + 1e-3) * t for t in ring_terms(N, s)))
+
+
+def _break_symmetry(monkeypatch):
+    # one entry above the diagonal times (1 + 1e-3)
+    ring = auxball._boggio_ring
+
+    def planted(N, r, s):
+        K = ring(N, r, s)
+        K[40, 100] *= 1.0 + 1e-3
+        return K
+
+    monkeypatch.setattr(auxball, "_boggio_ring", planted)
+
+
+@pytest.mark.parametrize("plant, failing", [
+    (None, None),
+    (_scale_kernel_constant, "auxball.solver"),
+    (_break_symmetry, "auxball.self_adjoint"),
+], ids=["unpatched", "constant-scaled", "asymmetric-entry"])
+def test_planted_defects_fail_their_check(monkeypatch, plant, failing):
+    from biharmlab.verify import run_suites
+
+    if plant is not None:
+        plant(monkeypatch)
+    checks = {c["name"]: c for c in run_suites(10, 2.0, suites=["auxball"])}
+    failed = sorted(name for name, c in checks.items() if not c["ok"])
+    assert failed == ([failing] if failing else [])
+    if failing == "auxball.solver":
+        assert checks[failing]["detail"] == ("kernel quadrature: unit-load oracle off by "
+                                             "1.00e-03 (tol 1e-4); increase the grid size")
+
+
 def test_blowup_family_and_rescale():
     grid = make_grid(M=320, sigma_g=3.0, alpha_w=ALPHA)
     kern = build_kernel(10, grid)
     fam = blowup_family(kern, AMPLITUDES, P, ALPHA)
-    # the lambdas of the dense-step Newton solve, which the banded step reproduces
-    dense = [312.2799562840934, 307.89607459463105, 312.10809931285445,
-             310.73638759099094, 310.9311426550557]
-    assert_allclose([lam for lam, _ in fam], dense, rtol=1e-10, atol=0.0)
+    # scaling K by c scales lambda by 1/c, so lambda kN is the product of the
+    # lambdas and the kernel constant c = 0.009803285864584371 that a
+    # least-squares fit to the unit-load solution once gave on this grid
+    c_fit = 0.009803285864584371
+    lam_fit = [312.2799562840934, 307.89607459463105, 312.1080993128545,
+               310.73638759099094, 310.9311426550557]
+    assert_allclose([lam * boggio_constant(10) for lam, _ in fam],
+                    [lam * c_fit for lam in lam_fit], rtol=1e-12, atol=0.0)
     rep = blowup_rescale(fam, kern, P, ALPHA)
     # normalization v_k(0) = 1 by construction; r_k decreasing, lambda away from 0
     assert all(np.diff(rep.r_scales) < 0.0)
@@ -386,10 +433,10 @@ def test_kernel_cache_roundtrip(tmp_path):
     k1 = build_kernel(8, grid, cache_dir=str(tmp_path))
     k2 = build_kernel(8, grid, cache_dir=str(tmp_path))
     assert_allclose(k1.K, k2.K, rtol=0.0, atol=0.0)
-    assert k1.norm_constant == k2.norm_constant
+    assert_allclose(k1.K_origin, k2.K_origin, rtol=0.0, atol=0.0)
     files = list(tmp_path.glob("ballkernel_*.npz"))
     assert len(files) == 1
-    assert files[0].name == "ballkernel_v3_N8_M64_g2.npz"
+    assert files[0].name == "ballkernel_v4_N8_M64_g2.npz"
 
 
 def test_kernel_cache_write_leaves_no_partial_file(tmp_path, monkeypatch):

@@ -71,6 +71,9 @@ BAD_INPUTS = {
     "auxball --lam nan": "argument --lam: must be finite, got nan",
     "auxball --lam inf": "argument --lam: must be finite, got inf",
     "auxball --lam -1": "argument --lam: must be >= 0, got -1",
+    "delaunay --tol inf": "tol=inf must exceed the manifold-truncation floor ~2e-6 and lie below 1",
+    "delaunay --tol nan": "tol=nan must exceed the manifold-truncation floor ~2e-6 and lie below 1",
+    "delaunay --tol 1": "tol=1.0 must exceed the manifold-truncation floor ~2e-6 and lie below 1",
 }
 
 
@@ -252,6 +255,29 @@ def test_src_imports_of_scipy():
                      ("delaunay.py", "scipy.integrate", "shoot_once")}
 
 
+def test_src_draws_nothing_at_random():
+    """No module under src/ references numpy.random or imports random: every
+    check and report is deterministic by construction, not by a fixed seed."""
+    found = []
+    for path in sorted(Path(biharmlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                hit = (node.attr == "random" and isinstance(node.value, ast.Name)
+                       and node.value.id in ("np", "numpy"))
+            elif isinstance(node, ast.Import):
+                hit = any(a.name.split(".")[0] == "random" or a.name.startswith("numpy.random")
+                          for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                hit = (module.split(".")[0] == "random" or module.startswith("numpy.random")
+                       or (module == "numpy" and any(a.name == "random" for a in node.names)))
+            else:
+                continue
+            if hit:
+                found.append((path.name, node.lineno))
+    assert found == []
+
+
 def _window_p(N: int, f: float) -> float:
     return N / (N - 4.0) + f * 4.0 / (N - 4.0)
 
@@ -282,8 +308,7 @@ def test_verify_all_across_the_window(N, p, tmp_path, capsys):
 # the checks that scan a domain: each scans the N it is asked about, and says so
 SCANS_AT_N = ("constants.k_positive_K3_pos_K1_neg", "constants.A_p_monotone",
               "constants.mode_estimate_bound", "constants.serrin_zero",
-              "indicial.ordering_chain", "symbol.gamma2_identity", "modes.certificates",
-              "auxball.green_oracle")
+              "indicial.ordering_chain", "symbol.gamma2_identity", "modes.certificates")
 
 
 def test_verify_all_details_name_the_dimension_asked():
@@ -299,6 +324,19 @@ def test_delaunay_report_at_the_serrin_end(tmp_path):
     out = tmp_path / "d.json"
     assert run(["delaunay", "--N", "14", "--p", "1.4128", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["results"]["signs_ok"] is True
+
+
+def test_largest_beta_is_a_report_or_a_typed_error(tmp_path, capsys):
+    # beta / h overflowed, and the NaN frame ended in a raw TypeError; the
+    # shift is now formed in logs, and the mode seed's e^(gamma tau0) that no
+    # float holds is a typed error, without RuntimeWarnings on the way
+    out = tmp_path / "d.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["delaunay", "--beta", "1e308", "--out", str(out)]) == 0
+        assert run(["modes", "--beta", "1e308", "--jmax", "2"]) == 3
+    assert json.loads(out.read_text())["results"]["beta"] == 1e308
+    assert "error: mode seed: w ~ e^(gamma tau) overflows" in capsys.readouterr().err
 
 
 def test_glue_default_weight_lies_in_the_window(tmp_path):

@@ -249,6 +249,18 @@ def test_scale_to_beta_identity_and_shift(params10, profile10):
                     atol=1e-12 * params10.c_p)
 
 
+def test_shift_out_of_float_range_is_typed(profile10):
+    big = scale_to_beta(profile10, 1e308)
+    assert big.beta == 1e308
+    for delta in (math.inf, math.nan, 1e6, -1e6):
+        with pytest.raises(ShootingError, match="frame shift: shift ") as exc:
+            profile10.shifted(delta)
+        assert exc.value.stage == "frame shift"
+    for beta_new in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            scale_to_beta(profile10, beta_new)
+
+
 def test_dilation_acts_on_far_field(params10, profile10):
     # dilation by eps multiplies the far-field coefficient by eps^{N-4-4/(p-1)}
     eps = 0.3
@@ -325,6 +337,9 @@ def test_solve_rejects_bad_arguments(params10):
             solve_singular(params10, beta=beta)
     for tol in (1e-7, math.nan):
         with pytest.raises(ValueError, match="must exceed the manifold-truncation floor"):
+            solve_singular(params10, beta=1.0, tol=tol)
+    for tol in (1.0, math.inf):
+        with pytest.raises(ValueError, match="and lie below 1"):
             solve_singular(params10, beta=1.0, tol=tol)
 
 

@@ -78,6 +78,21 @@ def test_planted_defect_fails_the_translation_kernel_check(profile10, monkeypatc
     assert checks["modes.translation_kernel"] == ok
 
 
+@pytest.mark.parametrize("drop_weight, ok", [(False, True), (True, False)],
+                         ids=["unpatched", "hardy-weight-dropped"])
+def test_planted_defect_fails_the_hardy_chain_check(profile10, monkeypatch, drop_weight, ok):
+    # int r^{N-5} (r w)^2 = int r^{N-3} w^2: the first inequality loses Hardy's 1/r^2
+    from biharmlab import linearized
+    from biharmlab.verify import suite_modes
+
+    if drop_weight:
+        check = linearized.hardy_chain_check
+        monkeypatch.setattr(linearized, "hardy_chain_check",
+                            lambda N, r, w, dw, d2w: check(N, r, r * w, dw, d2w))
+    checks = {c["name"]: c["ok"] for c in suite_modes(10, 2.0, profile10)}
+    assert checks["modes.hardy_chain"] == ok
+
+
 def test_mode_solve_zero_potential_monomial(params10, profile10):
     mode = make_mode(params10, profile10, 0)
     for g in (2.0, 0.0):
