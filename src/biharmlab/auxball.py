@@ -393,7 +393,7 @@ def _newton_band(kernel: BallKernel, p: float, alpha_w: float):
     M = s.size
     C, L = _ring_terms(kernel.N, s)
     s2 = s * s
-    ab = np.zeros((19, 6 * M))
+    ab = np.zeros((19, 6 * M), order="F")  # dgbtrf's layout: factored in place, no copy
     ab[12] = 1.0
     ab[11, 1::6], ab[10, 2::6], ab[9, 3::6], ab[8, 4::6] = -1.0, 1.0, -1.0, 1.0  # -(P-Q+R-T)
     ab[18, 1:-6:6] = -C[1:] / C[:-1]  # P_{k-1}, Q_{k-1} in the recurrences of node k
@@ -411,7 +411,7 @@ def _newton_band(kernel: BallKernel, p: float, alpha_w: float):
     weight = p * s**alpha_w * s ** (kernel.N - 1.0) * kernel.grid.weights
 
     def step(u, lam, Gu, G0, F, F0):
-        band = ab.copy()
+        band = ab.copy(order="F")
         band[w_rows, 0::6] = gen * (lam * weight * (1.0 + np.abs(u)) ** (p - 1.0))
         band[7, 5::6] = -Gu
         band[12, 5] = G0

@@ -8,7 +8,8 @@ carry no timestamps, so identical invocations produce byte-identical files.
 Exit codes: 0 success, 1 verification failure (a PASS-expected check failed;
 in verify-all a suite whose solver raised SolverError is one such check,
 `<suite>.solver`), 2 usage error, 3 numerical failure (a solver raised
-SolverError naming the stage that failed).
+SolverError naming the stage that failed, or the report would carry a
+non-finite number: stage "report", naming the field).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -36,31 +38,37 @@ def _fmt(x):
     return x
 
 
-def _jsonable(obj):
+def _jsonable(obj, path: str):
+    """obj in JSON's types; a non-finite float raises SolverError naming its field path."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: _jsonable(v, f"{path}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, f"{path}[{i}]") for i, v in enumerate(obj)]
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return {"re": _jsonable(obj.real, f"{path}.re"), "im": _jsonable(obj.imag, f"{path}.im")}
+    if isinstance(obj, (np.floating, np.integer, np.ndarray)):
+        return _jsonable(obj.tolist(), path)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise SolverError("report", f"{path} is {obj}")
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
     return str(obj)
 
 
 def emit(config: dict, results, args) -> None:
-    """Write the report in the requested format with config provenance."""
+    """Write the report in the requested format with config provenance.
+
+    A report never carries NaN or infinity: the first such number raises
+    SolverError (stage "report") naming its field, and nothing is written.
+    """
+    config = _jsonable(config, "config")
     if args.format == "json":
-        payload = {"config": _jsonable(config), "version": __version__,
-                   "results": _jsonable(results)}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        payload = {"config": config, "version": __version__,
+                   "results": _jsonable(results, "results")}
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         rows = results if isinstance(results, list) else [results]
-        rows = [_jsonable(r) for r in rows]
+        rows = [_jsonable(r, f"results[{i}]") for i, r in enumerate(rows)]
         keys = sorted({k for r in rows for k in r})
         buf = io.StringIO()
         for k in sorted(config):

@@ -27,7 +27,13 @@ Solution strategy (one collocation boundary-value solve):
    mesh refinement, its Newton matrix ordered as the 3 left conditions, the
    collocation rows of each interval, the right condition: banded, O(nodes);
    the C1 cubic it returns is evaluated in numpy, bit for bit as scipy's
-   PPoly evaluates it, so the module loads scipy.linalg alone.
+   PPoly evaluates it, so the module loads scipy.linalg alone;
+5. lengthen the pad until the two far-field errors (fast-mode content at
+   the mesh start, the left tail's slow amplitude) fall below 0.9 tol.  The
+   first mesh pass, Newton-solved but unrefined, already gives both to
+   about 4 digits, so a polish that misses stops after it and the next
+   starts on the longer mesh; only a polish that passes is refined, and the
+   gate reads the converged solution.
 
 The profile is defined on all of R: the collocation spline on the mesh
 [t_lo, t_hi]; before t_lo the origin's unstable manifold (slow and fast
@@ -365,6 +371,7 @@ _KL, _KU = 6, 4
 _FAILURES = {1: "The maximum number of mesh nodes is exceeded.",
              2: "A singular Jacobian encountered when solving the collocation system.",
              3: "The solver was unable to satisfy boundary conditions tolerance on iteration 10."}
+_STOPPED = 4  # `stop` ended the solve after its first mesh pass
 
 
 class _Cubic:
@@ -410,7 +417,7 @@ class _Collocation(NamedTuple):
     x: np.ndarray
     sol: _Cubic  # the C1 cubic with nodal values and slopes of the last Newton pass
     rms_residuals: np.ndarray
-    status: int  # 0 converged, else a key of _FAILURES
+    status: int  # 0 converged, _STOPPED, else a key of _FAILURES
 
 
 def _lobatto(fun, x, h, y):
@@ -445,7 +452,7 @@ def _newton_band(fun_jac, dya, dyb, x, h, y, y_mid):
 
 
 def _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol):
-    """Damped Newton on one mesh, as solve_bvp: returns (y, singular).
+    """Damped Newton on one mesh, as solve_bvp: returns (y, singular, _lobatto at y).
 
     Armijo backtracking (sigma 0.2, tau 0.5, 4 trials) on the affine-invariant
     cost |J^-1 res|^2; at most 8 iterations and 4 Jacobians, and a Jacobian is
@@ -454,29 +461,30 @@ def _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol):
     tol_r = 2 / 3 * h * 5e-2 * tol
 
     def residual(y):
-        col, y_mid, _, f_mid = _lobatto(fun, x, h, y)
+        lob = _lobatto(fun, x, h, y)
+        col, _, _, f_mid = lob
         bcr = bc(y[:, 0], y[:, -1])
         done = np.all(np.abs(col) < tol_r * (1 + np.abs(f_mid))) and np.all(np.abs(bcr) < tol)
-        return np.concatenate([bcr[:3], col.ravel(order="F"), bcr[3:]]), y_mid, done
+        return np.concatenate([bcr[:3], col.ravel(order="F"), bcr[3:]]), lob, done
 
-    res, y_mid, _ = residual(y)
+    res, lob, _ = residual(y)
     njev, recompute = 0, True
     for _ in range(8):
         if recompute:
-            ab = _newton_band(fun_jac, *bc_jac(y[:, 0], y[:, -1]), x, h, y, y_mid)
+            ab = _newton_band(fun_jac, *bc_jac(y[:, 0], y[:, -1]), x, h, y, lob[1])
             njev += 1
             if not np.isfinite(ab).all():
-                return y, True
+                return y, True, lob
             try:
                 solve = band_solver(ab.T, _KL, _KU)
             except np.linalg.LinAlgError:
-                return y, True
+                return y, True, lob
             step = solve(res)
             cost = step @ step
         alpha = 1.0
         for trial in range(5):
             y_new = y - alpha * step.reshape(-1, 4).T
-            res, y_mid, done = residual(y_new)
+            res, lob, done = residual(y_new)
             step_new = solve(res)
             cost_new = step_new @ step_new
             if cost_new < (1 - 2 * alpha * 0.2) * cost:
@@ -489,22 +497,23 @@ def _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol):
         recompute = alpha != 1
         if not recompute:
             step, cost = step_new, cost_new
-    return y, False
+    return y, False, lob
 
 
-def _collocate(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes) -> _Collocation:
+def _collocate(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes, stop=None) -> _Collocation:
     """solve_bvp's mesh loop, with bc_tol = tol.
 
     Each pass runs Newton on the mesh, estimates each interval's rms relative
     residual by 5-point Lobatto quadrature of the C1 cubic, and inserts 1 node
-    where tol < rms < 100 tol and 2 where rms >= 100 tol.
+    where tol < rms < 100 tol and 2 where rms >= 100 tol.  After a first pass
+    whose Newton matrix was not singular, stop(x, cubic) may end the solve
+    there, unrefined, with status _STOPPED.
     """
     h = np.diff(x)
     status, iteration = None, 0
     while status is None:
-        y, singular = _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol)
+        y, singular, (col, _, f, f_mid) = _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol)
         iteration += 1
-        col, _, f, f_mid = _lobatto(fun, x, h, y)
         # the C1 cubic with nodal values y and slopes f
         slope = (y[:, 1:] - y[:, :-1]) / h
         c3 = (f[:, :-1] + f[:, 1:] - 2 * slope) / h
@@ -520,6 +529,8 @@ def _collocate(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes) -> _Collocation:
         ins2 = np.nonzero(rms >= 100 * tol)[0]
         if singular:
             status = 2
+        elif iteration == 1 and stop is not None and stop(x, sol):
+            status = _STOPPED
         elif x.size + ins1.size + 2 * ins2.size > max_nodes:
             status = 1
         elif ins1.size or ins2.size:
@@ -534,7 +545,7 @@ def _collocate(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes) -> _Collocation:
     return _Collocation(x, sol, rms, status)
 
 
-def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp):
+def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None):
     """Collocation solve of the connection, in gauged variables.
 
     The unknown is z = y / D(t) with D(t) = c_p w/(1+w), w = (h/c_p) e^{mu_s t},
@@ -549,7 +560,8 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp):
     starts at t = -pad.  Newton starts from the smooth logistic transition
     y = D itself: the gauged system is well-conditioned enough to converge
     from it.  `_collocate` solves it; the boundary conditions are separated
-    (3 on the left, 1 on the right), so its Newton matrix is banded.
+    (3 on the left, 1 on the right), so its Newton matrix is banded.  Given
+    stop(x, state interpolant), the first mesh pass may end the solve.
     """
     p = params.p
     cp = params.c_p
@@ -580,11 +592,20 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp):
         mu_s**3 * (1.0 - 4.0 * w + w * w) / (1.0 + w) ** 3,
     ])
 
+    memo = {}  # t.size -> (t, D^(p-1), mu_s/(1+w)): one entry for the nodes, one for the midpoints
+
+    def gauge_terms(t):
+        """D^(p-1) and mu_s/(1+w) at t, formed once per mesh at its nodes and its midpoints."""
+        hit = memo.get(t.size)
+        if hit is None or not np.array_equal(hit[0], t):
+            D, w = _gauge(t, cp, w0, mu_s)
+            hit = memo[t.size] = (t.copy(), D ** (p - 1.0), mu_s / (1.0 + w))
+        return hit[1:]
+
     def fun(t, z):
-        D, w = _gauge(t, cp, w0, mu_s)
-        dl = mu_s / (1.0 + w)
+        Dp, dl = gauge_terms(t)
         z0, z1, z2, z3 = z
-        f4 = (D ** (p - 1.0) * np.abs(z0) ** (p - 1.0) * z0
+        f4 = (Dp * np.abs(z0) ** (p - 1.0) * z0
               - K3 * z3 - K2 * z2 - K1 * z1 - K0 * z0)
         return np.vstack([z1 - dl * z0, z2 - dl * z1, z3 - dl * z2, f4 - dl * z3])
 
@@ -592,13 +613,12 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp):
 
     def fun_jac(t, z):
         nodes[0] = max(nodes[0], t.size)
-        D, w = _gauge(t, cp, w0, mu_s)
-        dl = mu_s / (1.0 + w)
+        Dp, dl = gauge_terms(t)
         J = np.zeros((4, 4, t.size))
         for i in range(4):
             J[i, i] = -dl
         J[0, 1] = J[1, 2] = J[2, 3] = 1.0
-        J[3, 0] = p * D ** (p - 1.0) * np.abs(z[0]) ** (p - 1.0) - K0
+        J[3, 0] = p * Dp * np.abs(z[0]) ** (p - 1.0) - K0
         J[3, 1] = -K1
         J[3, 2] = -K2
         J[3, 3] = -K3 - dl
@@ -622,7 +642,9 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp):
         return dya, dyb
 
     try:
-        res = _collocate(fun, fun_jac, bc, bc_jac, tg, zg, tol_bvp, MAX_BVP_NODES)
+        res = _collocate(fun, fun_jac, bc, bc_jac, tg, zg, tol_bvp, MAX_BVP_NODES,
+                         stop=None if stop is None else
+                         lambda x, sol: stop(x, _ScaledSpline(sol, cp, w0, mu_s)))
     except ValueError as exc:  # mesh refinement collapsed nodes
         raise ShootingError("collocation polish", str(exc)) from exc
     except MemoryError as exc:  # the mesh's work arrays outgrew memory
@@ -654,19 +676,32 @@ def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4) -> Radi
     # r^{N-4} u -> beta at the mesh start (fast-mode content, decays at rate
     # mu_f - mu_s) and the left tail's slow amplitude (off by the nonlinear
     # term the linear boundary condition leaves out, decays at (p-1) mu_s).
+    # The first mesh pass, Newton-solved but unrefined, already decides:
+    # a polish whose first pass misses the fit stops there and the pad grows
+    # from that pass's errors.  The last polish runs in full, so the gate and
+    # its message always read a converged solution.
     rates = (params.fast_rate - params.slow_rate, (params.p - 1.0) * params.slow_rate)
+
+    def far_field(x, ysol):
+        """The profile on mesh x and its two far-field errors, relative to h."""
+        prof = RadialProfile(params=params, coeffs=coeffs, beta=h, t_grid=x, _sol=ysol)
+        t_l = float(x[0])
+        return prof, (abs(float(ysol(t_l)[0]) * math.exp(-params.slow_rate * t_l) / h - 1.0),
+                      abs(prof.far_field_beta / h - 1.0))
+
+    def misses(x, ysol):  # NaN does not stop: the full polish's gates name it
+        return float(np.max(far_field(x, ysol)[1])) > 0.9 * tol
+
     pad = 0.0
-    for _ in range(4):
-        res, t_arr, ysol = _bvp_polish(params, coeffs, h, pad, TAIL, BVP_TOL)
-        if res.status != 0:
+    for attempt in range(4):
+        res, t_arr, ysol = _bvp_polish(params, coeffs, h, pad, TAIL, BVP_TOL,
+                                       misses if attempt < 3 else None)
+        if res.status not in (0, _STOPPED):
             grid_res = float(np.max(res.rms_residuals)) if res.rms_residuals.size else math.inf
             if not (grid_res <= 1e-7):
                 raise ShootingError("collocation polish",
                                     f"{_FAILURES[res.status]} (rms {grid_res:.2e})")
-        prof = RadialProfile(params=params, coeffs=coeffs, beta=h, t_grid=res.x, _sol=ysol)
-        t_l = float(res.x[0])
-        errs = (abs(float(ysol(t_l)[0]) * math.exp(-params.slow_rate * t_l) / h - 1.0),
-                abs(prof.far_field_beta / h - 1.0))
+        prof, errs = far_field(res.x, ysol)
         beta_fit_rel = float(np.max(errs))  # NaN-propagating
         if beta_fit_rel <= 0.9 * tol:
             break

@@ -339,6 +339,19 @@ def test_largest_beta_is_a_report_or_a_typed_error(tmp_path, capsys):
     assert "error: mode seed: w ~ e^(gamma tau) overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_number_never_reaches_a_report(tmp_path, capsys, fmt):
+    # a finite --lam whose Picard iterates overflow: the report would carry
+    # "picard_u0": NaN, which is not JSON; it is a numerical failure naming the field
+    out = tmp_path / f"a.{fmt}"
+    argv = ["auxball", "--N", "10", "--p", "2", "--grid", "64", "--lam", "1e308",
+            "--format", fmt, "--out", str(out)]
+    assert run(argv) == 3
+    row = "results" if fmt == "json" else "results[0]"
+    assert f"error: report: {row}.picard_u0 is nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_glue_default_weight_lies_in_the_window(tmp_path):
     # at (7, 3.0) the old fixed default -3.5 lay outside (4 - N, 0) = (-3, 0)
     out = tmp_path / "g.json"

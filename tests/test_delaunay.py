@@ -454,23 +454,25 @@ def test_non_finite_newton_matrix_is_never_factored(monkeypatch):
 @pytest.mark.parametrize("N,f", [(10, None), (11, 0.75), (5, 0.75)])
 def test_banded_collocation_matches_solve_bvp(monkeypatch, N, f):
     # oracle: scipy's solve_bvp on the same gauged problem, at every pad the loop tries;
-    # (11, 0.75) solves twice, (5, 0.75) has the longest mesh of the three
+    # at (11, 0.75) the pad-0 polish stops after its first mesh pass, which solve_bvp
+    # reproduces with no room for a node more; (5, 0.75) has the longest mesh of the three
     params = validate_params(N, 2.0 if f is None else _window_p(N, f))
     collocate, runs = delaunay._collocate, []
 
-    def both(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes):
+    def both(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes, stop=None):
+        res = collocate(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes, stop=stop)
+        first_pass_only = res.status == delaunay._STOPPED
         ref = solve_bvp(fun, bc, x, y, fun_jac=fun_jac, bc_jac=bc_jac, tol=tol,
-                        max_nodes=max_nodes)
-        res = collocate(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes)
+                        max_nodes=x.size if first_pass_only else max_nodes)
         runs.append((ref, res))
         return res
 
     monkeypatch.setattr(delaunay, "_collocate", both)
     solve_singular(params, beta=1.0, tol=1e-4)
-    assert len(runs) == (2 if N == 11 else 1)
+    assert [res.status for _, res in runs] == ([delaunay._STOPPED, 0] if N == 11 else [0])
     mu, cp = params.slow_rate, params.c_p
     for ref, res in runs:
-        assert ref.status == res.status == 0
+        assert ref.status == (1 if res.status == delaunay._STOPPED else 0)
         assert np.array_equal(ref.x, res.x)
         t = np.linspace(res.x[0], res.x[-1], 20001)
         ubar_ref = delaunay._ScaledSpline(ref.sol, cp, delaunay.H_REL, mu)(t)[0]
@@ -478,12 +480,58 @@ def test_banded_collocation_matches_solve_bvp(monkeypatch, N, f):
         assert np.max(np.abs(ubar - ubar_ref)) <= 1e-12 * cp
 
 
+# Before the pad was decided from the first mesh pass, each of these points solved
+# twice, the pad-0 solve converged and then discarded: (t_grid.size, t_lo, ubar at
+# EARLY_PAD_T) of those solves, beta = 1, tol = 1e-4.
+EARLY_PAD_T = [-12.0, -4.0, 0.0, 3.0, 8.0, 25.0]
+EARLY_PAD_FROZEN = {
+    (11, 0.75): (7308, -3.374318417914454, [2.319523076597412e-16, 6.144159631915057e-06,
+                 0.9768124758589611, 448.2623824930432, 366.45382658044144, 359.999667057326]),
+    (12, 0.25): (2900, -5.339698526645277, [4.5873190071661146e-09, 0.0016613000074956424,
+                 0.9902466114096462, 103.23252036485503, 7988.695011386364, 9669.650771348224]),
+    (13, 0.75): (7094, -3.2552470711649404, [7.913520590756896e-21, 1.9927533202452563e-07,
+                 0.980896297159734, 6539.606243081874, 5684.026333820351, 5662.862225880242]),
+    (14, 0.25): (3291, -4.9376689290903, [3.775247189648952e-11, 0.0003354297149999585,
+                 0.9931946290747745, 358.1945459446048, 239352.96430612603, 409599.99538755463]),
+}
+
+
+@pytest.mark.parametrize("N,f", EARLY_PAD_FROZEN)
+def test_early_pad_decision_keeps_the_profile(N, f):
+    # the pad grows from the first pass's far-field errors instead of the converged
+    # ones; they agree to about 4 digits, so the mesh start moves by far less than
+    # 1e-6 and the profile by far less than 1e-12 c_p
+    size, t_lo, ubar = EARLY_PAD_FROZEN[N, f]
+    params = validate_params(N, _window_p(N, f))
+    prof = solve_singular(params, beta=1.0, tol=1e-4)
+    assert prof.t_grid.size == size
+    assert abs(prof.t_lo - t_lo) <= 1e-6
+    assert np.max(np.abs(prof.ubar(np.array(EARLY_PAD_T)) - ubar)) <= 1e-12 * params.c_p
+
+
+@pytest.mark.parametrize("N,f,allowed", [(13, 0.75, range(1, 7)), (10, None, [4])],
+                         ids=["13-0.75-at-most-6", "10-2-exactly-4"])
+def test_factorizations_per_solve(monkeypatch, N, f, allowed):
+    # work count, not time: a pad-0 polish that misses the fit must stop after one
+    # mesh pass rather than converge (it took 10 factorizations at (13, 0.75)),
+    # and (10, 2), which keeps pad 0, takes exactly its 4
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", counting)
+    solve_singular(validate_params(N, 2.0 if f is None else _window_p(N, f)), beta=1.0, tol=1e-4)
+    assert len(calls) in allowed
+
+
 def test_banded_newton_step_matches_dense_solve(monkeypatch, params10):
     # the gauged problem at (10, 2) on a 12-node mesh: one Newton step through the band
     # against np.linalg.solve on the dense matrix read back from the band storage
     problem = []
 
-    def capture(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes):
+    def capture(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes, stop=None):
         problem.extend([fun, fun_jac, bc, bc_jac, x, y])
         raise MemoryError
 
