@@ -41,10 +41,7 @@ mixed here.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -70,9 +67,6 @@ __all__ = [
     "hardy_sobolev_check",
     "unit_load_error",
 ]
-
-KERNEL_FORMAT_VERSION = 4  # 4: Boggio's constant in closed form, none stored
-
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -213,13 +207,16 @@ class BallKernel:
     green_apply(f)(r_i) = sum_j K[i,j] f(s_j) s_j^{N-1} w_j; K is exactly
     symmetric, positive in the interior, and carries Boggio's constant, so
     f = 1 reproduces the exact clamped solution of Delta^2 u = 1 up to
-    quadrature error.
+    quadrature error.  K_origin and L are the generators C and L of
+    _ring_terms, K[i, j] = C(s_hi) - s_lo^2 L(s_hi), kept for the banded
+    Newton step.
     """
 
     N: int
     grid: RadialGrid
     K: np.ndarray
     K_origin: np.ndarray
+    L: np.ndarray
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         dens = f * self.grid.nodes ** (self.N - 1.0) * self.grid.weights
@@ -228,45 +225,6 @@ class BallKernel:
     def apply_origin(self, f: np.ndarray) -> float:
         dens = f * self.grid.nodes ** (self.N - 1.0) * self.grid.weights
         return float(self.K_origin @ dens)
-
-    def save(self, path):
-        """Write the .npz at path atomically.
-
-        The arrays go to a temporary .npz in the same directory, which is then
-        renamed over path, so a concurrent reader sees the old file, no file
-        or the whole new one, never a truncated archive.
-        """
-        path = Path(path)
-        fd, tmp = tempfile.mkstemp(suffix=".npz", prefix=f"{path.stem}.tmp-", dir=path.parent)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(
-                    fh,
-                    version=KERNEL_FORMAT_VERSION,
-                    N=self.N,
-                    M=self.grid.M,
-                    sigma_g=self.grid.sigma_g,
-                    alpha_w=self.grid.alpha_w,
-                    nodes=self.grid.nodes,
-                    weights=self.grid.weights,
-                    K=self.K,
-                    K_origin=self.K_origin,
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-
-    @classmethod
-    def load(cls, path) -> "BallKernel":
-        with np.load(path) as data:
-            if int(data["version"]) != KERNEL_FORMAT_VERSION:
-                raise ValueError(f"kernel cache version {int(data['version'])} unsupported")
-            grid = RadialGrid(
-                M=int(data["M"]), sigma_g=float(data["sigma_g"]), alpha_w=float(data["alpha_w"]),
-                nodes=data["nodes"], weights=data["weights"],
-            )
-            return cls(N=int(data["N"]), grid=grid, K=data["K"], K_origin=data["K_origin"])
 
 
 def exact_unit_load(N: int, r: np.ndarray) -> np.ndarray:
@@ -282,20 +240,12 @@ def unit_load_error(kernel: BallKernel) -> float:
 
 
 def build_kernel(N: int, grid: RadialGrid, cache_dir: str | None = None) -> BallKernel:
-    """Assemble (or load) the ring-reduced kernel for dimension N on the grid."""
+    """Assemble the ring-reduced kernel for dimension N on the grid (cache_dir is ignored)."""
     if N < 5:
         raise ValueError(f"N={N} must be >= 5")
-    if cache_dir is not None:
-        tag = f"ballkernel_v{KERNEL_FORMAT_VERSION}_N{N}_M{grid.M}_g{grid.sigma_g:g}.npz"
-        cache = Path(cache_dir) / tag
-        if cache.exists():
-            kern = BallKernel.load(cache)
-            if kern.grid.M == grid.M and kern.grid.sigma_g == grid.sigma_g:
-                kern.grid = grid  # kernel is alpha-independent; keep the caller's grid
-                return kern
     r = grid.nodes
-    kern = BallKernel(N=N, grid=grid, K=_boggio_ring(N, r, r),
-                      K_origin=_ring_terms(N, r)[0])  # C alone is the r = 0 row
+    C, L = _ring_terms(N, r)
+    kern = BallKernel(N=N, grid=grid, K=_boggio_ring(N, r, r), K_origin=C, L=L)
     # the kernel's constant is exact, so the unit-load deviation is quadrature
     # error; gate it here so a degraded grid surfaces at build time, not
     # inside a solve
@@ -304,9 +254,6 @@ def build_kernel(N: int, grid: RadialGrid, cache_dir: str | None = None) -> Ball
         raise SolverError(
             "kernel quadrature",
             f"unit-load oracle off by {rel:.2e} (tol 1e-4); increase the grid size")
-    if cache_dir is not None:
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        kern.save(cache)
     return kern
 
 
@@ -374,7 +321,7 @@ def _newton_band(kernel: BallKernel, p: float, alpha_w: float):
 
     g = p s^alpha (1+|u|)^{p-1} s^{N-1} weights, solved exactly in O(M) as a
     banded system, never assembled densely.  K[i,j] = C(s_hi) - s_lo^2 L(s_hi)
-    (_ring_terms), so with w = lam g du,
+    (C = kernel.K_origin, L = kernel.L), so with w = lam g du,
     (K w)_i = P_i - Q_i + R_i - T_i for the running sums
 
         P_i = C_i sum_{j<=i} w_j,   Q_i = L_i sum_{j<=i} s_j^2 w_j,
@@ -391,7 +338,7 @@ def _newton_band(kernel: BallKernel, p: float, alpha_w: float):
     """
     s = kernel.grid.nodes
     M = s.size
-    C, L = _ring_terms(kernel.N, s)
+    C, L = kernel.K_origin, kernel.L
     s2 = s * s
     ab = np.zeros((19, 6 * M), order="F")  # dgbtrf's layout: factored in place, no copy
     ab[12] = 1.0

@@ -2,8 +2,9 @@
 
 Outputs are JSON (nested: config echo, library version, results) or CSV
 (config echoed as leading '# key=value' comment lines, single header row).
-Nothing is sampled at random (--seed is accepted and ignored), and reports
-carry no timestamps, so identical invocations produce byte-identical files.
+Nothing is sampled at random and nothing is cached (--seed and --cache-dir
+are accepted and ignored), and reports carry no timestamps, so identical
+invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 verification failure (a PASS-expected check failed;
 in verify-all a suite whose solver raised SolverError is one such check,
@@ -28,6 +29,9 @@ from .core import SolverError, emden_coeffs, origin_spectrum, special_exponents,
 from .indicial import indicial_roots, verify_ordering, weight_window
 
 DEFAULT_EPS = "0.125,0.0625,0.03125,0.015625,0.0078125"
+# --xi-max bound: symbol's gamma = 2 identity holds to 1e-8 for |xi| <= XI_MAX at
+# N = 5..14, j <= 10; its residual grows like |xi|, 1.8e-9 at 1e7 and 1.5e-8 at 5e7
+XI_MAX = 1e7
 
 
 def _fmt(x):
@@ -111,6 +115,14 @@ def _finite_nonnegative(text):
     x = _finite(text)
     if x < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return x
+
+
+def _xi_max(text):
+    """argparse type: a float in [-XI_MAX, XI_MAX], where the gamma = 2 identity holds."""
+    x = _finite(text)
+    if not abs(x) <= XI_MAX:
+        raise argparse.ArgumentTypeError(f"must lie in [-{XI_MAX:g}, {XI_MAX:g}], got {text}")
     return x
 
 
@@ -240,7 +252,7 @@ def cmd_auxball(args) -> int:
 
     params = validate_params(args.N, args.p)
     grid = make_grid(M=args.grid, alpha_w=params.alpha_w)
-    kern = build_kernel(args.N, grid, cache_dir=args.cache_dir)
+    kern = build_kernel(args.N, grid)
     pic = picard_minimal(kern, args.lam, params.p, params.alpha_w)
     results = {
         "grid_M": grid.M,
@@ -257,7 +269,7 @@ def cmd_auxball(args) -> int:
         # deeper grading and amplitudes: the tail window opens only past the
         # crossover rho ~ c_p^{(p-1)/(4+alpha)}
         gridb = make_grid(M=max(args.grid, 320), sigma_g=3.0, alpha_w=params.alpha_w)
-        kernb = build_kernel(args.N, gridb, cache_dir=args.cache_dir)
+        kernb = build_kernel(args.N, gridb)
         fam = blowup_family(kernb, [1e2, 1e3, 1e4, 1e5, 1e6], params.p, params.alpha_w)
         rep = blowup_rescale(fam, kernb, params.p, params.alpha_w)
         results["blowup_tail_exponent"] = rep.tail_exponent
@@ -291,7 +303,7 @@ def cmd_verify_all(args) -> int:
 
     suites = args.suites.split(",") if args.suites else None
     checks = run_suites(args.N, args.p, suites=suites, grid_m=args.grid,
-                        eps_list=_eps_list(args.eps_list), cache_dir=args.cache_dir)
+                        eps_list=_eps_list(args.eps_list))
     for c in checks:
         sys.stderr.write(f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}: {c['detail']}\n")
     n_fail = sum(not c["ok"] for c in checks)
@@ -330,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--gamma", type=float, default=2.0)
     sp.add_argument("--jmax", type=_at_least(0), default=10)
-    sp.add_argument("--xi-max", type=_finite, default=10.0)
+    sp.add_argument("--xi-max", type=_xi_max, default=10.0,
+                    help=f"|xi-max| <= {XI_MAX:g}, where the gamma = 2 identity holds to 1e-8")
     sp.add_argument("--xi-points", type=_at_least(1), default=100)
     sp.set_defaults(fn=cmd_symbol)
 
@@ -352,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--lam", type=_finite_nonnegative, default=1e-3)
     sp.add_argument("--grid", type=int, default=160)
-    sp.add_argument("--cache-dir", default=None)
+    sp.add_argument("--cache-dir", default=None, help="ignored; nothing is cached")
     sp.add_argument("--blowup", action="store_true")
     sp.set_defaults(fn=cmd_auxball)
 
@@ -372,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list: constants,indicial,symbol,delaunay,modes,auxball,glue")
     sp.add_argument("--grid", type=int, default=160)
     sp.add_argument("--eps-list", default=DEFAULT_EPS)
-    sp.add_argument("--cache-dir", default=None)
+    sp.add_argument("--cache-dir", default=None, help="ignored; nothing is cached")
     sp.set_defaults(fn=cmd_verify_all)
     return ap
 

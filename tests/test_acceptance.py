@@ -37,7 +37,7 @@ CHECKS = {
         "delaunay.translation_equivariance"),
     5: ("modes.translation_kernel", "modes.certificates", "modes.hardy_chain"),
     6: ("symbol.gamma2_identity", "symbol.even_positive", "symbol.mode_monotone"),
-    7: ("auxball.self_adjoint", "auxball.picard_minimal", "auxball.pohozaev"),
+    7: ("auxball.picard_minimal", "auxball.pohozaev"),
     8: ("glue.points_decay", "glue.remainder_taylor"),
 }
 
@@ -70,7 +70,7 @@ def suite_runs(acc_profile):
     for name in verify.ALL_SUITES:
         t0 = time.perf_counter()
         checks = getattr(verify, f"suite_{name}")(10, 2.0, profile=prof, grid_m=160,
-                                                  eps_list=None, cache_dir=None)
+                                                  eps_list=None)
         runs[name] = (checks, time.perf_counter() - t0)
     return runs
 

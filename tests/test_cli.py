@@ -68,6 +68,7 @@ BAD_INPUTS = {
     "verify-all --suites glue --eps-list 0.1,x": "--eps-list must be a comma list of numbers",
     "symbol --xi-max nan": "argument --xi-max: must be finite, got nan",
     "symbol --xi-max inf": "argument --xi-max: must be finite, got inf",
+    "symbol --xi-max 1e308": "argument --xi-max: must lie in [-1e+07, 1e+07], got 1e308",
     "auxball --lam nan": "argument --lam: must be finite, got nan",
     "auxball --lam inf": "argument --lam: must be finite, got inf",
     "auxball --lam -1": "argument --lam: must be >= 0, got -1",
@@ -221,6 +222,9 @@ def test_commands_load_only_scipy_linalg(tmp_path):
         out, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err
         loaded[name] = set(json.loads(out))
+    # only the files named by --out and --profile-out: no kernel cache under --cache-dir
+    assert sorted(os.listdir(tmp_path / "closed")) == ["roots.json"]
+    assert sorted(os.listdir(tmp_path / "solvers")) == ["profile.txt", "report.json"]
     assert loaded["closed"] == set()
     assert "scipy.linalg" in loaded["solvers"]
     for sub in ("integrate", "interpolate", "special", "optimize"):
@@ -228,13 +232,8 @@ def test_commands_load_only_scipy_linalg(tmp_path):
                        for m in loaded["solvers"]), sub
 
 
-def test_src_imports_of_scipy():
-    """Every scipy import statement under src/, with the function it sits in.
-
-    A lazy import inside a function that no README command runs escapes
-    test_commands_load_only_scipy_linalg; this lists them all from the source.
-    """
-    found = set()
+def _src_nodes():
+    """(module file name, enclosing function name or None, node) for every AST node under src/."""
     for path in sorted(Path(biharmlab.__file__).parent.glob("*.py")):
         scopes = [(None, ast.parse(path.read_text()))]
         while scopes:
@@ -244,15 +243,60 @@ def test_src_imports_of_scipy():
                     scopes.append((child.name, child))
                     continue
                 scopes.append((scope, child))
-                if isinstance(child, ast.Import):
-                    modules = [a.name for a in child.names]
-                elif isinstance(child, ast.ImportFrom):
-                    modules = [child.module or ""]
-                else:
-                    continue
-                found |= {(path.name, m, scope) for m in modules if m.split(".")[0] == "scipy"}
+                yield path.name, scope, child
+
+
+def test_src_imports_of_scipy():
+    """Every scipy import statement under src/, with the function it sits in.
+
+    A lazy import inside a function that no README command runs escapes
+    test_commands_load_only_scipy_linalg; this lists them all from the source.
+    """
+    found = set()
+    for name, scope, node in _src_nodes():
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found |= {(name, m, scope) for m in modules if m.split(".")[0] == "scipy"}
     assert found == {("radial.py", "scipy.linalg.lapack", "band_solver"),
                      ("delaunay.py", "scipy.integrate", "shoot_once")}
+
+
+def _file_write(node):
+    """What makes node a file write: np.save*, tempfile, os.replace/rename, mkdir,
+    Path.write_*, or open() in a writing mode; None for anything else."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        modules = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+        return "tempfile" if any(m.split(".")[0] == "tempfile" for m in modules) else None
+    if isinstance(node, ast.Name):
+        return "tempfile" if node.id == "tempfile" else None
+    if isinstance(node, ast.Attribute):
+        owner = node.value.id if isinstance(node.value, ast.Name) else None
+        if ((owner in ("np", "numpy") and node.attr.startswith("save"))
+                or (owner == "os" and node.attr in ("replace", "rename"))
+                or node.attr in ("mkdir", "makedirs", "write_text", "write_bytes")):
+            return f"{owner or '?'}.{node.attr}"
+        return None
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        for mode in modes:
+            if not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")):
+                return "open"
+    return None
+
+
+def test_src_writes_only_the_files_a_flag_names():
+    """Every file write under src/, with the function it sits in.
+
+    The reports that --out and --profile-out name are the only files the
+    library writes: no kernel cache, no temporary file, no directory.
+    """
+    found = {(name, _file_write(node), scope) for name, scope, node in _src_nodes()
+             if _file_write(node)}
+    assert found == {("cli.py", "open", "emit"), ("delaunay.py", "open", "export_profile")}
 
 
 def test_src_draws_nothing_at_random():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from biharmlab.cli import XI_MAX
 from biharmlab.symbol import (GammaPoleError, complex_log_gamma, symbol_indicial_identity,
                               theta_cylinder)
 
@@ -80,6 +81,15 @@ def test_gamma2_identity_across_the_window():
     for N in range(5, 15):
         for j in range(0, 11):
             assert float(np.max(symbol_indicial_identity(N, j, xi))) <= 1e-12, (N, j)
+
+
+def test_identity_holds_up_to_xi_max():
+    # the CLI's --xi-max domain: the residual grows like xi from roundoff, and
+    # stays within verify-all's 1e-8 on [0, XI_MAX] across the window
+    xi = np.unique(np.r_[np.linspace(0.0, XI_MAX, 1001), np.geomspace(1e-3, XI_MAX, 1001)])
+    worst = max(float(np.max(symbol_indicial_identity(N, j, xi)))
+                for N in range(5, 15) for j in range(0, 11))
+    assert worst <= 1e-8
 
 
 def test_query_validation():
