@@ -61,10 +61,7 @@ __all__ = [
     "solve_at_amplitude",
     "blowup_family",
     "blowup_rescale",
-    "laplacian_of_solution",
-    "radial_clamped_solve",
     "pohozaev_residual",
-    "hardy_sobolev_check",
     "unit_load_error",
 ]
 
@@ -83,10 +80,6 @@ class RadialGrid:
     alpha_w: float
     nodes: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, vals: np.ndarray) -> float:
-        """int_0^1 f(s) ds for f sampled on the nodes (0-limit assumed finite*xi)."""
-        return float(self.weights @ vals)
 
     def integrate_ball(self, vals: np.ndarray, N: int) -> float:
         """int_{B_1} f(|x|) dx for radial f sampled on the nodes."""
@@ -496,81 +489,6 @@ def blowup_rescale(family, kernel: BallKernel, p: float, alpha_w: float,
     )
 
 
-# ---------------------------------------------------------------------------
-# radial calculus on the grid (independent of the kernel)
-# ---------------------------------------------------------------------------
-
-def _cumint(xi: np.ndarray, integrand_nodes: np.ndarray, sigma_g: float,
-            from_zero: bool = True) -> np.ndarray:
-    """Cumulative integral of g(t) dt on the graded grid (trapezoid in xi).
-
-    With from_zero the integral starts at 0 (the integrand must vanish
-    there); otherwise it starts at the first node, for integrands that are
-    singular at the origin.
-    """
-    vals = integrand_nodes * sigma_g * xi ** (sigma_g - 1.0)
-    if from_zero:
-        vals = np.concatenate([[0.0], vals])
-        xi = np.concatenate([[0.0], xi])
-    # scipy's cumulative_trapezoid(vals, xi, initial=0), term for term
-    out = np.concatenate([[0.0], np.cumsum(np.diff(xi) * (vals[1:] + vals[:-1]) / 2.0)])
-    return out[1:] if from_zero else out
-
-
-def laplacian_of_solution(grid: RadialGrid, N: int, f: np.ndarray,
-                          alpha_w: float = 0.0, f_coeff0: float | None = None) -> np.ndarray:
-    """Delta u on the grid for the clamped solution of Delta^2 u = f.
-
-    Integrates the radial equation directly: with w = Delta u,
-    w'(r) = r^{1-N} int_0^r f t^{N-1} dt, and the free constant is fixed by
-    the clamped condition u'(1) = 0, i.e. int_0^1 w t^{N-1} dt = 0.  The
-    anchor point is the first grid node, not the origin: for weights
-    |y|^alpha with alpha <= -2 the Laplacian is singular at 0 (log r at
-    alpha = -2) and only its integrals enter.
-
-    When f_coeff0 = lim s^{-alpha} f(s) is supplied, the leading singular
-    part c0 s^alpha is integrated in closed form and only the regular
-    remainder goes through the trapezoid, which removes the quadrature
-    penalty of the near-origin log region.  No kernel is involved, so this
-    doubles as an independent route.
-    """
-    s = grid.nodes
-    xi = s ** (1.0 / grid.sigma_g)
-    s1 = s[0]
-    if f_coeff0 is None:
-        F1 = _cumint(xi, f * s ** (N - 1.0), grid.sigma_g)
-        wprime = F1 / s ** (N - 1.0)
-        w_var = _cumint(xi, wprime, grid.sigma_g, from_zero=False)
-    else:
-        c0 = float(f_coeff0)
-        f_reg = f - c0 * s**alpha_w
-        F1_reg = _cumint(xi, f_reg * s ** (N - 1.0), grid.sigma_g)
-        wprime_reg = F1_reg / s ** (N - 1.0)
-        w_var = _cumint(xi, wprime_reg, grid.sigma_g, from_zero=False)
-        # closed-form cumulative of the singular part c0 s^{1+alpha}/(N+alpha)
-        if abs(alpha_w + 2.0) < 1e-12:
-            w_var = w_var + c0 / (N + alpha_w) * np.log(s / s1)
-        else:
-            w_var = w_var + c0 / ((N + alpha_w) * (alpha_w + 2.0)) * (
-                s ** (alpha_w + 2.0) - s1 ** (alpha_w + 2.0))
-    # u'(1) = 0  =>  int_0^1 (c1 + w_var) t^{N-1} dt = 0; the [0, s_1] tail of
-    # the singular part is O(s_1^{N+2+alpha}) and negligible on graded grids
-    int_wvar = grid.integrate(w_var * s ** (N - 1.0))
-    c1 = -N * int_wvar
-    return c1 + w_var
-
-
-def radial_clamped_solve(grid: RadialGrid, N: int, f: np.ndarray) -> np.ndarray:
-    """Clamped radial solution of Delta^2 u = f by quadrature (kernel-free oracle)."""
-    s = grid.nodes
-    xi = s ** (1.0 / grid.sigma_g)
-    w = laplacian_of_solution(grid, N, f)
-    G1 = _cumint(xi, w * s ** (N - 1.0), grid.sigma_g)
-    uprime = G1 / s ** (N - 1.0)
-    u_var = _cumint(xi, uprime, grid.sigma_g)
-    return u_var - u_var[-1]  # u(1) = 0; u'(1) = 0 is built into w
-
-
 def pohozaev_residual(kernel: BallKernel, u: np.ndarray, lam: float, p: float,
                       alpha_w: float) -> float:
     """Relative residual of the clamped-ball Pohozaev identity for a solution u.
@@ -580,44 +498,21 @@ def pohozaev_residual(kernel: BallKernel, u: np.ndarray, lam: float, p: float,
         int_B [F + x.F_x/N - (N-4)/(2N) (Delta u)^2] dx
             = 1/(2N) int_{dB} (Delta u)^2 dsigma,
 
-    where x.F_x = alpha F.  Delta u comes from the kernel-free radial route.
+    where x.F_x = alpha F.  Two exact identities of the clamped solution of
+    Delta^2 u = f remove Delta u: int_B (Delta u)^2 = int_B f u (by parts
+    twice, u = du/dnu = 0 on dB), and Green's second identity with
+    1 - |x|^2, with int_B Delta u = int_{dB} du/dnu = 0, gives
+    Delta u(1) = int_B f (1-|x|^2) dx / (2 |S^{N-1}|).  Each side is then a
+    single ball integral of u and f, with no derivative and no kernel product.
     """
     N = kernel.N
     grid = kernel.grid
     s = grid.nodes
-    f = lam * s**alpha_w * (1.0 + np.abs(u)) ** p
+    f = lam * _density(kernel, u, p, alpha_w)
     F = lam * s**alpha_w * ((1.0 + np.abs(u)) ** (p + 1.0) - 1.0) / (p + 1.0)
-    u0 = lam * kernel.apply_origin(_density(kernel, u, p, alpha_w))
-    lap = laplacian_of_solution(grid, N, f, alpha_w=alpha_w,
-                                f_coeff0=lam * (1.0 + u0) ** p)
-    lhs = grid.integrate_ball(F * (1.0 + alpha_w / N) - (N - 4.0) / (2.0 * N) * lap**2, N)
-    rhs = sphere_area(N) * lap[-1] ** 2 / (2.0 * N)
+    lhs = grid.integrate_ball(F * (1.0 + alpha_w / N) - (N - 4.0) / (2.0 * N) * f * u, N)
+    area = sphere_area(N)
+    lap1 = grid.integrate_ball(f * (1.0 - s * s), N) / (2.0 * area)
+    rhs = area * lap1**2 / (2.0 * N)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return float(abs(lhs - rhs) / scale)
-
-
-def hardy_sobolev_check(grid: RadialGrid, N: int, u: np.ndarray, beta_hs: float,
-                        lap_u: np.ndarray | None = None) -> float:
-    """Ratio LHS/RHS of the Hardy-Sobolev inequality for clamped u.
-
-    (int u^{2(N-beta)/(N-4)} / |x|^beta dx)^{(N-4)/(N-beta)} <= c0 int (Delta u)^2 dx;
-    the returned ratio is a certified-finite lower bound for c0.  When lap_u
-    is not supplied it is computed by finite differences in the uniform
-    xi variable.
-    """
-    if not 0.0 < beta_hs < 4.0:
-        raise ValueError(f"beta_hs={beta_hs} outside (0,4)")
-    s = grid.nodes
-    if lap_u is None:
-        xi = s ** (1.0 / grid.sigma_g)
-        du_dxi = np.gradient(u, xi, edge_order=2)
-        ds_dxi = grid.sigma_g * xi ** (grid.sigma_g - 1.0)
-        du = du_dxi / ds_dxi
-        d2u = np.gradient(du, xi, edge_order=2) / ds_dxi
-        lap_u = d2u + (N - 1.0) * du / s
-    q = 2.0 * (N - beta_hs) / (N - 4.0)
-    num = grid.integrate_ball(np.abs(u) ** q * s ** (-beta_hs), N)
-    den = grid.integrate_ball(lap_u**2, N)
-    if den == 0.0:
-        return 0.0
-    return float(num ** ((N - 4.0) / (N - beta_hs)) / den)

@@ -32,6 +32,8 @@ DEFAULT_EPS = "0.125,0.0625,0.03125,0.015625,0.0078125"
 # --xi-max bound: symbol's gamma = 2 identity holds to 1e-8 for |xi| <= XI_MAX at
 # N = 5..14, j <= 10; its residual grows like |xi|, 1.8e-9 at 1e7 and 1.5e-8 at 5e7
 XI_MAX = 1e7
+# --grid bound: one M x M float64 kernel takes 8 M^2 bytes, 134 MB at 4096
+GRID_MAX = 4096
 
 
 def _fmt(x):
@@ -124,6 +126,14 @@ def _xi_max(text):
     if not abs(x) <= XI_MAX:
         raise argparse.ArgumentTypeError(f"must lie in [-{XI_MAX:g}, {XI_MAX:g}], got {text}")
     return x
+
+
+def _grid(text):
+    """argparse type: an even grid size M in [2, GRID_MAX] (composite Simpson pairs panels)."""
+    M = int(text)
+    if not (2 <= M <= GRID_MAX and M % 2 == 0):
+        raise argparse.ArgumentTypeError(f"must be an even integer in [2, {GRID_MAX}], got {text}")
+    return M
 
 
 def _eps_list(text: str) -> list:
@@ -364,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("auxball", help="clamped-ball kernel, Picard branch, Pohozaev")
     common(sp)
     sp.add_argument("--lam", type=_finite_nonnegative, default=1e-3)
-    sp.add_argument("--grid", type=int, default=160)
+    sp.add_argument("--grid", type=_grid, default=160,
+                    help=f"radial grid size M: even, in [2, {GRID_MAX}]")
     sp.add_argument("--cache-dir", default=None, help="ignored; nothing is cached")
     sp.add_argument("--blowup", action="store_true")
     sp.set_defaults(fn=cmd_auxball)
@@ -383,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--suites", default=None,
                     help="comma list: constants,indicial,symbol,delaunay,modes,auxball,glue")
-    sp.add_argument("--grid", type=int, default=160)
+    sp.add_argument("--grid", type=_grid, default=160,
+                    help=f"radial grid size M: even, in [2, {GRID_MAX}]")
     sp.add_argument("--eps-list", default=DEFAULT_EPS)
     sp.add_argument("--cache-dir", default=None, help="ignored; nothing is cached")
     sp.set_defaults(fn=cmd_verify_all)

@@ -71,7 +71,6 @@ __all__ = [
     "solve_singular",
     "shoot_once",
     "scale_to_beta",
-    "normalize_small_tail",
     "energy",
     "hamiltonian",
     "dissipation_check",
@@ -745,31 +744,6 @@ def scale_to_beta(profile: RadialProfile, beta_new: float) -> RadialProfile:
     return out
 
 
-def normalize_small_tail(profile: RadialProfile, alpha_norm: float) -> RadialProfile:
-    """Dilate so that sup_{r>=1} r^4 u^{p-1}(r) <= alpha_norm.
-
-    In Emden-Fowler variables r^4 u^{p-1}(r) = ubar^{p-1}(-log r), so the
-    requirement is a running-max condition on ubar over t <= 0 and the
-    dilation is a left time shift.  Profiles already satisfying the bound
-    are returned unshifted.
-    """
-    if alpha_norm <= 0.0:
-        raise ValueError(f"alpha_norm={alpha_norm} must be positive")
-    pm1 = profile.params.p - 1.0
-    # start where the slow mode beta e^{mu_slow t} alone is a factor e below alpha_norm^{1/(p-1)}
-    t_start = (math.log(alpha_norm) / pm1 - math.log(profile.beta) - 1.0) / profile.params.slow_rate
-    tt = np.linspace(min(profile.t_lo, t_start), profile.t_hi, 6000)
-    vals = profile.ubar(tt) ** pm1
-    running = np.maximum.accumulate(vals)
-    ok = running <= alpha_norm
-    if ok[-1]:
-        return profile.shifted(0.0)
-    idx = int(np.argmin(ok))  # first failure
-    t_alpha = float(tt[max(idx - 1, 0)])
-    delta = min(t_alpha, 0.0)
-    return profile.shifted(delta)
-
-
 # ---------------------------------------------------------------------------
 # energy and dissipation
 # ---------------------------------------------------------------------------
@@ -902,11 +876,6 @@ class KelvinProfile:
         p = self.params
         expo = 4.0 - p.N + p.singular_rate
         return rho**expo * self.profile.ubar(np.log(rho))
-
-    def tail_slope(self, decades: float = 1.0) -> float:
-        hi = math.exp(self.profile.t_hi)
-        rho = np.geomspace(hi / 10**decades, hi / 1.05, 200)
-        return _loglog_slope(np.log(rho), self.value(rho))
 
     def weak_residual(self, rho_lo: float, rho_hi: float, n: int = 4001) -> float:
         """Relative residual of the weighted equation against a C^4 annulus bump.

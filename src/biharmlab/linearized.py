@@ -43,12 +43,10 @@ __all__ = [
     "ModeSolution",
     "mode_coefficients",
     "make_mode",
-    "mode_potential",
     "mode_solve",
     "translation_kernel_residual",
     "quadratic_certificates",
     "hardy_chain_check",
-    "byparts_identity_check",
     "injectivity_scan",
 ]
 
@@ -91,13 +89,6 @@ def make_mode(params: Params, profile: RadialProfile, j: int) -> ModeData:
     a1, a2, a3, a4 = mode_coefficients(params.N, j)
     return ModeData(j=j, lambda_j=sphere_eigenvalue(j, params.N),
                     a1=a1, a2=a2, a3=a3, a4=a4, profile=profile)
-
-
-def mode_potential(profile: RadialProfile, r) -> np.ndarray:
-    """V_p(r) = p r^4 u1^{p-1}(r) = p ubar(-log r)^{p-1}."""
-    r = np.asarray(r, dtype=float)
-    p = profile.params.p
-    return p * profile.ubar(-np.log(r)) ** (p - 1.0)
 
 
 def _log_coeffs(N: int, j: int) -> tuple[float, float, float, float]:
@@ -172,8 +163,7 @@ class ModeSolution:
     j: int
     gamma_seed: complex
     tau: np.ndarray
-    w: np.ndarray          # mode function w_j(e^tau)
-    dw_dtau: np.ndarray
+    wn: np.ndarray         # mode function w_j(e^tau), normalized at the seed
     far_exponent: float
     blowup_tau: float | None = None
 
@@ -197,8 +187,10 @@ def mode_solve(mode: ModeData, gamma_seed: complex, potential: str = "profile",
     complex seed propagates as two real columns.  A branch whose
     seed-normalized state reaches OVERFLOW stops there: blowup_tau is that
     point, found log-linearly between samples, and the solution is sampled
-    again on [tau0, blowup_tau], where the far exponent is fitted.  A seed
-    whose e^{gamma tau0} overflows raises SolverError (stage "mode seed").
+    again on [tau0, blowup_tau], where the far exponent is fitted.  The mode
+    function is returned as wn, of modulus 1 at the seed; its absolute
+    scale e^{gamma tau0}, which overflows on far-shifted profiles, is never
+    formed.
     """
     prof = mode.profile
     par = prof.params
@@ -247,12 +239,6 @@ def mode_solve(mode: ModeData, gamma_seed: complex, potential: str = "profile",
     complex_mode = abs(complex(gamma_seed).imag) > 0 or abs(complex(kappa).imag) > 0
     scale = max(abs(y0c[0]), 1e-290)
     y0c = y0c / scale  # mode ODE is linear; normalize the seed
-    # w ~ e^{gamma tau} at the seed; an overflow is reported below, once
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = scale * np.exp((g if complex_mode else g.real) * tau0)
-    if not np.isfinite(norm):
-        raise SolverError("mode seed", f"w ~ e^(gamma tau) overflows at the seed tau0={tau0:.6g} "
-                          f"(j={j}, gamma={gamma_seed}); the profile's frame is shifted too far")
     # a complex seed propagates as two real columns under the real step matrices
     y0 = np.stack([y0c.real, y0c.imag], axis=1) if complex_mode else y0c.real[:, None]
 
@@ -274,7 +260,6 @@ def mode_solve(mode: ModeData, gamma_seed: complex, potential: str = "profile",
         tau, Y, _ = _rk4_propagate(B, potential_at, y0, tau0, blow)
     Yn = Y[..., 0] + 1j * Y[..., 1] if complex_mode else Y[..., 0]
     wn = Yn[:, 0]
-    w, dw = wn * norm, Yn[:, 1] * norm
 
     # fitted exponent over the final stretch of integration
     span = abs(tau[-1] - tau0)
@@ -285,7 +270,7 @@ def mode_solve(mode: ModeData, gamma_seed: complex, potential: str = "profile",
         raise SolverError("mode integration", "fewer than two finite nonzero samples in the "
                           f"fit window (j={j}, gamma={gamma_seed})")
     slope = float(np.polyfit(tau[in_window][good], np.log(vals[good]), 1)[0])
-    return ModeSolution(j=j, gamma_seed=gamma_seed, tau=tau, w=w, dw_dtau=dw,
+    return ModeSolution(j=j, gamma_seed=gamma_seed, tau=tau, wn=wn,
                         far_exponent=slope, blowup_tau=blow)
 
 
@@ -352,46 +337,6 @@ def hardy_chain_check(N: int, r: np.ndarray, w: np.ndarray, dw: np.ndarray,
         first_slack=(b1 - I0) / b1 if b1 > 0 else 0.0,
         second_slack=(b2 - I1) / b2 if b2 > 0 else 0.0,
     )
-
-
-def byparts_identity_check(N: int, j: int, r: np.ndarray,
-                           derivs: tuple[np.ndarray, ...]) -> float:
-    """Relative residual of the exact-derivative identity behind the mode estimate.
-
-    For w with four derivatives sampled at an odd number of radii r on
-    [r0, r1], compares the Simpson quadrature
-    of r^{N-1} w (w'''' + a1/r w''' + a2/r^2 w'' - a3/r^3 w' + a4/r^4 w)
-    against the boundary terms plus
-    (N-1+2 lambda_j) r^{N-3} w'^2 + r^{N-1} w''^2 + a4 r^{N-5} w^2.
-    """
-    w, w1, w2, w3, w4 = derivs
-    a1, a2, a3, a4 = mode_coefficients(N, j)
-    lam = sphere_eigenvalue(j, N)
-    lhs_int = simpson(
-        r ** (N - 1.0) * w * (w4 + a1 / r * w3 + a2 / r**2 * w2 - a3 / r**3 * w1 + a4 / r**4 * w),
-        r,
-    )
-
-    def boundary(idx):
-        rr = r[idx]
-        return (
-            rr ** (N - 1.0) * w[idx] * w3[idx]
-            - rr ** (N - 1.0) * w1[idx] * w2[idx]
-            + (N - 1.0) * rr ** (N - 2.0) * w[idx] * w2[idx]
-            - (N - 1.0 + 2.0 * lam) * rr ** (N - 3.0) * w[idx] * w1[idx]
-        )
-
-    bulk = simpson(
-        (N - 1.0 + 2.0 * lam) * r ** (N - 3.0) * w1**2
-        + r ** (N - 1.0) * w2**2
-        + a4 * r ** (N - 5.0) * w**2,
-        r,
-    )
-    rhs = boundary(-1) - boundary(0) + bulk
-    scale = abs(bulk) + abs(boundary(-1) - boundary(0)) + abs(lhs_int)
-    if scale == 0.0:
-        return 0.0
-    return float(abs(lhs_int - rhs) / scale)
 
 
 @dataclass

@@ -195,9 +195,11 @@ def suite_auxball(N, p, grid_m=160, **_) -> list:
     checks.append(_check("auxball.picard_minimal", ok,
                          f"lambda=1e-3: converged={pic.converged} iters={pic.iterations} "
                          f"monotone={pic.monotone} decreasing profile"))
+    # at most 8.7e-5 across the window on the default M = 160 and falling 16-fold
+    # per doubling of M; a u off by (1 + 1e-3) reads about 1e-3
     res = pohozaev_residual(kern, pic.u, pic.lam, p, params.alpha_w)
-    checks.append(_check("auxball.pohozaev", res <= 1e-3,
-                         f"relative residual {res:.3e} (tol 1e-3)"))
+    checks.append(_check("auxball.pohozaev", res <= 2e-4,
+                         f"relative residual {res:.3e} (tol 2e-4)"))
     return checks
 
 

@@ -25,9 +25,8 @@ from biharmlab import delaunay
 from biharmlab.cli import main
 from biharmlab.core import validate_params
 from biharmlab.delaunay import (ShootingError, dissipation_check, energy, hamiltonian,
-                                kelvin_transform, monotonicity_report,
-                                normalize_small_tail, scale_to_beta, shoot_once,
-                                solve_singular)
+                                kelvin_transform, monotonicity_report, scale_to_beta,
+                                shoot_once, solve_singular)
 from biharmlab.radial import dlap_radial, lap_radial
 
 T_LO, T_HI = -18.0, 24.63
@@ -279,25 +278,6 @@ def test_translation_equivariance_vs_fresh_solve(params10, profile10):
     assert diff <= 1e-6
 
 
-def test_normalize_small_tail(params10, profile10):
-    prof = normalize_small_tail(profile10, 0.01)
-    r = np.geomspace(1.0, 1e6, 400)
-    vals = r**4 * _u(prof, r) ** (params10.p - 1.0)
-    assert np.max(vals) <= 0.01 * (1.0 + 1e-9)
-    # identity when the bound already holds globally
-    big = (params10.p + 1.0) / 2.0 * params10.k_const
-    assert normalize_small_tail(profile10, 1.1 * big).t_shift == profile10.t_shift
-    # doubling alpha never increases the applied dilation
-    s1 = normalize_small_tail(profile10, 0.01).t_shift
-    s2 = normalize_small_tail(profile10, 0.02).t_shift
-    assert s2 >= s1
-    # a bound the mesh start already exceeds is met on the far-field tail
-    assert profile10.ubar(profile10.t_lo) ** (params10.p - 1.0) > 1e-6
-    prof = normalize_small_tail(profile10, 1e-6)
-    vals = r**4 * _u(prof, r) ** (params10.p - 1.0)
-    assert np.max(vals) <= 1e-6 * (1.0 + 1e-9)
-
-
 def test_kelvin_transform(params10, profile10):
     kv = kelvin_transform(profile10)
     assert kv.value_at_zero == pytest.approx(profile10.beta)
@@ -305,7 +285,6 @@ def test_kelvin_transform(params10, profile10):
     lo, hi = math.exp(T_LO), math.exp(T_HI)
     assert kv.value(np.array([lo * 1.5]))[0] == pytest.approx(profile10.beta, rel=1e-4)
     assert kv.tail_exponent_nominal == pytest.approx(-2.0)
-    assert kv.tail_slope() == pytest.approx(-2.0, abs=0.01)
     # the tail coefficient is c_p: utilde(rho) rho^{(4+alpha)/(p-1)} -> c_p
     rho_far = np.array([hi / 3.0])
     assert kv.value(rho_far)[0] * rho_far[0] ** 2 == pytest.approx(params10.c_p, rel=1e-6)

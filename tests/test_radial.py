@@ -7,8 +7,8 @@ from scipy.integrate import simpson as scipy_simpson
 from biharmlab.radial import simpson
 
 # the node sets the library and its checks integrate on: dissipation_check (8001 times),
-# KelvinProfile.weak_residual (4001 radii), the Hardy-chain suite (3001 radii), the
-# by-parts identity (30001 and 2001 radii), and a log-spaced Hardy grid (200001 radii)
+# KelvinProfile.weak_residual (4001 radii), the Hardy-chain suite (3001 radii) and a
+# log-spaced Hardy grid (200001 radii), plus uniform grids of 30001 and 2001 radii
 GRIDS = {
     "dissipation": np.linspace(-17.9, 18.63, 8001),
     "weak_residual": np.linspace(0.5, 4.0, 4001),
