@@ -92,11 +92,19 @@ def emit(config: dict, results, args) -> None:
         sys.stdout.write(text)
 
 
+def _parse(kind, text, domain: str):
+    """kind(text); text that is no int or float is a usage error stating the domain."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}") from None
+
+
 def _at_least(least: int):
     """argparse type: an integer >= least."""
 
     def integer(text):
-        n = int(text)
+        n = _parse(int, text, f"an integer >= {least}")
         if n < least:
             raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
         return n
@@ -104,9 +112,9 @@ def _at_least(least: int):
     return integer
 
 
-def _finite(text):
-    """argparse type: a finite float."""
-    x = float(text)
+def _finite(text, domain: str):
+    """A finite float; `domain` describes the argument's values in the usage error."""
+    x = _parse(float, text, domain)
     if not np.isfinite(x):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return x
@@ -114,7 +122,7 @@ def _finite(text):
 
 def _finite_nonnegative(text):
     """argparse type: a finite float >= 0."""
-    x = _finite(text)
+    x = _finite(text, "a finite number >= 0")
     if x < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return x
@@ -122,7 +130,7 @@ def _finite_nonnegative(text):
 
 def _xi_max(text):
     """argparse type: a float in [-XI_MAX, XI_MAX], where the gamma = 2 identity holds."""
-    x = _finite(text)
+    x = _finite(text, f"a number in [-{XI_MAX:g}, {XI_MAX:g}]")
     if not abs(x) <= XI_MAX:
         raise argparse.ArgumentTypeError(f"must lie in [-{XI_MAX:g}, {XI_MAX:g}], got {text}")
     return x
@@ -130,9 +138,10 @@ def _xi_max(text):
 
 def _grid(text):
     """argparse type: an even grid size M in [2, GRID_MAX] (composite Simpson pairs panels)."""
-    M = int(text)
+    domain = f"an even integer in [2, {GRID_MAX}]"
+    M = _parse(int, text, domain)
     if not (2 <= M <= GRID_MAX and M % 2 == 0):
-        raise argparse.ArgumentTypeError(f"must be an even integer in [2, {GRID_MAX}], got {text}")
+        raise argparse.ArgumentTypeError(f"must be {domain}, got {text}")
     return M
 
 

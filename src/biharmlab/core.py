@@ -176,10 +176,6 @@ class EmdenCoeffs:
     K2: float
     K3: float
 
-    def characteristic(self, mu: complex) -> complex:
-        """Characteristic polynomial mu^4 + K3 mu^3 + K2 mu^2 + K1 mu + K0."""
-        return ((mu + self.K3) * mu**3 + self.K2 * mu**2 + self.K1 * mu + self.K0)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.K0, self.K1, self.K2, self.K3)
 

@@ -362,10 +362,11 @@ class _ScaledSpline:
 
 
 # The collocation of scipy.integrate.solve_bvp (Kierzenka & Shampine, ACM TOMS 27(3),
-# 2001), step for step, with one change: the Newton matrix's rows are ordered as the
+# 2001), step for step, with two changes.  The Newton matrix's rows are ordered as the
 # 3 left boundary conditions, the 4 collocation rows of each interval in turn, then
 # the right boundary condition.  With separated conditions that matrix is banded,
-# (kl, ku) = (6, 4), and LAPACK's dgbtrf/dgbtrs factor and solve it in O(m).
+# (kl, ku) = (6, 4), and LAPACK's dgbtrf/dgbtrs factor and solve it in O(m).  And a
+# trial iterate that meets the tolerance ends Newton with no solve to confirm it.
 _KL, _KU = 6, 4
 _FAILURES = {1: "The maximum number of mesh nodes is exceeded.",
              2: "A singular Jacobian encountered when solving the collocation system.",
@@ -374,11 +375,12 @@ _STOPPED = 4  # `stop` ended the solve after its first mesh pass
 
 
 class _Cubic:
-    """Piecewise cubic on breakpoints x; c[power, interval, component], highest power first.
+    """Piecewise cubic on breakpoints x; c[power, component, interval], highest power first.
 
     Evaluates bit for bit, in the same memory layout, as scipy.interpolate.PPoly on
     axis 1 with extrapolate=True: on the interval of the last breakpoint <= t (the
     end pieces extrapolate), summing the powers from the lowest up in scipy's order.
+    The sums run node-last and are laid out as PPoly's at the end.
     """
 
     def __init__(self, c, x):
@@ -396,15 +398,16 @@ class _Cubic:
 
     def _sum(self, s, nu, k=None):
         deg = self.c.shape[0] - 1
-        s = s[..., None]
         res, z = 0.0, 1.0
         with np.errstate(all="ignore"):  # as PPoly's compiled loop; (5, 8.36) meets inf
             for j in range(nu, deg + 1):
-                cj = self.c[deg - j] if k is None else self.c[deg - j].take(k, axis=0)
+                cj = self.c[deg - j] if k is None else self.c[deg - j].take(k, axis=1)
                 res = res + (cj * z * j if nu else cj * z)
                 if j < deg:
                     z = z * s
-        return np.moveaxis(res, -1, 0)
+        out = np.empty(s.shape + self.c.shape[1:2])  # PPoly's layout: components vary fastest
+        np.moveaxis(out, -1, 0)[...] = res
+        return np.moveaxis(out, -1, 0)
 
     def derivative(self) -> "_Cubic":
         """PPoly.derivative(): coefficients scaled by their powers, one degree down."""
@@ -428,26 +431,53 @@ def _lobatto(fun, x, h, y):
 
 
 def _newton_band(fun_jac, dya, dyb, x, h, y, y_mid):
-    """The Newton matrix in LAPACK band storage, transposed: row r, column c at [c, 10 + r - c].
+    """The Newton matrix in LAPACK band storage, transposed, and whether it is finite.
 
-    Rows r: left conditions 0..2, interval q's collocation 3 + 4q + i, right
-    condition 4m - 1; column c = 4q + j is component j of node q.
+    Row r, column c is at [c, 10 + r - c].  Rows r: left conditions 0..2,
+    interval q's collocation 3 + 4q + i, right condition 4m - 1; column
+    c = 4q + j is component j of node q.  Interval q's blocks are
+    -I - h/6 (J_L + 2 J_m) - h^2/12 J_m J_L on node q and
+    I - h/6 (J_R + 2 J_m) + h^2/12 J_m J_R on node q + 1.  Each entry is one
+    vector expression in the nonzeros of fun_jac's companion form: the equal
+    first three diagonal entries, J[3, 3] and J[3, 0] vary along the mesh,
+    J[3, 1] and J[3, 2] are constant, the superdiagonal is 1.  The products
+    J_m J sum over j = 0..3 in order with the zero terms dropped, as einsum
+    sums the dense blocks, so the band is theirs bit for bit.  Only the
+    written entries are tested for finiteness; every other entry is 0.
     """
     m = x.size
-    J = np.moveaxis(fun_jac(x, y), 2, 0)
-    Jm = np.moveaxis(fun_jac(x[:-1] + 0.5 * h, y_mid), 2, 0)
-    h = h[:, None, None]
-    eye = np.identity(4)
+    J, Jm = fun_jac(x, y), fun_jac(x[:-1] + 0.5 * h, y_mid)
+    k1, k2 = J[3, 1, 0], J[3, 2, 0]
+    dm, am, cm = Jm[0, 0], Jm[3, 0], Jm[3, 3]
+    h6 = h / 6
+    h3 = h6 * -3.0  # -h/6 (J + 2 J_m) on the superdiagonal, where both are 1
     ab = np.zeros((4 * m, 2 * _KL + _KU + 1))
     i, j = np.indices((4, 4))
-    ab[:-4].reshape(m - 1, 4, -1)[:, j, 13 + i - j] = (
-        -eye - h / 6 * (J[:-1] + 2 * Jm) - h**2 / 12 * np.einsum("...ij,...jk->...ik", Jm, J[:-1]))
-    ab[4:].reshape(m - 1, 4, -1)[:, j, 9 + i - j] = (
-        eye - h / 6 * (J[1:] + 2 * Jm) + h**2 / 12 * np.einsum("...ij,...jk->...ik", Jm, J[1:]))
     ab[j[:3], 10 + i[:3] - j[:3]] = dya[:3]
     k = np.arange(4)
     ab[k - 4, 13 - k] = dyb[3]
-    return ab
+    finite = np.isfinite(dya[:3]).all() and np.isfinite(dyb[3]).all()
+    for sign, node, row0, col0 in ((-1.0, slice(None, -1), 0, 13), (1.0, slice(1, None), 4, 9)):
+        d, a, c = J[0, 0, node], J[3, 0, node], J[3, 3, node]
+        hh = sign * (h**2 / 12)
+        diag = sign - h6 * (d + 2 * dm)
+        dd = dm * d
+        for value, entries in (
+                (diag + hh * dd, ((0, 0), (1, 1))),
+                (h3 + hh * (dm + d), ((0, 1), (1, 2))),
+                (hh, ((0, 2), (1, 3))),
+                (hh * a, ((2, 0),)),
+                (hh * k1, ((2, 1),)),
+                (diag + hh * (dd + k2), ((2, 2),)),
+                (h3 + hh * (dm + c), ((2, 3),)),
+                (-(h6 * (a + 2 * am)) + hh * (am * d + cm * a), ((3, 0),)),
+                (-(h6 * (k1 + 2 * k1)) + hh * (am + k1 * d + cm * k1), ((3, 1),)),
+                (-(h6 * (k2 + 2 * k2)) + hh * (k1 + k2 * d + cm * k2), ((3, 2),)),
+                (sign - h6 * (c + 2 * cm) + hh * (k2 + cm * c), ((3, 3),))):
+            finite = finite and np.isfinite(value).all()
+            for bi, bj in entries:
+                ab[row0 + bj:row0 + 4 * (m - 1):4, col0 + bi - bj] = value
+    return ab, finite
 
 
 def _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol):
@@ -455,7 +485,10 @@ def _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol):
 
     Armijo backtracking (sigma 0.2, tau 0.5, 4 trials) on the affine-invariant
     cost |J^-1 res|^2; at most 8 iterations and 4 Jacobians, and a Jacobian is
-    reused after a full step.  A non-finite matrix counts as singular.
+    reused after a full step.  A non-finite matrix counts as singular.  Unlike
+    solve_bvp, a trial iterate that meets the tolerance is accepted at once,
+    with no solve for the Armijo test: over the window that test never
+    rejected a converged iterate, so the meshes are solve_bvp's.
     """
     tol_r = 2 / 3 * h * 5e-2 * tol
 
@@ -470,9 +503,9 @@ def _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol):
     njev, recompute = 0, True
     for _ in range(8):
         if recompute:
-            ab = _newton_band(fun_jac, *bc_jac(y[:, 0], y[:, -1]), x, h, y, lob[1])
+            ab, finite = _newton_band(fun_jac, *bc_jac(y[:, 0], y[:, -1]), x, h, y, lob[1])
             njev += 1
-            if not np.isfinite(ab).all():
+            if not finite:
                 return y, True, lob
             try:
                 solve = band_solver(ab.T, _KL, _KU)
@@ -484,6 +517,8 @@ def _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol):
         for trial in range(5):
             y_new = y - alpha * step.reshape(-1, 4).T
             res, lob, done = residual(y_new)
+            if done:
+                break
             step_new = solve(res)
             cost_new = step_new @ step_new
             if cost_new < (1 - 2 * alpha * 0.2) * cost:
@@ -516,7 +551,7 @@ def _collocate(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes, stop=None) -> _Co
         # the C1 cubic with nodal values y and slopes f
         slope = (y[:, 1:] - y[:, :-1]) / h
         c3 = (f[:, :-1] + f[:, 1:] - 2 * slope) / h
-        c = np.stack([a.T for a in (c3 / h, (slope - f[:, :-1]) / h - c3, f[:, :-1], y[:, :-1])])
+        c = np.stack([c3 / h, (slope - f[:, :-1]) / h - c3, f[:, :-1], y[:, :-1]])
         sol = _Cubic(c, x)
         xm, s = x[:-1] + 0.5 * h, 0.5 * h * (3 / 7) ** 0.5
         r2 = [np.sum((1.5 * col / h / (1 + np.abs(f_mid))) ** 2, axis=0)]
@@ -606,7 +641,10 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None):
         z0, z1, z2, z3 = z
         f4 = (Dp * np.abs(z0) ** (p - 1.0) * z0
               - K3 * z3 - K2 * z2 - K1 * z1 - K0 * z0)
-        return np.vstack([z1 - dl * z0, z2 - dl * z1, z3 - dl * z2, f4 - dl * z3])
+        f = np.empty((4, t.size))
+        for k, z_next in enumerate((z1, z2, z3, f4)):
+            np.subtract(z_next, dl * z[k], out=f[k])
+        return f
 
     nodes = [tg.size]  # largest mesh Newton has linearized on, for the memory error
 

@@ -90,10 +90,6 @@ class IndicialData:
     roots_at_zero: tuple[complex, complex, complex, complex]
     roots_at_infinity: tuple[complex, complex, complex, complex]
 
-    def root(self, branch: str, at: str = "zero") -> complex:
-        roots = self.roots_at_zero if at == "zero" else self.roots_at_infinity
-        return roots[BRANCHES.index(branch)]
-
     def residuals(self, N: int, A_p: float) -> tuple[float, ...]:
         """Scaled indicial-polynomial residuals |Q_j(g)-A| / (1+|g|^4) of all 8 roots."""
         out = []

@@ -62,3 +62,35 @@ def chain_rule_derivs():
         return [u, du, d2u, d3u, d4u, d5u]
 
     return derivs
+
+
+@pytest.fixture(scope="session")
+def dense_newton_band():
+    """Reference collocation Newton band from dense 4 x 4 blocks.
+
+    Every block -I - h/6 (J_L + 2 J_m) - h^2/12 J_m J_L and
+    I - h/6 (J_R + 2 J_m) + h^2/12 J_m J_R is formed in full, zeros included,
+    with broadcast arithmetic and an einsum product, and written into
+    `delaunay._newton_band`'s band storage; an independent route to the band
+    that `_newton_band` builds from the Jacobian's nonzeros.
+    """
+    from biharmlab.delaunay import _KL, _KU
+
+    def band(fun_jac, dya, dyb, x, h, y, y_mid):
+        m = x.size
+        J = np.moveaxis(fun_jac(x, y), 2, 0)
+        Jm = np.moveaxis(fun_jac(x[:-1] + 0.5 * h, y_mid), 2, 0)
+        h = h[:, None, None]
+        eye = np.identity(4)
+        ab = np.zeros((4 * m, 2 * _KL + _KU + 1))
+        i, j = np.indices((4, 4))
+        ab[:-4].reshape(m - 1, 4, -1)[:, j, 13 + i - j] = (
+            -eye - h / 6 * (J[:-1] + 2 * Jm) - h**2 / 12 * np.einsum("...ij,...jk->...ik", Jm, J[:-1]))
+        ab[4:].reshape(m - 1, 4, -1)[:, j, 9 + i - j] = (
+            eye - h / 6 * (J[1:] + 2 * Jm) + h**2 / 12 * np.einsum("...ij,...jk->...ik", Jm, J[1:]))
+        ab[j[:3], 10 + i[:3] - j[:3]] = dya[:3]
+        k = np.arange(4)
+        ab[k - 4, 13 - k] = dyb[3]
+        return ab
+
+    return band

@@ -77,6 +77,10 @@ BAD_INPUTS = {
     "delaunay --tol inf": "tol=inf must exceed the manifold-truncation floor ~2e-6 and lie below 1",
     "delaunay --tol nan": "tol=nan must exceed the manifold-truncation floor ~2e-6 and lie below 1",
     "delaunay --tol 1": "tol=1.0 must exceed the manifold-truncation floor ~2e-6 and lie below 1",
+    "auxball --lam x": "argument --lam: must be a finite number >= 0, got 'x'",
+    "symbol --xi-max x": "argument --xi-max: must be a number in [-1e+07, 1e+07], got 'x'",
+    "auxball --grid x": "argument --grid: must be an even integer in [2, 4096], got 'x'",
+    "indicial --jmax x": "argument --jmax: must be an integer >= 0, got 'x'",
 }
 
 
@@ -270,8 +274,6 @@ UNREFERENCED_IN_SRC = {
     ("delaunay.py", "kelvin_transform"): "the blow-up oracle of ROADMAP item 3",
     ("delaunay.py", "KelvinProfile.weak_residual"): "the blow-up oracle of ROADMAP item 3",
     ("delaunay.py", "shoot_once"): "bench/tracing.py wraps it",
-    ("core.py", "EmdenCoeffs.characteristic"): "test-only; ROADMAP item 20 weighs it",
-    ("indicial.py", "IndicialData.root"): "test-only; ROADMAP item 20 weighs it",
 }
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from biharmlab.core import (EmdenCoeffs, emden_coeffs, k_of, serrin_exponent,
+from biharmlab.core import (EmdenCoeffs, emden_coeffs, k_of, origin_spectrum, serrin_exponent,
                             sobolev_exponent, special_exponents, validate_params)
 
 
@@ -133,6 +133,8 @@ def test_special_exponents():
 
 
 def test_characteristic_method():
+    # mu^4 + 4 mu^3 - 28 mu^2 - 64 mu + 192 = (mu - 2)(mu + 6)(mu - 4)(mu + 4)
     K = EmdenCoeffs(K0=192.0, K1=-64.0, K2=-28.0, K3=4.0)
-    assert K.characteristic(2.0) == pytest.approx(0.0, abs=1e-10)
-    assert K.characteristic(-6.0) == pytest.approx(0.0, abs=1e-10)
+    mu = origin_spectrum(K)
+    assert np.all(mu.imag == 0.0)
+    assert_allclose(np.sort(mu.real), [-6.0, -4.0, 2.0, 4.0], atol=1e-10)

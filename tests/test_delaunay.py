@@ -488,39 +488,68 @@ def test_early_pad_decision_keeps_the_profile(N, f):
     assert np.max(np.abs(prof.ubar(np.array(EARLY_PAD_T)) - ubar)) <= 1e-12 * params.c_p
 
 
-@pytest.mark.parametrize("N,f,allowed", [(13, 0.75, range(1, 7)), (10, None, [4])],
-                         ids=["13-0.75-at-most-6", "10-2-exactly-4"])
-def test_factorizations_per_solve(monkeypatch, N, f, allowed):
-    # work count, not time: a pad-0 polish that misses the fit must stop after one
-    # mesh pass rather than converge (it took 10 factorizations at (13, 0.75)),
-    # and (10, 2), which keeps pad 0, takes exactly its 4
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return dgbtrf(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", counting)
-    solve_singular(validate_params(N, 2.0 if f is None else _window_p(N, f)), beta=1.0, tol=1e-4)
-    assert len(calls) in allowed
+# (N, f) -> (bvp_nodes, dgbtrf calls, dgbtrs calls) of one solve at beta = 1, tol = 1e-4:
+# the benchmark's reference points, f = 0.25 for even N and 0.75 for odd N, and (10, 2)
+WORK_COUNTS = {
+    (5, 0.75): (16119, 12, 42), (6, 0.25): (2350, 4, 13), (7, 0.75): (8328, 7, 18),
+    (8, 0.25): (2373, 3, 11), (9, 0.75): (7468, 6, 15), (10, 0.25): (2107, 3, 11),
+    (11, 0.75): (7308, 6, 23), (12, 0.25): (2900, 5, 22), (13, 0.75): (7094, 6, 22),
+    (14, 0.25): (3291, 5, 23), (10, None): (3458, 4, 12),
+}
 
 
-def test_banded_newton_step_matches_dense_solve(monkeypatch, params10):
-    # the gauged problem at (10, 2) on a 12-node mesh: one Newton step through the band
-    # against np.linalg.solve on the dense matrix read back from the band storage
+def test_factorizations_per_solve(monkeypatch):
+    # work counts, not times, and the meshes they pin: a pad-0 polish that misses the
+    # fit stops after one mesh pass rather than converge (it took 10 factorizations at
+    # (13, 0.75)), and a trial iterate that meets the tolerance ends Newton with no
+    # solve to confirm it ((10, 2) took 15 solves with that solve)
+    calls = {"dgbtrf": 0, "dgbtrs": 0}
+
+    def counting(name):
+        lapack = getattr(scipy.linalg.lapack, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return lapack(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(scipy.linalg.lapack, name, counting(name))
+    got = {}
+    for N, f in WORK_COUNTS:
+        before = dict(calls)
+        prof = solve_singular(validate_params(N, 2.0 if f is None else _window_p(N, f)),
+                              beta=1.0, tol=1e-4)
+        got[N, f] = (prof.diagnostics["bvp_nodes"],
+                     calls["dgbtrf"] - before["dgbtrf"], calls["dgbtrs"] - before["dgbtrs"])
+    assert got == WORK_COUNTS
+
+
+def _newton_problem(monkeypatch, params, nodes):
+    """The gauged problem's first Newton state on `nodes` of its initial mesh, spread evenly:
+    (fun, fun_jac, bc, bc_jac, x, h, y, y_mid)."""
     problem = []
 
     def capture(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes, stop=None):
         problem.extend([fun, fun_jac, bc, bc_jac, x, y])
         raise MemoryError
 
-    monkeypatch.setattr(delaunay, "_collocate", capture)
-    with pytest.raises(ShootingError):
-        solve_singular(params10, beta=1.0, tol=1e-4)
+    with monkeypatch.context() as m:
+        m.setattr(delaunay, "_collocate", capture)
+        with pytest.raises(ShootingError):
+            solve_singular(params, beta=1.0, tol=1e-4)
     fun, fun_jac, bc, bc_jac, x, y = problem
-    keep = np.linspace(0, x.size - 1, 12).astype(int)
+    keep = np.linspace(0, x.size - 1, nodes).astype(int)
     x, y = x[keep], y[:, keep]
     h = np.diff(x)
+    return fun, fun_jac, bc, bc_jac, x, h, y, delaunay._lobatto(fun, x, h, y)[1]
+
+
+def test_banded_newton_step_matches_dense_solve(monkeypatch, params10, dense_newton_band):
+    # the gauged problem at (10, 2) on a 12-node mesh: one Newton step through the band
+    # against np.linalg.solve on the dense matrix read back from the band storage
+    fun, fun_jac, bc, bc_jac, x, h, y, _ = _newton_problem(monkeypatch, params10, 12)
 
     def residual(flat):  # in the band's row order; unknowns node by node
         y = flat.reshape(-1, 4).T
@@ -529,7 +558,9 @@ def test_banded_newton_step_matches_dense_solve(monkeypatch, params10):
         return np.concatenate([bcr[:3], col.ravel(order="F"), bcr[3:]]), y_mid
 
     res, y_mid = residual(y.T.ravel())
-    ab = delaunay._newton_band(fun_jac, *bc_jac(y[:, 0], y[:, -1]), x, h, y, y_mid)
+    ab, finite = delaunay._newton_band(fun_jac, *bc_jac(y[:, 0], y[:, -1]), x, h, y, y_mid)
+    assert finite
+    assert np.array_equal(ab, dense_newton_band(fun_jac, *bc_jac(y[:, 0], y[:, -1]), x, h, y, y_mid))
     n = ab.shape[0]
     dense = np.zeros((n, n))
     for c in range(n):
@@ -551,6 +582,58 @@ def test_banded_newton_step_matches_dense_solve(monkeypatch, params10):
     step = dgbtrs(lu, delaunay._KL, delaunay._KU, res, piv)[0]
     exact = np.linalg.solve(dense, res)
     assert np.max(np.abs(step - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_newton_band_matches_dense_blocks_on_every_mesh(monkeypatch, dense_newton_band):
+    # oracle: the dense-block band, at every Newton matrix of the (5, 0.75) solve, whose
+    # last meshes exceed 10 000 nodes; equal entry for entry, finiteness verdict included
+    band, sizes = delaunay._newton_band, []
+
+    def both(fun_jac, dya, dyb, x, h, y, y_mid):
+        ab, finite = band(fun_jac, dya, dyb, x, h, y, y_mid)
+        ref = dense_newton_band(fun_jac, dya, dyb, x, h, y, y_mid)
+        assert np.array_equal(ab, ref)
+        assert finite == np.isfinite(ref).all()
+        sizes.append(x.size)
+        return ab, finite
+
+    monkeypatch.setattr(delaunay, "_newton_band", both)
+    solve_singular(validate_params(5, _window_p(5, 0.75)), beta=1.0, tol=1e-4)
+    assert max(sizes) >= 10_000
+
+
+@pytest.mark.parametrize("where,bad", [("y0", np.nan), ("y0", np.inf), ("y1", -np.inf),
+                                       ("y3", np.nan), ("dyb", np.nan)])
+def test_newton_band_counts_non_finite_as_the_dense_band_does(monkeypatch, params10,
+                                                              dense_newton_band, where, bad):
+    # only the written entries are tested for finiteness: the verdict is the dense band's
+    # (J reads z0 alone, so a NaN in z3 leaves both bands finite)
+    fun, fun_jac, bc, bc_jac, x, h, y, _ = _newton_problem(monkeypatch, params10, 12)
+    dya, dyb = bc_jac(y[:, 0], y[:, -1])
+    if where == "dyb":
+        dyb[3, 1] = bad
+    else:
+        y[int(where[1]), 5] = bad
+    with np.errstate(all="ignore"):
+        y_mid = delaunay._lobatto(fun, x, h, y)[1]
+        _, finite = delaunay._newton_band(fun_jac, dya, dyb, x, h, y, y_mid)
+        ref = dense_newton_band(fun_jac, dya, dyb, x, h, y, y_mid)
+    assert finite == np.isfinite(ref).all() == (where == "y3")
+
+
+def test_fun_jac_has_the_companion_pattern(monkeypatch, params10):
+    # _newton_band reads only these entries: a unit superdiagonal, equal first three
+    # diagonal entries, constant J[3, 1] and J[3, 2], and zeros everywhere else
+    _, fun_jac, _, _, x, _, y, _ = _newton_problem(monkeypatch, params10, 40)
+    J = fun_jac(x, y)
+    assert J.shape == (4, 4, x.size)
+    pattern = np.identity(4, dtype=bool) | np.eye(4, k=1, dtype=bool)
+    pattern[3] = True
+    assert not np.any(J[~pattern])
+    assert np.all(J[[0, 1, 2], [1, 2, 3]] == 1.0)
+    assert np.all(J[1, 1] == J[0, 0]) and np.all(J[2, 2] == J[0, 0])
+    assert np.all(J[3, 1] == J[3, 1, 0]) and np.all(J[3, 2] == J[3, 2, 0])
+    assert np.ptp(J[0, 0]) > 0 and np.ptp(J[3, 0]) > 0 and np.ptp(J[3, 3]) > 0
 
 
 def test_cli_reports_solver_failure_without_traceback():
@@ -580,7 +663,7 @@ def test_cubic_matches_ppoly_bit_for_bit():
     x = np.sort(rng.uniform(-5.0, 40.0, m))
     c = rng.standard_normal((4, m - 1, 4)) * 10.0 ** rng.integers(-6, 7, (4, m - 1, 4))
     c[3, :10] = -0.0  # scipy sums from 0.0, so a -0.0 constant term evaluates to +0.0
-    cubic = delaunay._Cubic(c, x)
+    cubic = delaunay._Cubic(np.ascontiguousarray(c.transpose(0, 2, 1)), x)
     pp = PPoly(c.transpose(2, 0, 1), x, extrapolate=True, axis=1)
     t = np.concatenate([rng.uniform(x[0] - 5.0, x[-1] + 5.0, 20000), x, [np.nan]])
     assert np.nanmin(t) < x[0] and np.nanmax(t) > x[-1]  # both extrapolation sides

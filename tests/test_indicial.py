@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from biharmlab.core import serrin_exponent, sobolev_exponent, validate_params
-from biharmlab.indicial import (indicial_polynomial, indicial_roots,
+from biharmlab.indicial import (BRANCHES, indicial_polynomial, indicial_roots,
                                 indicial_roots_for, sphere_eigenvalue,
                                 verify_ordering, weight_window)
 from biharmlab.verify import _p_grid
@@ -56,7 +56,7 @@ def test_roots_at_infinity_sets(params10):
     assert_allclose(vals, [-8.0, -6.0, 0.0, 2.0], atol=1e-12)
     assert all(abs(g.imag) == 0.0 for g in d0.roots_at_infinity)
     d1 = indicial_roots(params10, 1)
-    plus = sorted(d1.root(b, at="infinity").real for b in ("++", "+-"))
+    plus = sorted(d1.roots_at_infinity[BRANCHES.index(b)].real for b in ("++", "+-"))
     assert_allclose(plus, [1.0, 3.0], atol=1e-12)
 
 
@@ -67,7 +67,7 @@ def test_conjugate_pair_real_part(params10):
         for p in np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 9):
             par = validate_params(N, float(p))
             d = indicial_roots(par, 0)
-            gpm, gmm = d.root("+-"), d.root("--")
+            gpm, gmm = (d.roots_at_zero[BRANCHES.index(b)] for b in ("+-", "--"))
             assert gpm.real + gmm.real == pytest.approx(4.0 - N, abs=1e-10)
             if gpm.imag != 0.0:
                 assert gpm.real == pytest.approx((4.0 - N) / 2.0, abs=1e-12)
@@ -90,7 +90,7 @@ def test_ordering_chain(params10):
     rep = verify_ordering(params10, j_max=12)
     assert rep.all_ok, rep.failures()
     d = indicial_roots(params10, 0)
-    assert d.root("++").real > 2.0
+    assert d.roots_at_zero[BRANCHES.index("++")].real > 2.0
 
 
 def test_ordering_chain_across_the_window():

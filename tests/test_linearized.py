@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from biharmlab.core import validate_params
 from biharmlab.cutoff import annulus_bump
-from biharmlab.indicial import indicial_roots, weight_window
+from biharmlab.indicial import BRANCHES, indicial_roots, weight_window
 from biharmlab.linearized import (hardy_chain_check, injectivity_scan, make_mode,
                                   mode_coefficients, mode_solve, quadratic_certificates,
                                   translation_kernel_residual)
@@ -92,7 +92,7 @@ def test_mode_solve_zero_potential_monomial(params10, profile10):
 def test_mode_solve_growing_branch(params10, profile10):
     mode = make_mode(params10, profile10, 0)
     d = indicial_roots(params10, 0)
-    ms = mode_solve(mode, d.root("++"), tau_far=-T_LO - 0.2)
+    ms = mode_solve(mode, d.roots_at_zero[BRANCHES.index("++")], tau_far=-T_LO - 0.2)
     assert ms.far_exponent >= 2.0 - 0.05
     assert ms.blowup_tau is None
 
