@@ -498,7 +498,13 @@ WORK_COUNTS = {
 }
 
 
-def test_factorizations_per_solve(monkeypatch):
+# the two original cases keep their ids; the window_sweep reference points are named by (N, f)
+WORK_COUNT_IDS = {(13, 0.75): "13-0.75-at-most-6", (10, None): "10-2-exactly-4"}
+
+
+@pytest.mark.parametrize("N,f", list(WORK_COUNTS),
+                         ids=[WORK_COUNT_IDS.get(key, f"{key[0]}-{key[1]}") for key in WORK_COUNTS])
+def test_factorizations_per_solve(monkeypatch, N, f):
     # work counts, not times, and the meshes they pin: a pad-0 polish that misses the
     # fit stops after one mesh pass rather than converge (it took 10 factorizations at
     # (13, 0.75)), and a trial iterate that meets the tolerance ends Newton with no
@@ -516,14 +522,9 @@ def test_factorizations_per_solve(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(scipy.linalg.lapack, name, counting(name))
-    got = {}
-    for N, f in WORK_COUNTS:
-        before = dict(calls)
-        prof = solve_singular(validate_params(N, 2.0 if f is None else _window_p(N, f)),
-                              beta=1.0, tol=1e-4)
-        got[N, f] = (prof.diagnostics["bvp_nodes"],
-                     calls["dgbtrf"] - before["dgbtrf"], calls["dgbtrs"] - before["dgbtrs"])
-    assert got == WORK_COUNTS
+    prof = solve_singular(validate_params(N, 2.0 if f is None else _window_p(N, f)),
+                          beta=1.0, tol=1e-4)
+    assert (prof.diagnostics["bvp_nodes"], calls["dgbtrf"], calls["dgbtrs"]) == WORK_COUNTS[N, f]
 
 
 def _newton_problem(monkeypatch, params, nodes):
