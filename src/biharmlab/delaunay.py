@@ -337,10 +337,20 @@ def shoot_once(params: Params, coeffs: EmdenCoeffs, amp_slow: float, s: float,
 # gauged collocation
 # ---------------------------------------------------------------------------
 
+def _expit(x):
+    """1/(1 + e^-x), formed from e^-|x| so that no argument overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _gauge(t, cp, w0, mu):
-    """Logistic gauge D(t) = c_p w/(1+w) with w = w0 e^{mu t}; returns (D, w)."""
-    w = w0 * np.exp(mu * np.asarray(t, dtype=float))
-    return cp * w / (1.0 + w), w
+    """Logistic gauge D(t) = c_p w/(1+w), w = w0 e^{mu t}, in log space: (D, 1/(1+w)).
+
+    With x = log w0 + mu t, D = c_p expit(x) and 1/(1+w) = expit(-x), so no
+    power of w is formed and both stay finite on every mesh.
+    """
+    x = math.log(w0) + mu * np.asarray(t, dtype=float)
+    return cp * _expit(x), _expit(-x)
 
 
 class _ScaledSpline:
@@ -355,9 +365,9 @@ class _ScaledSpline:
         self.cp, self.w0, self.mu = cp, w0, mu
 
     def __call__(self, t, deriv: bool = False):
-        D, w = _gauge(t, self.cp, self.w0, self.mu)
+        D, g = _gauge(t, self.cp, self.w0, self.mu)
         if deriv:
-            return D * self.mu / (1.0 + w) * self._z(t) + D * self._dz(t)
+            return D * self.mu * g * self._z(t) + D * self._dz(t)
         return D * self._z(t)
 
 
@@ -618,13 +628,10 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None):
     need = math.log(1.0 / 5e-6) / rate_slowest
     t_end = t_cross + max(tail, need)
     tg = np.linspace(-pad, t_end, 1600)
-    _, w = _gauge(tg, cp, w0, mu_s)
-    zg = np.vstack([
-        np.ones_like(tg),
-        mu_s / (1.0 + w),
-        mu_s**2 * (1.0 - w) / (1.0 + w) ** 2,
-        mu_s**3 * (1.0 - 4.0 * w + w * w) / (1.0 + w) ** 3,
-    ])
+    # the start state z_k = D^(k)/D in g = 1/(1+w) and e = w/(1+w)
+    e, g = _gauge(tg, 1.0, w0, mu_s)
+    zg = np.vstack([np.ones_like(tg), mu_s * g, mu_s**2 * g * (g - e),
+                    mu_s**3 * g * (1.0 - 6.0 * e * g)])
 
     memo = {}  # t.size -> (t, D^(p-1), mu_s/(1+w)): one entry for the nodes, one for the midpoints
 
@@ -632,8 +639,8 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None):
         """D^(p-1) and mu_s/(1+w) at t, formed once per mesh at its nodes and its midpoints."""
         hit = memo.get(t.size)
         if hit is None or not np.array_equal(hit[0], t):
-            D, w = _gauge(t, cp, w0, mu_s)
-            hit = memo[t.size] = (t.copy(), D ** (p - 1.0), mu_s / (1.0 + w))
+            D, g = _gauge(t, cp, w0, mu_s)
+            hit = memo[t.size] = (t.copy(), D ** (p - 1.0), mu_s * g)
         return hit[1:]
 
     def fun(t, z):
@@ -661,7 +668,7 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None):
         J[3, 3] = -K3 - dl
         return J
 
-    _, w_left = _gauge(-pad, cp, w0, mu_s)
+    w_left = w0 * math.exp(-mu_s * pad)
     D_right, _ = _gauge(t_end, cp, w0, mu_s)
 
     def bc(za, zb):

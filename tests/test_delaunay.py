@@ -380,12 +380,23 @@ def test_analytic_tails_match_long_mesh(N, p):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("p", [2.32, 2.30])
+@pytest.mark.parametrize("p", [2.32])
 def test_near_sobolev_raises_typed_error(p):
-    # the logistic gauge overflows on the long tail these points need; the
-    # NaN it produces must fail the gates instead of reaching the profile
+    # Newton diverges on the long tail this point needs; the NaN it meets
+    # must fail the gates instead of reaching the profile
     with pytest.raises(ShootingError, match="collocation polish"):
         solve_singular(validate_params(10, p), beta=1.0, tol=1e-4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_log_gauge_solves_near_sobolev():
+    # the gauge is built in log space, so the long tail at (10, 2.30) overflows
+    # nothing and the profile meets the window sweep's gates
+    tol = 1e-4
+    prof = solve_singular(validate_params(10, 2.30), beta=1.0, tol=tol)
+    tt = np.linspace(prof.t_lo + 0.1, prof.t_hi - 0.1, 4001)
+    assert float(np.max(prof.scaled_residual(tt))) <= 1e-7
+    assert prof.diagnostics["endpoint_rel"] <= tol
 
 
 def test_mesh_collapse_raises_typed_error(monkeypatch, params10):
@@ -415,18 +426,26 @@ def test_singular_newton_matrix_raises_typed_error(monkeypatch, params10):
         solve_singular(params10, beta=1.0, tol=1e-4)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_newton_matrix_is_never_factored(monkeypatch):
-    # at (10, 2.32) the gauge overflows, so the first Newton matrix holds NaN
-    calls = []
+def test_non_finite_newton_matrix_is_never_factored(monkeypatch, params10):
+    # a NaN planted in the Jacobian at one node makes the first Newton matrix non-finite
+    calls, collocate = [], delaunay._collocate
 
     def counting(*args, **kwargs):
         calls.append(1)
         return dgbtrf(*args, **kwargs)
 
+    def planted(fun, fun_jac, *args, **kwargs):
+        def nan_jac(t, z):
+            J = fun_jac(t, z)
+            J[3, 0, 5] = np.nan
+            return J
+
+        return collocate(fun, nan_jac, *args, **kwargs)
+
     monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", counting)
+    monkeypatch.setattr(delaunay, "_collocate", planted)
     with pytest.raises(ShootingError, match="collocation polish"):
-        solve_singular(validate_params(10, 2.32), beta=1.0, tol=1e-4)
+        solve_singular(params10, beta=1.0, tol=1e-4)
     assert not calls
 
 
