@@ -384,8 +384,8 @@ _FAILURES = {1: "The maximum number of mesh nodes is exceeded.",
 _STOPPED = 4  # `stop` ended the solve after its first mesh pass
 
 
-class _Cubic:
-    """Piecewise cubic on breakpoints x; c[power, component, interval], highest power first.
+class _Spline:
+    """Piecewise polynomial on breakpoints x; c[power, component, interval], highest power first.
 
     Evaluates bit for bit, in the same memory layout, as scipy.interpolate.PPoly on
     axis 1 with extrapolate=True: on the interval of the last breakpoint <= t (the
@@ -419,15 +419,15 @@ class _Cubic:
         np.moveaxis(out, -1, 0)[...] = res
         return np.moveaxis(out, -1, 0)
 
-    def derivative(self) -> "_Cubic":
+    def derivative(self) -> "_Spline":
         """PPoly.derivative(): coefficients scaled by their powers, one degree down."""
-        return _Cubic(self.c[:-1] * np.arange(self.c.shape[0] - 1, 0, -1.0)[:, None, None],
+        return _Spline(self.c[:-1] * np.arange(self.c.shape[0] - 1, 0, -1.0)[:, None, None],
                       self.x)
 
 
 class _Collocation(NamedTuple):
     x: np.ndarray
-    sol: _Cubic  # the C1 cubic with nodal values and slopes of the last Newton pass
+    sol: _Spline  # the quintic of the last Newton pass
     rms_residuals: np.ndarray
     status: int  # 0 converged, _STOPPED, else a key of _FAILURES
 
@@ -544,30 +544,40 @@ def _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol):
     return y, False, lob
 
 
-def _collocate(fun, fun_jac, bc, bc_jac, x, y, tol, max_nodes, stop=None) -> _Collocation:
-    """solve_bvp's mesh loop, with bc_tol = tol.
+def _quintic(x, h, y, f, a) -> "_Spline":
+    """The C2 quintic Hermite interpolant of nodal values y, slopes f and second derivatives a."""
+    y0, f0, a0 = y[:, :-1], f[:, :-1], a[:, :-1]
+    A = y[:, 1:] - y0 - h * (f0 + 0.5 * h * a0)
+    B = h * (f[:, 1:] - f0 - h * a0)
+    C = h * h * (a[:, 1:] - a0)
+    return _Spline(np.stack([(6 * A - 3 * B + 0.5 * C) / h**5, (7 * B - 15 * A - C) / h**4,
+                             (10 * A - 4 * B + 0.5 * C) / h**3, 0.5 * a0, f0, y0]), x)
 
-    Each pass runs Newton on the mesh, estimates each interval's rms relative
-    residual by 5-point Lobatto quadrature of the C1 cubic, and inserts 1 node
-    where tol < rms < 100 tol and 2 where rms >= 100 tol.  After a first pass
-    whose Newton matrix was not singular, stop(x, cubic) may end the solve
-    there, unrefined, with status _STOPPED.
+
+def _collocate(fun, accel, fun_jac, bc, bc_jac, x, y, tol, max_nodes, stop=None) -> _Collocation:
+    """solve_bvp's mesh loop, with bc_tol = tol and a quintic interpolant.
+
+    Each pass runs Newton on the mesh and interpolates its nodal states by the
+    C2 quintic Hermite interpolant, with second derivatives accel(t, y, f).
+    It estimates each interval's rms relative residual by 5-point Lobatto
+    quadrature of that quintic, and inserts 1 node where tol < rms < 100 tol
+    and 2 where rms >= 100 tol.  After a first pass whose Newton matrix was
+    not singular, stop(x, quintic) may end the solve there, unrefined, with
+    status _STOPPED.
     """
     h = np.diff(x)
     status, iteration = None, 0
     while status is None:
-        y, singular, (col, _, f, f_mid) = _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol)
+        y, singular, (_, _, f, _) = _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol)
         iteration += 1
-        # the C1 cubic with nodal values y and slopes f
-        slope = (y[:, 1:] - y[:, :-1]) / h
-        c3 = (f[:, :-1] + f[:, 1:] - 2 * slope) / h
-        c = np.stack([c3 / h, (slope - f[:, :-1]) / h - c3, f[:, :-1], y[:, :-1]])
-        sol = _Cubic(c, x)
+        sol = _quintic(x, h, y, f, accel(x, y, f))
+        # the residual at the interior 5-point Lobatto nodes, all inside interval k
+        # and so evaluated there with no search; at the nodes the quintic meets f
         xm, s = x[:-1] + 0.5 * h, 0.5 * h * (3 / 7) ** 0.5
-        r2 = [np.sum((1.5 * col / h / (1 + np.abs(f_mid))) ** 2, axis=0)]
-        for xk in (xm + s, xm - s):  # inside interval k, so evaluated there with no search
-            fk = fun(xk, sol.per_interval(xk))
-            r2.append(np.sum(((sol.per_interval(xk, 1) - fk) / (1 + np.abs(fk))) ** 2, axis=0))
+        xk = (xm, xm - s, xm + s)
+        fk = fun(np.concatenate(xk), np.hstack([sol.per_interval(t) for t in xk]))
+        rk = np.hstack([sol.per_interval(t, 1) for t in xk]) - fk
+        r2 = np.sum((rk / (1 + np.abs(fk))) ** 2, axis=0).reshape(3, -1)
         rms = (0.5 * (32 / 45 * r2[0] + 49 / 90 * (r2[1] + r2[2]))) ** 0.5
         ins1 = np.nonzero((rms > tol) & (rms < 100 * tol))[0]
         ins2 = np.nonzero(rms >= 100 * tol)[0]
@@ -653,6 +663,18 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None):
             np.subtract(z_next, dl * z[k], out=f[k])
         return f
 
+    def accel(t, z, f):
+        """z'' = J f + d_t f, where d_t acts on the gauge: (mu_s/(1+w))' = -dl (mu_s - dl)."""
+        Dp, dl = gauge_terms(t)
+        ddl = dl * (mu_s - dl)
+        z0p = np.abs(z[0]) ** (p - 1.0)
+        a = np.empty_like(f)
+        for k in range(3):
+            a[k] = f[k + 1] - dl * f[k] + ddl * z[k]
+        a[3] = ((p * Dp * z0p - K0) * f[0] - K1 * f[1] - K2 * f[2] - (K3 + dl) * f[3]
+                + (p - 1.0) * Dp * dl * z0p * z[0] + ddl * z[3])
+        return a
+
     nodes = [tg.size]  # largest mesh Newton has linearized on, for the memory error
 
     def fun_jac(t, z):
@@ -686,7 +708,7 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None):
         return dya, dyb
 
     try:
-        res = _collocate(fun, fun_jac, bc, bc_jac, tg, zg, tol_bvp, MAX_BVP_NODES,
+        res = _collocate(fun, accel, fun_jac, bc, bc_jac, tg, zg, tol_bvp, MAX_BVP_NODES,
                          stop=None if stop is None else
                          lambda x, sol: stop(x, _ScaledSpline(sol, cp, w0, mu_s)))
     except ValueError as exc:  # mesh refinement collapsed nodes
