@@ -23,11 +23,12 @@ Solution strategy (one collocation boundary-value solve):
 3. impose boundary conditions that kill the two stable components at the
    origin and pin the slow amplitude to h on the left, and kill the unstable
    component at c_p on the right;
-4. solve by solve_bvp's Lobatto IIIA collocation with residual-controlled
-   mesh refinement, its Newton matrix ordered as the 3 left conditions, the
-   collocation rows of each interval, the right condition: banded, O(nodes);
-   the C1 cubic it returns is evaluated in numpy, bit for bit as scipy's
-   PPoly evaluates it, so the module loads scipy.linalg alone;
+4. solve by the sixth-order collocation MIRK6 (Cash & Singhal), its Newton
+   matrix ordered as the 3 left conditions, the residual rows of each
+   interval, the right condition: banded, O(nodes); refine the mesh on the
+   residual of the C2 quintic Hermite interpolant of the nodal values, which
+   is evaluated in numpy, bit for bit as scipy's PPoly evaluates it, so the
+   module loads scipy.linalg alone;
 5. lengthen the pad until the two far-field errors (fast-mode content at
    the mesh start, the left tail's slow amplitude) fall below 0.9 tol.  The
    first mesh pass, Newton-solved but unrefined, already gives both to
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyfromroots
@@ -80,8 +81,9 @@ __all__ = [
 ]
 
 H_REL = 1e-6          # slow amplitude at the anchor frame's t = 0, relative to c_p
-BVP_TOL = 3e-9        # collocation tolerance of the polish pass
-MAX_BVP_NODES = 120000  # the collocation takes ~1.7 kB per node: ~200 MB at the cap
+BVP_TOL = 1e-10       # rms residual target of the quintic, per interval
+START_NODES = 500     # uniform nodes of the first mesh
+MAX_BVP_NODES = 120000  # a Newton pass takes ~2.0 kB per node: ~250 MB at the cap
 TAIL = 16.0           # least mesh length past the gauge's c_p/2 crossing
 
 
@@ -371,12 +373,23 @@ class _ScaledSpline:
         return D * self._z(t)
 
 
-# The collocation of scipy.integrate.solve_bvp (Kierzenka & Shampine, ACM TOMS 27(3),
-# 2001), step for step, with two changes.  The Newton matrix's rows are ordered as the
-# 3 left boundary conditions, the 4 collocation rows of each interval in turn, then
-# the right boundary condition.  With separated conditions that matrix is banded,
-# (kl, ku) = (6, 4), and LAPACK's dgbtrf/dgbtrs factor and solve it in O(m).  And a
-# trial iterate that meets the tolerance ends Newton with no solve to confirm it.
+# The profile's collocation: the sixth-order, 5-stage mono-implicit Runge-Kutta
+# scheme MIRK6 of Cash & Singhal (IMA J. Numer. Anal. 2, 1982), with the mesh
+# refined on the residual of the C2 quintic Hermite interpolant of its nodal
+# values (defect control after Enright & Muir, SIAM J. Sci. Comput. 17, 1996).
+# Stage r of the interval [x_q, x_q + h] sits at x_q + c_r h,
+#     Y_r = (1 - v_r) y_q + v_r y_{q+1} + h sum_j X_rj f(Y_j),
+# with c = (0, 1, 1/4, 3/4, 1/2), v = (0, 1, 5/32, 27/32, 1/2) and the nonzero
+# X_rj below; the residual is y_{q+1} - y_q - h sum_r b_r f(Y_r) with Boole's
+# weights b = (7/90, 7/90, 16/45, 16/45, 2/15).  Every stage is explicit in the
+# interval's end nodes, so the residual couples nodes q and q + 1 only.  The
+# Newton matrix's rows are ordered as the 3 left boundary conditions, the 4
+# residual rows of each interval in turn, then the right boundary condition:
+# it is banded, (kl, ku) = (6, 4), and LAPACK's dgbtrf/dgbtrs factor and solve
+# it in O(m).
+_X3, _X4 = (9 / 64, -3 / 64), (3 / 64, -9 / 64)  # X_31, X_32 and X_41, X_42
+_X5 = (-5 / 24, 5 / 24, 2 / 3, -2 / 3)          # X_51 .. X_54
+_B = (7 / 90, 16 / 45, 2 / 15)                   # b_1 = b_2, b_3 = b_4, b_5
 _KL, _KU = 6, 4
 _FAILURES = {1: "The maximum number of mesh nodes is exceeded.",
              2: "A singular Jacobian encountered when solving the collocation system.",
@@ -422,7 +435,49 @@ class _Spline:
     def derivative(self) -> "_Spline":
         """PPoly.derivative(): coefficients scaled by their powers, one degree down."""
         return _Spline(self.c[:-1] * np.arange(self.c.shape[0] - 1, 0, -1.0)[:, None, None],
-                      self.x)
+                       self.x)
+
+
+class _Gauged(NamedTuple):
+    """A system z' = fun(t, z) in companion form, with separated boundary conditions.
+
+    The Jacobian is d I + (ones on the superdiagonal) + (a, k1, k2, k3) added to
+    the last row: jac(t, z) returns the varying (d, a), `k` holds the constant
+    (k1, k2, k3).  accel(t, z, f) returns z'' = J f + d_t f.  bc(za, zb) returns
+    3 left conditions, then 1 right; dya and dyb are its constant Jacobians.
+    """
+
+    fun: Callable
+    accel: Callable
+    jac: Callable
+    k: tuple
+    bc: Callable
+    dya: np.ndarray
+    dyb: np.ndarray
+
+
+class _Mesh(NamedTuple):
+    """Nodes x, steps h, the stage times at 1/4 and 3/4 of each interval (in that
+    order, stacked) and the interval midpoints."""
+
+    x: np.ndarray
+    h: np.ndarray
+    t34: np.ndarray
+    tm: np.ndarray
+
+
+def _mesh(x) -> _Mesh:
+    h = np.diff(x)
+    return _Mesh(x, h, np.concatenate([x[:-1] + 0.25 * h, x[:-1] + 0.75 * h]), x[:-1] + 0.5 * h)
+
+
+class _Stages(NamedTuple):
+    """f at the nodes, the stage states at 1/4 and 3/4 (stacked) and at the midpoint, and f there."""
+
+    f: np.ndarray
+    y34: np.ndarray
+    y5: np.ndarray
+    f5: np.ndarray
 
 
 class _Collocation(NamedTuple):
@@ -432,101 +487,98 @@ class _Collocation(NamedTuple):
     status: int  # 0 converged, _STOPPED, else a key of _FAILURES
 
 
-def _lobatto(fun, x, h, y):
-    """3-point Lobatto IIIA residuals of the nodal states y: (residual, y_mid, f, f_mid)."""
-    f = fun(x, y)
-    y_mid = 0.5 * (y[:, 1:] + y[:, :-1]) - 0.125 * h * (f[:, 1:] - f[:, :-1])
-    f_mid = fun(x[:-1] + 0.5 * h, y_mid)
-    return y[:, 1:] - y[:, :-1] - h / 6 * (f[:, :-1] + f[:, 1:] + 4 * f_mid), y_mid, f, f_mid
+def _mirk6(fun, mesh: _Mesh, y):
+    """MIRK6 residuals of the nodal states y, shape (4, m - 1), and the stages."""
+    h, n = mesh.h, mesh.h.size
+    f = fun(mesh.x, y)
+    yl, yr, fl, fr = y[:, :-1], y[:, 1:], f[:, :-1], f[:, 1:]
+    y34 = np.hstack([27 / 32 * yl + 5 / 32 * yr + h * (_X3[0] * fl + _X3[1] * fr),
+                     5 / 32 * yl + 27 / 32 * yr + h * (_X4[0] * fl + _X4[1] * fr)])
+    f34 = fun(mesh.t34, y34)
+    f3, f4 = f34[:, :n], f34[:, n:]
+    y5 = 0.5 * (yl + yr) + h * (_X5[0] * fl + _X5[1] * fr + _X5[2] * f3 + _X5[3] * f4)
+    f5 = fun(mesh.tm, y5)
+    res = yr - yl - h * (_B[0] * (fl + fr) + _B[1] * (f3 + f4) + _B[2] * f5)
+    return res, _Stages(f, y34, y5, f5)
 
 
-def _newton_band(fun_jac, dya, dyb, x, h, y, y_mid):
+def _jmul(d, a, k, M):
+    """J M at each node, node-last, for the companion J of (d, a, k) and M of shape (4, 4, n)."""
+    out = np.empty(M.shape)
+    for i in range(3):
+        np.add(d * M[i], M[i + 1], out=out[i])
+    out[3] = a * M[0] + k[0] * M[1] + k[1] * M[2] + (k[2] + d) * M[3]
+    return out
+
+
+def _newton_band(prob: _Gauged, mesh: _Mesh, y, st: _Stages):
     """The Newton matrix in LAPACK band storage, transposed, and whether it is finite.
 
     Row r, column c is at [c, 10 + r - c].  Rows r: left conditions 0..2,
-    interval q's collocation 3 + 4q + i, right condition 4m - 1; column
+    interval q's residual 3 + 4q + i, right condition 4m - 1; column
     c = 4q + j is component j of node q.  Interval q's blocks are
-    -I - h/6 (J_L + 2 J_m) - h^2/12 J_m J_L on node q and
-    I - h/6 (J_R + 2 J_m) + h^2/12 J_m J_R on node q + 1.  Each entry is one
-    vector expression in the nonzeros of fun_jac's companion form: the equal
-    first three diagonal entries, J[3, 3] and J[3, 0] vary along the mesh,
-    J[3, 1] and J[3, 2] are constant, the superdiagonal is 1.  The products
-    J_m J sum over j = 0..3 in order with the zero terms dropped, as einsum
-    sums the dense blocks, so the band is theirs bit for bit.  Only the
-    written entries are tested for finiteness; every other entry is 0.
+    -I - h sum_r b_r J_r dY_r/dy_q on node q and I - h sum_r b_r J_r dY_r/dy_{q+1}
+    on node q + 1, by the chain rule through the stages; each 4 x 4 block is
+    formed node-last, J_r applied in its companion form.
     """
-    m = x.size
-    J, Jm = fun_jac(x, y), fun_jac(x[:-1] + 0.5 * h, y_mid)
-    k1, k2 = J[3, 1, 0], J[3, 2, 0]
-    dm, am, cm = Jm[0, 0], Jm[3, 0], Jm[3, 3]
-    h6 = h / 6
-    h3 = h6 * -3.0  # -h/6 (J + 2 J_m) on the superdiagonal, where both are 1
+    m, n, h, k = mesh.x.size, mesh.h.size, mesh.h, prob.k
+    eye = np.broadcast_to(np.identity(4)[:, :, None], (4, 4, n))
+    d, a = prob.jac(mesh.x, y)
+    d34, a34 = prob.jac(mesh.t34, st.y34)
+    d5, a5 = prob.jac(mesh.tm, st.y5)
     ab = np.zeros((4 * m, 2 * _KL + _KU + 1))
     i, j = np.indices((4, 4))
-    ab[j[:3], 10 + i[:3] - j[:3]] = dya[:3]
-    k = np.arange(4)
-    ab[k - 4, 13 - k] = dyb[3]
-    finite = np.isfinite(dya[:3]).all() and np.isfinite(dyb[3]).all()
-    for sign, node, row0, col0 in ((-1.0, slice(None, -1), 0, 13), (1.0, slice(1, None), 4, 9)):
-        d, a, c = J[0, 0, node], J[3, 0, node], J[3, 3, node]
-        hh = sign * (h**2 / 12)
-        diag = sign - h6 * (d + 2 * dm)
-        dd = dm * d
-        for value, entries in (
-                (diag + hh * dd, ((0, 0), (1, 1))),
-                (h3 + hh * (dm + d), ((0, 1), (1, 2))),
-                (hh, ((0, 2), (1, 3))),
-                (hh * a, ((2, 0),)),
-                (hh * k1, ((2, 1),)),
-                (diag + hh * (dd + k2), ((2, 2),)),
-                (h3 + hh * (dm + c), ((2, 3),)),
-                (-(h6 * (a + 2 * am)) + hh * (am * d + cm * a), ((3, 0),)),
-                (-(h6 * (k1 + 2 * k1)) + hh * (am + k1 * d + cm * k1), ((3, 1),)),
-                (-(h6 * (k2 + 2 * k2)) + hh * (k1 + k2 * d + cm * k2), ((3, 2),)),
-                (sign - h6 * (c + 2 * cm) + hh * (k2 + cm * c), ((3, 3),))):
-            finite = finite and np.isfinite(value).all()
-            for bi, bj in entries:
-                ab[row0 + bj:row0 + 4 * (m - 1):4, col0 + bi - bj] = value
+    ab[j[:3], 10 + i[:3] - j[:3]] = prob.dya[:3]
+    ab[np.arange(4) - 4, 13 - np.arange(4)] = prob.dyb[3]
+    finite = np.isfinite(prob.dya[:3]).all() and np.isfinite(prob.dyb[3]).all()
+    # node q: dY_3 = 27/32 + h X_31 J_1, dY_4 = 5/32 + h X_41 J_1; node q + 1 likewise
+    for sign, node, v3, v4, e, row0, col0 in ((-1.0, slice(None, -1), 27 / 32, 5 / 32, 0, 0, 13),
+                                              (1.0, slice(1, None), 5 / 32, 27 / 32, 1, 4, 9)):
+        Je = h * _jmul(d[node], a[node], k, eye)  # h J at the end node
+        JS3 = _jmul(d34[:n], a34[:n], k, v3 * eye + _X3[e] * Je)
+        JS4 = _jmul(d34[n:], a34[n:], k, v4 * eye + _X4[e] * Je)
+        S5 = 0.5 * eye + _X5[e] * Je + h * (_X5[2] * JS3 + _X5[3] * JS4)
+        block = sign * eye - _B[0] * Je - h * (_B[1] * (JS3 + JS4) + _B[2] * _jmul(d5, a5, k, S5))
+        finite = finite and np.isfinite(block).all()
+        ab[row0:row0 + 4 * n].reshape(n, 4, -1)[:, j, col0 + i - j] = block.transpose(2, 0, 1)
     return ab, finite
 
 
-def _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol):
-    """Damped Newton on one mesh, as solve_bvp: returns (y, singular, _lobatto at y).
+def _newton(prob: _Gauged, mesh: _Mesh, y, tol):
+    """Damped Newton on one mesh, as solve_bvp's: returns (y, singular, stages at y).
 
     Armijo backtracking (sigma 0.2, tau 0.5, 4 trials) on the affine-invariant
     cost |J^-1 res|^2; at most 8 iterations and 4 Jacobians, and a Jacobian is
-    reused after a full step.  A non-finite matrix counts as singular.  Unlike
-    solve_bvp, a trial iterate that meets the tolerance is accepted at once,
-    with no solve for the Armijo test: over the window that test never
-    rejected a converged iterate, so the meshes are solve_bvp's.
+    reused after a full step.  A non-finite matrix counts as singular.  A trial
+    iterate that meets the tolerance is accepted at once, with no solve for
+    the Armijo test.
     """
-    tol_r = 2 / 3 * h * 5e-2 * tol
+    tol_r = 2 / 3 * mesh.h * 5e-2 * tol
 
     def residual(y):
-        lob = _lobatto(fun, x, h, y)
-        col, _, _, f_mid = lob
-        bcr = bc(y[:, 0], y[:, -1])
-        done = np.all(np.abs(col) < tol_r * (1 + np.abs(f_mid))) and np.all(np.abs(bcr) < tol)
-        return np.concatenate([bcr[:3], col.ravel(order="F"), bcr[3:]]), lob, done
+        res, st = _mirk6(prob.fun, mesh, y)
+        bcr = prob.bc(y[:, 0], y[:, -1])
+        done = np.all(np.abs(res) < tol_r * (1 + np.abs(st.f5))) and np.all(np.abs(bcr) < tol)
+        return np.concatenate([bcr[:3], res.ravel(order="F"), bcr[3:]]), st, done
 
-    res, lob, _ = residual(y)
+    res, st, _ = residual(y)
     njev, recompute = 0, True
     for _ in range(8):
         if recompute:
-            ab, finite = _newton_band(fun_jac, *bc_jac(y[:, 0], y[:, -1]), x, h, y, lob[1])
+            ab, finite = _newton_band(prob, mesh, y, st)
             njev += 1
             if not finite:
-                return y, True, lob
+                return y, True, st
             try:
                 solve = band_solver(ab.T, _KL, _KU)
             except np.linalg.LinAlgError:
-                return y, True, lob
+                return y, True, st
             step = solve(res)
             cost = step @ step
         alpha = 1.0
         for trial in range(5):
             y_new = y - alpha * step.reshape(-1, 4).T
-            res, lob, done = residual(y_new)
+            res, st, done = residual(y_new)
             if done:
                 break
             step_new = solve(res)
@@ -541,7 +593,7 @@ def _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol):
         recompute = alpha != 1
         if not recompute:
             step, cost = step_new, cost_new
-    return y, False, lob
+    return y, False, st
 
 
 def _quintic(x, h, y, f, a) -> "_Spline":
@@ -554,28 +606,32 @@ def _quintic(x, h, y, f, a) -> "_Spline":
                              (10 * A - 4 * B + 0.5 * C) / h**3, 0.5 * a0, f0, y0]), x)
 
 
-def _collocate(fun, accel, fun_jac, bc, bc_jac, x, y, tol, max_nodes, stop=None) -> _Collocation:
-    """solve_bvp's mesh loop, with bc_tol = tol and a quintic interpolant.
+def _collocate(prob: _Gauged, x, y, tol, max_nodes, stop=None) -> _Collocation:
+    """MIRK6 on a mesh refined on the quintic's residual, with bc_tol = tol.
 
     Each pass runs Newton on the mesh and interpolates its nodal states by the
-    C2 quintic Hermite interpolant, with second derivatives accel(t, y, f).
-    It estimates each interval's rms relative residual by 5-point Lobatto
-    quadrature of that quintic, and inserts 1 node where tol < rms < 100 tol
-    and 2 where rms >= 100 tol.  After a first pass whose Newton matrix was
-    not singular, stop(x, quintic) may end the solve there, unrefined, with
-    status _STOPPED.
+    C2 quintic Hermite interpolant.  It estimates each interval's rms relative
+    residual |q' - f(t, q)| / (1 + |f|) of that quintic q by 5-point Lobatto
+    quadrature (q' = f at the nodes), and inserts 1 node where
+    tol < rms < 100 tol and 2 where rms >= 100 tol, as solve_bvp does.  After a
+    first pass whose Newton matrix was not singular, stop(x, quintic) may end
+    the solve there, unrefined, with status _STOPPED.  A MemoryError names the
+    mesh size it met.
     """
-    h = np.diff(x)
     status, iteration = None, 0
     while status is None:
-        y, singular, (_, _, f, _) = _newton(fun, fun_jac, bc, bc_jac, x, h, y, tol)
+        mesh = _mesh(x)
+        try:
+            y, singular, st = _newton(prob, mesh, y, tol)
+        except MemoryError:
+            raise MemoryError(f"out of memory at {x.size} nodes") from None
         iteration += 1
-        sol = _quintic(x, h, y, f, accel(x, y, f))
-        # the residual at the interior 5-point Lobatto nodes, all inside interval k
-        # and so evaluated there with no search; at the nodes the quintic meets f
-        xm, s = x[:-1] + 0.5 * h, 0.5 * h * (3 / 7) ** 0.5
-        xk = (xm, xm - s, xm + s)
-        fk = fun(np.concatenate(xk), np.hstack([sol.per_interval(t) for t in xk]))
+        h = mesh.h
+        sol = _quintic(x, h, y, st.f, prob.accel(x, y, st.f))
+        # the interior Lobatto nodes lie inside interval k, so evaluated there with no search
+        s = 0.5 * h * (3 / 7) ** 0.5
+        xk = (mesh.tm, mesh.tm - s, mesh.tm + s)
+        fk = prob.fun(np.concatenate(xk), np.hstack([sol.per_interval(t) for t in xk]))
         rk = np.hstack([sol.per_interval(t, 1) for t in xk]) - fk
         r2 = np.sum((rk / (1 + np.abs(fk))) ** 2, axis=0).reshape(3, -1)
         rms = (0.5 * (32 / 45 * r2[0] + 49 / 90 * (r2[1] + r2[2]))) ** 0.5
@@ -590,9 +646,8 @@ def _collocate(fun, accel, fun_jac, bc, bc_jac, x, y, tol, max_nodes, stop=None)
         elif ins1.size or ins2.size:
             x = np.sort(np.hstack((x, 0.5 * (x[ins1] + x[ins1 + 1]),
                                    (2 * x[ins2] + x[ins2 + 1]) / 3, (x[ins2] + 2 * x[ins2 + 1]) / 3)))
-            h = np.diff(x)
             y = sol(x)
-        elif np.max(np.abs(bc(y[:, 0], y[:, -1]))) <= tol:
+        elif np.max(np.abs(prob.bc(y[:, 0], y[:, -1]))) <= tol:
             status = 0
         elif iteration >= 10:
             status = 3
@@ -637,16 +692,17 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None):
     t_arr = t_cross + 3.0 / rate_slowest
     need = math.log(1.0 / 5e-6) / rate_slowest
     t_end = t_cross + max(tail, need)
-    tg = np.linspace(-pad, t_end, 1600)
+    tg = np.linspace(-pad, t_end, START_NODES)
     # the start state z_k = D^(k)/D in g = 1/(1+w) and e = w/(1+w)
     e, g = _gauge(tg, 1.0, w0, mu_s)
     zg = np.vstack([np.ones_like(tg), mu_s * g, mu_s**2 * g * (g - e),
                     mu_s**3 * g * (1.0 - 6.0 * e * g)])
 
-    memo = {}  # t.size -> (t, D^(p-1), mu_s/(1+w)): one entry for the nodes, one for the midpoints
+    memo = {}  # t.size -> (t, D^(p-1), mu_s/(1+w)), one entry per point set of a mesh
 
     def gauge_terms(t):
-        """D^(p-1) and mu_s/(1+w) at t, formed once per mesh at its nodes and its midpoints."""
+        """D^(p-1) and mu_s/(1+w) at t, formed once per mesh and point set: the nodes,
+        the stages at 1/4 and 3/4, the midpoints and the Lobatto samples differ in size."""
         hit = memo.get(t.size)
         if hit is None or not np.array_equal(hit[0], t):
             D, g = _gauge(t, cp, w0, mu_s)
@@ -675,20 +731,10 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None):
                 + (p - 1.0) * Dp * dl * z0p * z[0] + ddl * z[3])
         return a
 
-    nodes = [tg.size]  # largest mesh Newton has linearized on, for the memory error
-
-    def fun_jac(t, z):
-        nodes[0] = max(nodes[0], t.size)
+    def jac(t, z):
+        """The companion Jacobian's varying entries: the diagonal -dl and J[3, 0]."""
         Dp, dl = gauge_terms(t)
-        J = np.zeros((4, 4, t.size))
-        for i in range(4):
-            J[i, i] = -dl
-        J[0, 1] = J[1, 2] = J[2, 3] = 1.0
-        J[3, 0] = p * Dp * np.abs(z[0]) ** (p - 1.0) - K0
-        J[3, 1] = -K1
-        J[3, 2] = -K2
-        J[3, 3] = -K3 - dl
-        return J
+        return -dl, p * Dp * np.abs(z[0]) ** (p - 1.0) - K0
 
     w_left = w0 * math.exp(-mu_s * pad)
     D_right, _ = _gauge(t_end, cp, w0, mu_s)
@@ -698,23 +744,19 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None):
         return np.array([cL[2], cL[3], cL[0] - (1.0 + w_left),
                          (w_u @ (float(D_right) * zb - xstar)) / cp])
 
-    def bc_jac(za, zb):
-        dya = np.zeros((4, 4))
-        dyb = np.zeros((4, 4))
-        dya[0] = V0inv[2]
-        dya[1] = V0inv[3]
-        dya[2] = V0inv[0]
-        dyb[3] = w_u * float(D_right) / cp
-        return dya, dyb
-
+    dya, dyb = np.zeros((4, 4)), np.zeros((4, 4))
+    dya[:3] = V0inv[[2, 3, 0]]
+    dyb[3] = w_u * float(D_right) / cp
+    prob = _Gauged(fun, accel, jac, (-K1, -K2, -K3), bc, dya, dyb)
     try:
-        res = _collocate(fun, accel, fun_jac, bc, bc_jac, tg, zg, tol_bvp, MAX_BVP_NODES,
+        res = _collocate(prob, tg, zg, tol_bvp, MAX_BVP_NODES,
                          stop=None if stop is None else
                          lambda x, sol: stop(x, _ScaledSpline(sol, cp, w0, mu_s)))
     except ValueError as exc:  # mesh refinement collapsed nodes
         raise ShootingError("collocation polish", str(exc)) from exc
     except MemoryError as exc:  # the mesh's work arrays outgrew memory
-        raise ShootingError("collocation polish", f"out of memory at {nodes[0]} nodes") from exc
+        raise ShootingError("collocation polish",
+                            str(exc) or f"out of memory at {tg.size} nodes") from exc
     return res, t_arr, _ScaledSpline(res.sol, cp, w0, mu_s)
 
 

@@ -65,32 +65,64 @@ def chain_rule_derivs():
 
 
 @pytest.fixture(scope="session")
-def dense_newton_band():
-    """Reference collocation Newton band from dense 4 x 4 blocks.
+def companion_jac():
+    """The full 4 x 4 Jacobian of a `delaunay._Gauged` system at times t, shape (n, 4, 4).
 
-    Every block -I - h/6 (J_L + 2 J_m) - h^2/12 J_m J_L and
-    I - h/6 (J_R + 2 J_m) + h^2/12 J_m J_R is formed in full, zeros included,
-    with broadcast arithmetic and an einsum product, and written into
-    `delaunay._newton_band`'s band storage; an independent route to the band
-    that `_newton_band` builds from the Jacobian's nonzeros.
+    Formed from the companion entries the system reports: d on the diagonal,
+    ones on the superdiagonal, and (a, k1, k2, k3) added to the last row.
+    """
+
+    def jac(prob, t, z):
+        d, a = prob.jac(t, z)
+        J = np.zeros((np.size(t), 4, 4))
+        J[:, range(4), range(4)] = d[:, None]
+        J[:, [0, 1, 2], [1, 2, 3]] = 1.0
+        J[:, 3, 0] += a
+        J[:, 3, 1:] += prob.k
+        return J
+
+    return jac
+
+
+@pytest.fixture(scope="session")
+def dense_newton_band(companion_jac):
+    """Reference MIRK6 Newton band from dense 4 x 4 blocks.
+
+    Every block -I - h sum_r b_r J_r dY_r/dy_q and I - h sum_r b_r J_r dY_r/dy_{q+1}
+    is formed in full, with the stage derivatives dY_r/dy as matrix products
+    (einsum) of the full Jacobians, and written into `delaunay._newton_band`'s
+    band storage; an independent route to the band that `_newton_band` builds
+    node-last in companion form.  The scheme is Cash & Singhal's MIRK6:
+    c = (0, 1, 1/4, 3/4, 1/2), v = (0, 1, 5/32, 27/32, 1/2), b = (7/90, 7/90,
+    16/45, 16/45, 2/15), X_31 = 9/64, X_32 = -3/64, X_41 = 3/64, X_42 = -9/64,
+    X_51 = -5/24, X_52 = 5/24, X_53 = 2/3, X_54 = -2/3.
     """
     from biharmlab.delaunay import _KL, _KU
 
-    def band(fun_jac, dya, dyb, x, h, y, y_mid):
-        m = x.size
-        J = np.moveaxis(fun_jac(x, y), 2, 0)
-        Jm = np.moveaxis(fun_jac(x[:-1] + 0.5 * h, y_mid), 2, 0)
-        h = h[:, None, None]
+    def mm(A, B):
+        return np.einsum("...ij,...jk->...ik", A, B)
+
+    def band(prob, mesh, y, st):
+        m, n = mesh.x.size, mesh.h.size
+        h = mesh.h[:, None, None]
+        J = companion_jac(prob, mesh.x, y)
+        J34 = companion_jac(prob, mesh.t34, st.y34)
+        J3, J4, J5 = J34[:n], J34[n:], companion_jac(prob, mesh.tm, st.y5)
         eye = np.identity(4)
         ab = np.zeros((4 * m, 2 * _KL + _KU + 1))
         i, j = np.indices((4, 4))
-        ab[:-4].reshape(m - 1, 4, -1)[:, j, 13 + i - j] = (
-            -eye - h / 6 * (J[:-1] + 2 * Jm) - h**2 / 12 * np.einsum("...ij,...jk->...ik", Jm, J[:-1]))
-        ab[4:].reshape(m - 1, 4, -1)[:, j, 9 + i - j] = (
-            eye - h / 6 * (J[1:] + 2 * Jm) + h**2 / 12 * np.einsum("...ij,...jk->...ik", Jm, J[1:]))
-        ab[j[:3], 10 + i[:3] - j[:3]] = dya[:3]
+        for sign, Je, (v3, x3), (v4, x4), x5, rows, col0 in (
+                (-1.0, J[:-1], (27 / 32, 9 / 64), (5 / 32, 3 / 64), -5 / 24, slice(None, -4), 13),
+                (1.0, J[1:], (5 / 32, -3 / 64), (27 / 32, -9 / 64), 5 / 24, slice(4, None), 9)):
+            S3 = v3 * eye + h * x3 * Je
+            S4 = v4 * eye + h * x4 * Je
+            S5 = 0.5 * eye + h * (x5 * Je + 2 / 3 * mm(J3, S3) - 2 / 3 * mm(J4, S4))
+            block = sign * eye - h * (7 / 90 * Je + 16 / 45 * (mm(J3, S3) + mm(J4, S4))
+                                      + 2 / 15 * mm(J5, S5))
+            ab[rows].reshape(m - 1, 4, -1)[:, j, col0 + i - j] = block
+        ab[j[:3], 10 + i[:3] - j[:3]] = prob.dya[:3]
         k = np.arange(4)
-        ab[k - 4, 13 - k] = dyb[3]
+        ab[k - 4, 13 - k] = prob.dyb[3]
         return ab
 
     return band

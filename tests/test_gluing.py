@@ -154,12 +154,14 @@ def test_decay_fit_reproducible_across_ranges(params10, profile10):
 
 # decay_fit over eps = 2^-3..2^-7 at the default weight, as computed by the Cartesian
 # sampler (6 radii x 16 random directions per shell) that the radial one replaced;
-# p = 8 and 1.625 sit at window fractions 0.75 and 0.25
+# p = 8 and 1.625 sit at window fractions 0.75 and 0.25.  The (5, 8.0) values come
+# from a profile solved at collocation tolerance 1e-13 (62 147 nodes): the sampler's
+# carried the fourth-order mesh's own error there, 1.1e-11 relative
 FROZEN_DECAY = {
     (10, 2.0): ([314.23643588761973, 78.56732058752031, 19.642409392439852,
                  4.9106427244354975, 1.227663464230682], 1.9999528649230813),
-    (5, 8.0): ([5101.898609489247, 3791.9194515638915, 2817.615126447626,
-                 2093.522917161925, 1555.489544735335], 0.4284326668978206),
+    (5, 8.0): ([5101.898609471426, 3791.9194515527383, 2817.615126439566,
+                 2093.5229171844976, 1555.4895447447218], 0.4284326668930914),
     (12, 1.625): ([1207.8957693385325, 398.73294580679783, 131.57850159233288,
                   43.41226903133952, 14.32196384633259], 1.5995493734984207),
 }
