@@ -128,6 +128,23 @@ def _finite_nonnegative(text):
     return x
 
 
+def _beta(text):
+    """argparse type: a profile's far-field coefficient beta, a finite float > 0."""
+    x = _finite(text, "a finite number > 0")
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return x
+
+
+def _profile_tol(text):
+    """argparse type: a profile tolerance in (2e-6, 1), as `solve_singular` requires
+    (2e-6 is the manifold-truncation floor of its left boundary condition)."""
+    x = _finite(text, "a number in (2e-06, 1)")
+    if not 2e-6 < x < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (2e-06, 1), got {text}")
+    return x
+
+
 def _xi_max(text):
     """argparse type: a float in [-XI_MAX, XI_MAX], where the gamma = 2 identity holds."""
     x = _finite(text, f"a number in [-{XI_MAX:g}, {XI_MAX:g}]")
@@ -368,16 +385,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("delaunay", help="singular radial profile by gauged collocation")
     common(sp)
-    sp.add_argument("--beta", type=float, default=1.0)
-    sp.add_argument("--tol", type=float, default=1e-4)
+    sp.add_argument("--beta", type=_beta, default=1.0)
+    sp.add_argument("--tol", type=_profile_tol, default=1e-4)
     sp.add_argument("--profile-out", default=None)
     sp.set_defaults(fn=cmd_delaunay)
 
     sp = sub.add_parser("modes", help="mode certificates, kernel residual, scans")
     common(sp)
     sp.add_argument("--jmax", type=_at_least(0), default=None)
-    sp.add_argument("--beta", type=float, default=1.0)
-    sp.add_argument("--tol", type=float, default=1e-4)
+    sp.add_argument("--beta", type=_beta, default=1.0)
+    sp.add_argument("--tol", type=_profile_tol, default=1e-4)
     sp.set_defaults(fn=cmd_modes)
 
     sp = sub.add_parser("auxball", help="clamped-ball kernel, Picard branch, Pohozaev")
@@ -396,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma-w", type=float, default=None,
                     help="weight; default 5/12 of the way across (4-N, 0)")
     sp.add_argument("--eps-list", default=DEFAULT_EPS)
-    sp.add_argument("--tol", type=float, default=1e-4)
+    sp.add_argument("--tol", type=_profile_tol, default=1e-4)
     sp.set_defaults(fn=cmd_glue)
 
     sp = sub.add_parser("verify-all", help="run all invariant suites")

@@ -519,7 +519,8 @@ def _newton_band(prob: _Gauged, mesh: _Mesh, y, st: _Stages):
     c = 4q + j is component j of node q.  Interval q's blocks are
     -I - h sum_r b_r J_r dY_r/dy_q on node q and I - h sum_r b_r J_r dY_r/dy_{q+1}
     on node q + 1, by the chain rule through the stages; each 4 x 4 block is
-    formed node-last, J_r applied in its companion form.
+    formed node-last, J_r applied in its companion form.  Only the written
+    entries are tested for finiteness; every other entry is 0.
     """
     m, n, h, k = mesh.x.size, mesh.h.size, mesh.h, prob.k
     eye = np.broadcast_to(np.identity(4)[:, :, None], (4, 4, n))
@@ -596,7 +597,7 @@ def _newton(prob: _Gauged, mesh: _Mesh, y, tol):
     return y, False, st
 
 
-def _quintic(x, h, y, f, a) -> "_Spline":
+def _quintic(x, h, y, f, a) -> _Spline:
     """The C2 quintic Hermite interpolant of nodal values y, slopes f and second derivatives a."""
     y0, f0, a0 = y[:, :-1], f[:, :-1], a[:, :-1]
     A = y[:, 1:] - y0 - h * (f0 + 0.5 * h * a0)

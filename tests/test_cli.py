@@ -64,7 +64,7 @@ BAD_INPUTS = {
     "auxball --grid 0": "argument --grid: must be an even integer in [2, 4096], got 0",
     "auxball --grid 4098": "argument --grid: must be an even integer in [2, 4096], got 4098",
     "verify-all --grid 161": "argument --grid: must be an even integer in [2, 4096], got 161",
-    "delaunay --beta nan": "beta=nan must be positive and finite",
+    "delaunay --beta nan": "argument --beta: must be finite, got nan",
     "glue --eps-list 0.1,nan": "dilation eps=nan must lie in (0, 1]",
     "glue --eps-list ,": "--eps-list must be a comma list of numbers, got ','",
     "verify-all --suites glue --eps-list 0.1,x": "--eps-list must be a comma list of numbers",
@@ -74,9 +74,20 @@ BAD_INPUTS = {
     "auxball --lam nan": "argument --lam: must be finite, got nan",
     "auxball --lam inf": "argument --lam: must be finite, got inf",
     "auxball --lam -1": "argument --lam: must be >= 0, got -1",
-    "delaunay --tol inf": "tol=inf must exceed the manifold-truncation floor ~2e-6 and lie below 1",
-    "delaunay --tol nan": "tol=nan must exceed the manifold-truncation floor ~2e-6 and lie below 1",
-    "delaunay --tol 1": "tol=1.0 must exceed the manifold-truncation floor ~2e-6 and lie below 1",
+    "delaunay --tol inf": "argument --tol: must be finite, got inf",
+    "delaunay --tol nan": "argument --tol: must be finite, got nan",
+    "delaunay --tol 1": "argument --tol: must lie in (2e-06, 1), got 1",
+    "delaunay --beta 0": "argument --beta: must be > 0, got 0",
+    "delaunay --beta -1": "argument --beta: must be > 0, got -1",
+    "delaunay --beta inf": "argument --beta: must be finite, got inf",
+    "delaunay --beta x": "argument --beta: must be a finite number > 0, got 'x'",
+    "delaunay --tol 2e-6": "argument --tol: must lie in (2e-06, 1), got 2e-6",
+    "delaunay --tol x": "argument --tol: must be a number in (2e-06, 1), got 'x'",
+    "modes --beta -1": "argument --beta: must be > 0, got -1",
+    "modes --beta nan": "argument --beta: must be finite, got nan",
+    "modes --tol 0": "argument --tol: must lie in (2e-06, 1), got 0",
+    "glue --tol 1.5": "argument --tol: must lie in (2e-06, 1), got 1.5",
+    "glue --tol nan": "argument --tol: must be finite, got nan",
     "auxball --lam x": "argument --lam: must be a finite number >= 0, got 'x'",
     "symbol --xi-max x": "argument --xi-max: must be a number in [-1e+07, 1e+07], got 'x'",
     "auxball --grid x": "argument --grid: must be an even integer in [2, 4096], got 'x'",
