@@ -620,38 +620,38 @@ def _collocate(prob: _Gauged, x, y, tol, max_nodes, stop=None) -> _Collocation:
     mesh size it met.
     """
     status, iteration = None, 0
-    while status is None:
-        mesh = _mesh(x)
-        try:
+    try:
+        while status is None:
+            mesh = _mesh(x)
             y, singular, st = _newton(prob, mesh, y, tol)
-        except MemoryError:
-            raise MemoryError(f"out of memory at {x.size} nodes") from None
-        iteration += 1
-        h = mesh.h
-        sol = _quintic(x, h, y, st.f, prob.accel(x, y, st.f))
-        # the interior Lobatto nodes lie inside interval k, so evaluated there with no search
-        s = 0.5 * h * (3 / 7) ** 0.5
-        xk = (mesh.tm, mesh.tm - s, mesh.tm + s)
-        fk = prob.fun(np.concatenate(xk), np.hstack([sol.per_interval(t) for t in xk]))
-        rk = np.hstack([sol.per_interval(t, 1) for t in xk]) - fk
-        r2 = np.sum((rk / (1 + np.abs(fk))) ** 2, axis=0).reshape(3, -1)
-        rms = (0.5 * (32 / 45 * r2[0] + 49 / 90 * (r2[1] + r2[2]))) ** 0.5
-        ins1 = np.nonzero((rms > tol) & (rms < 100 * tol))[0]
-        ins2 = np.nonzero(rms >= 100 * tol)[0]
-        if singular:
-            status = 2
-        elif iteration == 1 and stop is not None and stop(x, sol):
-            status = _STOPPED
-        elif x.size + ins1.size + 2 * ins2.size > max_nodes:
-            status = 1
-        elif ins1.size or ins2.size:
-            x = np.sort(np.hstack((x, 0.5 * (x[ins1] + x[ins1 + 1]),
-                                   (2 * x[ins2] + x[ins2 + 1]) / 3, (x[ins2] + 2 * x[ins2 + 1]) / 3)))
-            y = sol(x)
-        elif np.max(np.abs(prob.bc(y[:, 0], y[:, -1]))) <= tol:
-            status = 0
-        elif iteration >= 10:
-            status = 3
+            iteration += 1
+            h = mesh.h
+            sol = _quintic(x, h, y, st.f, prob.accel(x, y, st.f))
+            # the interior Lobatto nodes lie inside interval k, so evaluated there with no search
+            s = 0.5 * h * (3 / 7) ** 0.5
+            xk = (mesh.tm, mesh.tm - s, mesh.tm + s)
+            fk = prob.fun(np.concatenate(xk), np.hstack([sol.per_interval(t) for t in xk]))
+            rk = np.hstack([sol.per_interval(t, 1) for t in xk]) - fk
+            r2 = np.sum((rk / (1 + np.abs(fk))) ** 2, axis=0).reshape(3, -1)
+            rms = (0.5 * (32 / 45 * r2[0] + 49 / 90 * (r2[1] + r2[2]))) ** 0.5
+            ins1 = np.nonzero((rms > tol) & (rms < 100 * tol))[0]
+            ins2 = np.nonzero(rms >= 100 * tol)[0]
+            if singular:
+                status = 2
+            elif iteration == 1 and stop is not None and stop(x, sol):
+                status = _STOPPED
+            elif x.size + ins1.size + 2 * ins2.size > max_nodes:
+                status = 1
+            elif ins1.size or ins2.size:
+                x = np.sort(np.hstack((x, 0.5 * (x[ins1] + x[ins1 + 1]),
+                                       (2 * x[ins2] + x[ins2 + 1]) / 3, (x[ins2] + 2 * x[ins2 + 1]) / 3)))
+                y = sol(x)
+            elif np.max(np.abs(prob.bc(y[:, 0], y[:, -1]))) <= tol:
+                status = 0
+            elif iteration >= 10:
+                status = 3
+    except MemoryError:
+        raise MemoryError(f"out of memory at {x.size} nodes") from None
     return _Collocation(x, sol, rms, status)
 
 
@@ -756,8 +756,7 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None):
     except ValueError as exc:  # mesh refinement collapsed nodes
         raise ShootingError("collocation polish", str(exc)) from exc
     except MemoryError as exc:  # the mesh's work arrays outgrew memory
-        raise ShootingError("collocation polish",
-                            str(exc) or f"out of memory at {tg.size} nodes") from exc
+        raise ShootingError("collocation polish", str(exc)) from exc
     return res, t_arr, _ScaledSpline(res.sol, cp, w0, mu_s)
 
 

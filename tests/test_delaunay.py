@@ -414,7 +414,7 @@ def test_out_of_memory_raises_typed_error(monkeypatch, params10):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(delaunay, "_collocate", exhausted)
+    monkeypatch.setattr(delaunay, "_newton", exhausted)
     with pytest.raises(ShootingError, match="collocation polish: out of memory at 500 nodes"):
         solve_singular(params10, beta=1.0, tol=1e-4)
 
