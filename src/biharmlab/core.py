@@ -133,7 +133,8 @@ def validate_params(N: int, p: float) -> Params:
 
     Raises ValueError naming the violated endpoint (Serrin vs Sobolev).
     The inequalities are strict with no tolerance band: the theory
-    degenerates exactly at the endpoints.
+    degenerates exactly at the endpoints.  A c_p beyond floating-point range
+    (from N = 206 at a quarter of the window) raises ValueError too.
     """
     if not float(N).is_integer():
         raise ValueError(f"dimension N={N} must be an integer")
@@ -153,12 +154,17 @@ def validate_params(N: int, p: float) -> Params:
     if not k > 0:
         raise ValueError(f"k(p,N)={k} not positive for N={N}, p={p}")
     alpha_w = (N - 4.0) * p - (N + 4.0)
+    try:
+        c_p = k ** (1.0 / (p - 1.0))
+    except OverflowError:
+        raise ValueError(f"N={N}, p={p} rejected: c_p = k^(1/(p-1)) = {k!r}^{1.0 / (p - 1.0)!r} "
+                         "overflows floating-point range") from None
     return Params(
         N=N,
         p=float(p),
         alpha_w=alpha_w,
         k_const=k,
-        c_p=k ** (1.0 / (p - 1.0)),
+        c_p=c_p,
         A_p=p * k,
     )
 
@@ -184,8 +190,9 @@ def emden_coeffs(params: Params) -> EmdenCoeffs:
     """Evaluate K0..K3 from the printed closed forms.
 
     K0 is computed from its own display and must reproduce k(p,N) to
-    relative 1e-12; a mismatch means a transcription error, not a runtime
-    condition, hence the hard assert.
+    relative 1e-12; a mismatch raises SolverError (stage "closed forms").
+    It means a transcription error, or cancellation in the two displays at
+    large N (from about N = 48).
     """
     N, p, al = params.N, params.p, params.alpha_w
     q = p - 1.0
@@ -210,9 +217,9 @@ def emden_coeffs(params: Params) -> EmdenCoeffs:
         + 96.0
     )
     K3 = (2.0 / q) * ((N - 4.0) * q - 2.0 * a4)
-    assert abs(K0 - params.k_const) <= 1e-12 * abs(params.k_const), (
-        f"K0={K0} disagrees with k(p,N)={params.k_const}"
-    )
+    if not abs(K0 - params.k_const) <= 1e-12 * abs(params.k_const):  # NaN fails too
+        raise SolverError("closed forms", f"K0={K0!r} disagrees with k(p,N)={params.k_const!r} "
+                                          "beyond 1e-12 relative")
     return EmdenCoeffs(K0=K0, K1=K1, K2=K2, K3=K3)
 
 

@@ -31,10 +31,11 @@ Solution strategy (one collocation boundary-value solve):
    module loads scipy.linalg alone;
 5. lengthen the pad until the two far-field errors (fast-mode content at
    the mesh start, the left tail's slow amplitude) fall below 0.9 tol.  The
-   first mesh pass, Newton-solved but unrefined, already gives both to
+   first mesh pass, Newton-converged but unrefined, already gives both to
    about 4 digits, so a polish that misses stops after it and the next
-   starts on the longer mesh; only a polish that passes is refined, and the
-   gate reads the converged solution.
+   starts on the longer mesh, from that pass's profile (its left tail over
+   the added pad); only a polish that passes is refined, and the gate reads
+   the converged solution.
 
 The profile is defined on all of R: the collocation spline on the mesh
 [t_lo, t_hi]; before t_lo the origin's unstable manifold (slow and fast
@@ -54,8 +55,10 @@ convergence is always measured through the full state distance.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -202,15 +205,17 @@ class RadialProfile:
         """Profile with ubar_new(t) = ubar(t + delta) (same orbit, new frame).
 
         A shift that takes the slow amplitude out of floating-point range
-        raises ShootingError (stage "frame shift").
+        raises ShootingError (stage "frame shift").  The tails live in the
+        internal frame, which a shift does not move, so they are shared.
         """
         with np.errstate(over="ignore"):
             beta_new = float(np.exp(math.log(self.beta) + self.params.slow_rate * delta))
         if not 0.0 < beta_new < math.inf:  # NaN fails too
             raise ShootingError("frame shift", f"shift {delta!r} takes the slow amplitude "
                                               f"{self.beta!r} out of floating-point range")
-        return replace(self, beta=beta_new, t_shift=self.t_shift + delta,
-                       diagnostics=dict(self.diagnostics))
+        out = copy.copy(self)
+        out.beta, out.t_shift, out.diagnostics = beta_new, self.t_shift + delta, dict(self.diagnostics)
+        return out
 
     # -- evaluation ---------------------------------------------------------
     def _evaluate(self, t, deriv: bool) -> np.ndarray:
@@ -395,6 +400,8 @@ _FAILURES = {1: "The maximum number of mesh nodes is exceeded.",
              2: "A singular Jacobian encountered when solving the collocation system.",
              3: "The solver was unable to satisfy boundary conditions tolerance on iteration 10."}
 _STOPPED = 4  # `stop` ended the solve after its first mesh pass
+_NEWTON_ITERATIONS, _NEWTON_JACOBIANS = 24, 12  # Newton's budget on one mesh
+_CONTRACTION = 0.2  # a chord step that shrinks the next one less than this refreshes the Jacobian
 
 
 class _Spline:
@@ -546,13 +553,19 @@ def _newton_band(prob: _Gauged, mesh: _Mesh, y, st: _Stages):
 
 
 def _newton(prob: _Gauged, mesh: _Mesh, y, tol):
-    """Damped Newton on one mesh, as solve_bvp's: returns (y, singular, stages at y).
+    """Damped Newton on one mesh: returns (y, singular, converged, stages at y).
 
     Armijo backtracking (sigma 0.2, tau 0.5, 4 trials) on the affine-invariant
-    cost |J^-1 res|^2; at most 8 iterations and 4 Jacobians, and a Jacobian is
-    reused after a full step.  A non-finite matrix counts as singular.  A trial
-    iterate that meets the tolerance is accepted at once, with no solve for
-    the Armijo test.
+    cost |J^-1 res|^2.  A Jacobian is reused after a full step, as in
+    solve_bvp, and refreshed after a damped step or after a full chord step
+    (one that reused it) whose successor is more than _CONTRACTION times as
+    long.  The full step of a fresh Jacobian is always followed by a chord
+    step: refreshing there too drives Newton out of its basin from the hard
+    starts near the Sobolev end.  It runs to its convergence test within a budget of _NEWTON_ITERATIONS
+    iterations and _NEWTON_JACOBIANS Jacobians (solve_bvp's 8 and 4 stop
+    short of it at tol = 1e-10).  A non-finite matrix counts as singular.  A
+    trial iterate that meets the tolerance is accepted at once, with no solve
+    for the Armijo test.
     """
     tol_r = 2 / 3 * mesh.h * 5e-2 * tol
 
@@ -564,16 +577,16 @@ def _newton(prob: _Gauged, mesh: _Mesh, y, tol):
 
     res, st, _ = residual(y)
     njev, recompute = 0, True
-    for _ in range(8):
+    for _ in range(_NEWTON_ITERATIONS):
         if recompute:
             ab, finite = _newton_band(prob, mesh, y, st)
             njev += 1
             if not finite:
-                return y, True, st
+                return y, True, False, st
             try:
                 solve = band_solver(ab.T, _KL, _KU)
             except np.linalg.LinAlgError:
-                return y, True, st
+                return y, True, False, st
             step = solve(res)
             cost = step @ step
         alpha = 1.0
@@ -589,12 +602,13 @@ def _newton(prob: _Gauged, mesh: _Mesh, y, tol):
             if trial < 4:
                 alpha *= 0.5
         y = y_new
-        if njev == 4 or done:
+        if njev == _NEWTON_JACOBIANS or done:
             break
-        recompute = alpha != 1
+        chord = not recompute  # this step reused the Jacobian
+        recompute = alpha != 1 or (chord and not cost_new <= _CONTRACTION**2 * cost)
         if not recompute:
             step, cost = step_new, cost_new
-    return y, False, st
+    return y, False, done, st
 
 
 def _quintic(x, h, y, f, a) -> _Spline:
@@ -614,16 +628,19 @@ def _collocate(prob: _Gauged, x, y, tol, max_nodes, stop=None) -> _Collocation:
     C2 quintic Hermite interpolant.  It estimates each interval's rms relative
     residual |q' - f(t, q)| / (1 + |f|) of that quintic q by 5-point Lobatto
     quadrature (q' = f at the nodes), and inserts 1 node where
-    tol < rms < 100 tol and 2 where rms >= 100 tol, as solve_bvp does.  After a
-    first pass whose Newton matrix was not singular, stop(x, quintic) may end
-    the solve there, unrefined, with status _STOPPED.  A MemoryError names the
-    mesh size it met.
+    tol < rms < 100 tol and 2 where rms >= 100 tol, as solve_bvp does.  Newton
+    runs to convergence on each mesh, so the nodes follow the discretization
+    error; a pass that exhausts Newton's budget is refined from its last
+    iterate all the same, which is how the coarse first meshes near the
+    Sobolev end reach a mesh where Newton converges.  After a converged first
+    pass, stop(x, quintic) may end the solve there, unrefined, with status
+    _STOPPED.  A MemoryError names the mesh size it met.
     """
     status, iteration = None, 0
     try:
         while status is None:
             mesh = _mesh(x)
-            y, singular, st = _newton(prob, mesh, y, tol)
+            y, singular, converged, st = _newton(prob, mesh, y, tol)
             iteration += 1
             h = mesh.h
             sol = _quintic(x, h, y, st.f, prob.accel(x, y, st.f))
@@ -638,7 +655,7 @@ def _collocate(prob: _Gauged, x, y, tol, max_nodes, stop=None) -> _Collocation:
             ins2 = np.nonzero(rms >= 100 * tol)[0]
             if singular:
                 status = 2
-            elif iteration == 1 and stop is not None and stop(x, sol):
+            elif iteration == 1 and converged and stop is not None and stop(x, sol):
                 status = _STOPPED
             elif x.size + ins1.size + 2 * ins2.size > max_nodes:
                 status = 1
@@ -655,7 +672,7 @@ def _collocate(prob: _Gauged, x, y, tol, max_nodes, stop=None) -> _Collocation:
     return _Collocation(x, sol, rms, status)
 
 
-def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None):
+def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None, start=None):
     """Collocation solve of the connection, in gauged variables.
 
     The unknown is z = y / D(t) with D(t) = c_p w/(1+w), w = (h/c_p) e^{mu_s t},
@@ -667,11 +684,13 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None):
     amplitude; right boundary: the unstable eigen-component at c_p vanishes.
 
     The anchor frame puts slow amplitude amp_anchor at t = 0, and the mesh
-    starts at t = -pad.  Newton starts from the smooth logistic transition
-    y = D itself: the gauged system is well-conditioned enough to converge
-    from it.  `_collocate` solves it; the boundary conditions are separated
-    (3 on the left, 1 on the right), so its Newton matrix is banded.  Given
-    stop(x, state interpolant), the first mesh pass may end the solve.
+    starts at t = -pad.  Newton starts from the state start(t) when given (a
+    profile of the same anchor frame), else from the smooth logistic
+    transition y = D itself: the gauged system is well-conditioned enough to
+    converge from it.  `_collocate` solves it; the boundary conditions are
+    separated (3 on the left, 1 on the right), so its Newton matrix is
+    banded.  Given stop(x, state interpolant), the first mesh pass may end
+    the solve.
     """
     p = params.p
     cp = params.c_p
@@ -694,10 +713,12 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None):
     need = math.log(1.0 / 5e-6) / rate_slowest
     t_end = t_cross + max(tail, need)
     tg = np.linspace(-pad, t_end, START_NODES)
-    # the start state z_k = D^(k)/D in g = 1/(1+w) and e = w/(1+w)
     e, g = _gauge(tg, 1.0, w0, mu_s)
-    zg = np.vstack([np.ones_like(tg), mu_s * g, mu_s**2 * g * (g - e),
-                    mu_s**3 * g * (1.0 - 6.0 * e * g)])
+    if start is not None:
+        zg = start(tg) / (cp * e)
+    else:  # the logistic transition z_k = D^(k)/D in g = 1/(1+w) and e = w/(1+w)
+        zg = np.vstack([np.ones_like(tg), mu_s * g, mu_s**2 * g * (g - e),
+                        mu_s**3 * g * (1.0 - 6.0 * e * g)])
 
     memo = {}  # t.size -> (t, D^(p-1), mu_s/(1+w)), one entry per point set of a mesh
 
@@ -785,9 +806,10 @@ def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4) -> Radi
     # mu_f - mu_s) and the left tail's slow amplitude (off by the nonlinear
     # term the linear boundary condition leaves out, decays at (p-1) mu_s).
     # The first mesh pass, Newton-solved but unrefined, already decides:
-    # a polish whose first pass misses the fit stops there and the pad grows
-    # from that pass's errors.  The last polish runs in full, so the gate and
-    # its message always read a converged solution.
+    # a polish whose first pass misses the fit stops there, the pad grows
+    # from that pass's errors, and the next polish starts from that pass's
+    # profile, its left tail spanning the added pad.  The last polish runs
+    # in full, so the gate and its message always read a converged solution.
     rates = (params.fast_rate - params.slow_rate, (params.p - 1.0) * params.slow_rate)
 
     def far_field(x, ysol):
@@ -800,24 +822,41 @@ def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4) -> Radi
     def misses(x, ysol):  # NaN does not stop: the full polish's gates name it
         return float(np.max(far_field(x, ysol)[1])) > 0.9 * tol
 
-    pad = 0.0
-    for attempt in range(4):
-        res, t_arr, ysol = _bvp_polish(params, coeffs, h, pad, TAIL, BVP_TOL,
-                                       misses if attempt < 3 else None)
-        if res.status not in (0, _STOPPED):
-            grid_res = float(np.max(res.rms_residuals)) if res.rms_residuals.size else math.inf
-            if not (grid_res <= 1e-7):
-                raise ShootingError("collocation polish",
-                                    f"{_FAILURES[res.status]} (rms {grid_res:.2e})")
-        prof, errs = far_field(res.x, ysol)
-        beta_fit_rel = float(np.max(errs))  # NaN-propagating
-        if beta_fit_rel <= 0.9 * tol:
-            break
-        if not math.isfinite(beta_fit_rel):
-            raise ShootingError("far-field fit", f"coefficient error is {beta_fit_rel}")
-        pad += max(math.log(e / (0.3 * tol)) / k for e, k in zip(errs, rates) if e > 0.3 * tol)
-    else:
+    def polish():
+        pad, start = 0.0, None
+        for attempt in range(4):
+            res, t_arr, ysol = _bvp_polish(params, coeffs, h, pad, TAIL, BVP_TOL,
+                                           misses if attempt < 3 else None, start)
+            if res.status not in (0, _STOPPED):
+                grid_res = float(np.max(res.rms_residuals)) if res.rms_residuals.size else math.inf
+                if not (grid_res <= 1e-7):
+                    raise ShootingError("collocation polish",
+                                        f"{_FAILURES[res.status]} (rms {grid_res:.2e})")
+            prof, errs = far_field(res.x, ysol)
+            beta_fit_rel = float(np.max(errs))  # NaN-propagating
+            if beta_fit_rel <= 0.9 * tol:
+                return res, t_arr, ysol, prof, beta_fit_rel
+            if not math.isfinite(beta_fit_rel):
+                raise ShootingError("far-field fit", f"coefficient error is {beta_fit_rel}")
+            pad += max(math.log(e / (0.3 * tol)) / k for e, k in zip(errs, rates) if e > 0.3 * tol)
+            start = prof.ubar_state
         raise ShootingError("far-field fit", f"coefficient off by {beta_fit_rel:.2e} > tol")
+
+    # a diverging Newton iterate overflows in fun, the stages, the Armijo cost and
+    # the tail fit: count those floating-point errors and report them once
+    fp_errors = []
+    try:
+        with np.errstate(over="call", divide="call", invalid="call",
+                         call=lambda kind, flag: fp_errors.append(kind)):
+            res, t_arr, ysol, prof, beta_fit_rel = polish()
+    except ShootingError as exc:
+        if not fp_errors:
+            raise
+        raise ShootingError(exc.stage, f"{exc.detail}; floating-point errors: "
+                                       f"{len(fp_errors)}") from exc
+    if fp_errors:
+        warnings.warn(f"profile solve at N={params.N}, p={params.p!r}: floating-point "
+                      f"errors: {len(fp_errors)}", RuntimeWarning, stacklevel=2)
     endpoint_rel = float(abs(ysol(res.x[-1])[0] - params.c_p) / params.c_p)
     if not (endpoint_rel <= tol):
         raise ShootingError("c_p endpoint", f"off by {endpoint_rel:.2e} > tol")

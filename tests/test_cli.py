@@ -136,6 +136,31 @@ def test_verify_all_reports_a_failed_profile_solve(monkeypatch, tmp_path, capsys
     assert "FAIL glue.solver: collocation polish: singular Jacobian" in capsys.readouterr().err
 
 
+def _window_p(N, f):
+    return N / (N - 4) + f * 8 / (N - 4)
+
+
+def test_closed_forms_disagreement_is_typed(tmp_path, capsys):
+    # at N = 48 the two displays of K0 part beyond 1e-12 relative at f = 0.02, which
+    # verify-all's constants grid reaches from f = 0.5: a SolverError, never an
+    # AssertionError (which python -O would skip)
+    assert run(["delaunay", "--N", "48", "--p", repr(_window_p(48, 0.02))]) == 3
+    assert "error: closed forms: K0=" in capsys.readouterr().err
+    out = tmp_path / "report.json"
+    assert run(["verify-all", "--N", "48", "--p", repr(_window_p(48, 0.5)), "--suites",
+                "constants", "--out", str(out)]) == 1
+    failed = [c for c in json.loads(out.read_text())["results"] if not c["ok"]]
+    assert [c["name"] for c in failed] == ["constants.solver"]
+    assert failed[0]["detail"].startswith("closed forms: K0=")
+
+
+def test_c_p_overflow_is_a_usage_error(capsys):
+    # from N = 206 at f = 0.25, c_p = k^(1/(p-1)) leaves floating-point range
+    assert run(["constants", "--N", "206", "--p", repr(_window_p(206, 0.25))]) == 2
+    err = capsys.readouterr().err
+    assert "N=206" in err and "overflows floating-point range" in err
+
+
 def test_indicial_output(tmp_path):
     out = tmp_path / "i.json"
     assert run(["indicial", "--N", "10", "--p", "2", "--jmax", "4",

@@ -6,6 +6,7 @@ the whole orbit run on [T_LO, T_HI], past both mesh ends, so they cover the
 analytic tails with the tolerances the mesh meets.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -380,13 +381,52 @@ def test_analytic_tails_match_long_mesh(N, p):
     assert np.all(tail_err <= np.maximum(1.5 * mesh_err, 20 * np.finfo(float).eps)), (tail_err, mesh_err)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", [2.33])
 def test_near_sobolev_raises_typed_error(p):
-    # Newton diverges on the long tail this point needs; the NaN it meets
-    # must fail the gates instead of reaching the profile
-    with pytest.raises(ShootingError, match="collocation polish"):
+    # Newton diverges on the long tail this point needs; the NaN it meets must
+    # fail the gates instead of reaching the profile, and the floating-point
+    # errors on the way are counted in the message, with no warning
+    with pytest.raises(ShootingError, match=r"collocation polish: .*; floating-point errors: \d+$"):
         solve_singular(validate_params(10, p), beta=1.0, tol=1e-4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverging_newton_counts_its_floating_point_errors():
+    # at (5, 8.4525) Newton diverges and overflows in fun, the stages, the Armijo cost
+    # and the tail fit (124 RuntimeWarnings once); they are counted, not printed
+    with pytest.raises(ShootingError, match=r"; floating-point errors: \d+$"):
+        solve_singular(validate_params(5, 8.4525), beta=1.0, tol=1e-4)
+
+
+def test_passing_solve_reports_its_floating_point_errors_once(monkeypatch, params10):
+    # a solve that passes after a floating-point error warns once, naming the count
+    polish = delaunay._bvp_polish
+
+    def overflowing(*args, **kwargs):
+        np.float64(1e308) * 10.0
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(delaunay, "_bvp_polish", overflowing)
+    with pytest.warns(RuntimeWarning, match="floating-point errors: 1$") as caught:
+        solve_singular(params10, beta=1.0, tol=1e-4)
+    assert len(caught) == 1
+
+
+@pytest.mark.parametrize("N", range(5, 15))
+def test_shift_keeps_the_fitted_tails(N):
+    # the tails are fitted in the internal frame, which a shift does not move: a
+    # shifted profile shares them and evaluates bit for bit as one that refits them,
+    # at the window sweep's reference points
+    prof = solve_singular(validate_params(N, _window_p(N, 0.25 if N % 2 == 0 else 0.75)),
+                          beta=1.0, tol=1e-4)
+    shifted = delaunay.scale_to_beta(prof, 3.0)
+    refit = dataclasses.replace(shifted)
+    assert shifted._left is prof._left and shifted._right is prof._right
+    assert refit._left is not prof._left
+    t = np.linspace(shifted.t_lo - 20.0, shifted.t_hi + 20.0, 2001)
+    for deriv in (False, True):
+        assert _same_bits(shifted._evaluate(t, deriv), refit._evaluate(t, deriv))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -481,17 +521,19 @@ def test_banded_collocation_matches_solve_bvp(monkeypatch, companion_jac, N, f):
 # twice, the pad-0 solve converged and then discarded: (t_grid.size, t_lo, ubar at
 # EARLY_PAD_T) of the solves that replaced them, beta = 1, tol = 1e-4.  Frozen again
 # with the sixth-order collocation: t_lo moved by at most 1.1e-9 and ubar by at most
-# 7e-13 c_p from the values frozen on the fourth-order meshes.
+# 7e-13 c_p from the values frozen on the fourth-order meshes; and again with Newton
+# run to convergence on every mesh: t_lo moved by at most 1.1e-9 and ubar by at most
+# 4e-14 c_p.
 EARLY_PAD_T = [-12.0, -4.0, 0.0, 3.0, 8.0, 25.0]
 EARLY_PAD_FROZEN = {
-    (11, 0.75): (1245, -3.374318418031063, [2.319523076597406e-16, 6.144159631915109e-06,
-                 0.9768124758591443, 448.2623824931109, 366.45382658019054, 359.9996670572106]),
-    (12, 0.25): (975, -5.339698526646567, [4.5873190071661104e-09, 0.0016613000074956656,
-                 0.99024661140884, 103.23252036486475, 7988.695011388356, 9669.650771348224]),
-    (13, 0.75): (1063, -3.2552470700688874, [7.913520590756944e-21, 1.9927533202452664e-07,
-                 0.9808962971596837, 6539.606243083464, 5684.0263338170935, 5662.862225880132]),
-    (14, 0.25): (1093, -4.937668929090466, [3.775247189648959e-11, 0.0003354297149999577,
-                 0.9931946290748387, 358.1945459447449, 239352.9643061833, 409599.99538755463]),
+    (11, 0.75): (1081, -3.3743184177742664, [2.3195230765974067e-16, 6.144159631915132e-06,
+                 0.9768124758591443, 448.2623824931113, 366.45382658019054, 359.99966705721084]),
+    (12, 0.25): (545, -5.339698526645922, [4.587319007166126e-09, 0.0016613000074956654,
+                 0.9902466114088395, 103.23252036486495, 7988.69501138849, 9669.650771348224]),
+    (13, 0.75): (980, -3.2552470711578545, [7.913520590756857e-21, 1.9927533202452616e-07,
+                 0.9808962971596842, 6539.606243083423, 5684.026333817317, 5662.862225880132]),
+    (14, 0.25): (584, -4.937668929090384, [3.775247189648953e-11, 0.0003354297149999577,
+                 0.9931946290748388, 358.19454594475576, 239352.96430617635, 409599.99538755463]),
 }
 
 
@@ -511,10 +553,10 @@ def test_early_pad_decision_keeps_the_profile(N, f):
 # (N, f) -> (bvp_nodes, dgbtrf calls, dgbtrs calls) of one solve at beta = 1, tol = 1e-4:
 # the benchmark's reference points, f = 0.25 for even N and 0.75 for odd N, and (10, 2)
 WORK_COUNTS = {
-    (5, 0.75): (6024, 10, 40), (6, 0.25): (768, 3, 12), (7, 0.75): (1424, 6, 17),
-    (8, 0.25): (779, 2, 10), (9, 0.75): (1151, 4, 13), (10, 0.25): (727, 2, 10),
-    (11, 0.75): (1245, 4, 21), (12, 0.25): (975, 4, 21), (13, 0.75): (1063, 4, 20),
-    (14, 0.25): (1093, 4, 22), (10, None): (708, 2, 10),
+    (5, 0.75): (1810, 13, 43), (6, 0.25): (551, 4, 13), (7, 0.75): (1318, 7, 18),
+    (8, 0.25): (509, 3, 10), (9, 0.75): (1115, 5, 13), (10, 0.25): (506, 2, 14),
+    (11, 0.75): (1081, 5, 16), (12, 0.25): (545, 5, 16), (13, 0.75): (980, 5, 14),
+    (14, 0.25): (584, 5, 20), (10, None): (585, 2, 14),
 }
 
 
@@ -525,9 +567,10 @@ WORK_COUNT_IDS = {(13, 0.75): "13-0.75-at-most-6", (10, None): "10-2-exactly-4"}
 @pytest.mark.parametrize("N,f", list(WORK_COUNTS),
                          ids=[WORK_COUNT_IDS.get(key, f"{key[0]}-{key[1]}") for key in WORK_COUNTS])
 def test_factorizations_per_solve(monkeypatch, N, f):
-    # work counts, not times, and the meshes they pin: a pad-0 polish that misses the
-    # fit stops after one mesh pass rather than converge, and a trial iterate that
-    # meets the tolerance ends Newton with no solve to confirm it
+    # work counts, not times, and the meshes they pin: Newton converges on every mesh,
+    # a pad-0 polish that misses the fit stops after its first pass and the next
+    # starts from it, and a trial iterate that meets the tolerance ends Newton with
+    # no solve to confirm it
     calls = {"dgbtrf": 0, "dgbtrs": 0}
 
     def counting(name):
@@ -547,9 +590,10 @@ def test_factorizations_per_solve(monkeypatch, N, f):
 
 
 def test_reference_set_node_budget():
-    # the window sweep's 10 reference solves take at most 24 000 nodes in all
-    # (59 338 with the fourth-order scheme and the cubic)
-    assert sum(WORK_COUNTS[key][0] for key in WORK_COUNTS if key[1] is not None) <= 24_000
+    # the window sweep's 10 reference solves take at most 10 000 nodes in all (59 338
+    # with the fourth-order scheme and the cubic, 15 249 when Newton stopped short on
+    # the first meshes and the refinement followed its error)
+    assert sum(WORK_COUNTS[key][0] for key in WORK_COUNTS if key[1] is not None) <= 10_000
 
 
 # the benchmark's residual gate is 1e-7; these points keep half of it as margin: the
@@ -631,7 +675,7 @@ def test_banded_newton_step_matches_dense_solve(monkeypatch, params10, dense_new
 
 
 def test_newton_band_matches_dense_blocks_on_every_mesh(monkeypatch, dense_newton_band):
-    # oracle: the dense-block band, at every Newton matrix of the (5, 0.75) solve, whose
+    # oracle: the dense-block band, at every Newton matrix of the (10, 2.3) solve, whose
     # last meshes exceed 5 000 nodes; equal up to roundoff, finiteness verdict included
     band, sizes = delaunay._newton_band, []
 
@@ -644,7 +688,7 @@ def test_newton_band_matches_dense_blocks_on_every_mesh(monkeypatch, dense_newto
         return ab, finite
 
     monkeypatch.setattr(delaunay, "_newton_band", both)
-    solve_singular(validate_params(5, _window_p(5, 0.75)), beta=1.0, tol=1e-4)
+    solve_singular(validate_params(10, 2.3), beta=1.0, tol=1e-4)
     assert max(sizes) >= 5_000
 
 

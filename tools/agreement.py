@@ -10,10 +10,11 @@ number finite), the error text of a failed solve, the node count, the
 residual and ubar at 301 times in [-25, 35].  `--compare` prints the points
 one side passes and the other does not, the largest profile deviation over
 the points both pass, and each side's worst residual, seeded failures and
-reference-set nodes.
+reference-set nodes.  It exits 1 when a point that passes in A fails in B,
+or when B has more seeded failures than A.
 
 The point set:
-  - window_sweep's seeded points of seeds 0..59 (`bench/workloads.py`'s
+  - window_sweep's seeded points of seeds 0..399 (`bench/workloads.py`'s
     `draw_points`, imported read-only);
   - the 10 reference points and (10, 2);
   - N = 5..14 x f = linspace(0.02, 0.98, 25);
@@ -39,7 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from workloads import REF_POINTS, SWEEP_POINTS, draw_points, window_p  # noqa: E402
 
-SEEDS = range(60)
+SEEDS = range(400)
 GRID_F = (0.02, 0.1, 0.25, 0.5, 0.75, 0.85, 0.95, 0.98)
 TIMES = np.linspace(-25.0, 35.0, 301)
 GATE = 1e-7
@@ -112,7 +113,8 @@ def _seeded_failures(rows) -> int:
     return sum(sum(s.startswith("seed") for s in r["sources"]) for r in rows if not r["ok"])
 
 
-def compare(a_path: Path, b_path: Path) -> None:
+def compare(a_path: Path, b_path: Path) -> bool:
+    """Print the comparison; False when B loses a point A passes or fails more seeded points."""
     a, b = ([r for r in json.loads(Path(x).read_text())["points"]] for x in (a_path, b_path))
     A = {(r["N"], r["p"]): r for r in a}
     B = {(r["N"], r["p"]): r for r in b}
@@ -142,10 +144,11 @@ def compare(a_path: Path, b_path: Path) -> None:
         ref_nodes = sum(r["nodes"] or 0 for r in rows if "reference" in r["sources"]
                         and (r["N"], r["p"]) != (10, 2.0))
         print(f"{name}: worst residual {w['residual']:.2e} at N={w['N']} p={w['p']!r}; "
-              f"seeded failures (seeds 0..59) {_seeded_failures(rows)}; "
+              f"seeded failures (seeds 0..{SEEDS[-1]}) {_seeded_failures(rows)}; "
               f"nodes per reference set {ref_nodes}; "
               f"RuntimeWarnings {sum(r['warnings'] for r in rows)}; "
               f"seconds {sum(r['seconds'] for r in rows):.1f}")
+    return not lost and _seeded_failures(b) <= _seeded_failures(a)
 
 
 def main(argv=None) -> None:
@@ -157,8 +160,8 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
     if args.out:
         run(args.out)
-    else:
-        compare(*args.compare)
+    elif not compare(*args.compare):
+        sys.exit(1)
 
 
 if __name__ == "__main__":
