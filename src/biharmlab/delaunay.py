@@ -561,11 +561,11 @@ def _newton(prob: _Gauged, mesh: _Mesh, y, tol):
     (one that reused it) whose successor is more than _CONTRACTION times as
     long.  The full step of a fresh Jacobian is always followed by a chord
     step: refreshing there too drives Newton out of its basin from the hard
-    starts near the Sobolev end.  It runs to its convergence test within a budget of _NEWTON_ITERATIONS
-    iterations and _NEWTON_JACOBIANS Jacobians (solve_bvp's 8 and 4 stop
-    short of it at tol = 1e-10).  A non-finite matrix counts as singular.  A
-    trial iterate that meets the tolerance is accepted at once, with no solve
-    for the Armijo test.
+    starts near the Sobolev end.  It runs to its convergence test within a
+    budget of _NEWTON_ITERATIONS iterations and _NEWTON_JACOBIANS Jacobians
+    (solve_bvp's 8 and 4 stop short of it at tol = 1e-10).  A non-finite
+    matrix counts as singular.  A trial iterate that meets the tolerance is
+    accepted at once, with no solve for the Armijo test.
     """
     tol_r = 2 / 3 * mesh.h * 5e-2 * tol
 

@@ -136,10 +136,6 @@ def test_verify_all_reports_a_failed_profile_solve(monkeypatch, tmp_path, capsys
     assert "FAIL glue.solver: collocation polish: singular Jacobian" in capsys.readouterr().err
 
 
-def _window_p(N, f):
-    return N / (N - 4) + f * 8 / (N - 4)
-
-
 def test_closed_forms_disagreement_is_typed(tmp_path, capsys):
     # at N = 48 the two displays of K0 part beyond 1e-12 relative at f = 0.02, which
     # verify-all's constants grid reaches from f = 0.5: a SolverError, never an
