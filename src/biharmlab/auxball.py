@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import SolverError
+from .core import SolverError, validate_params
 from .radial import band_solver
 
 __all__ = [
@@ -454,8 +454,6 @@ def blowup_rescale(family, kernel: BallKernel, p: float, alpha_w: float,
     (stage "blow-up rescaling"); a family of fewer than 2 members is a
     caller error (ValueError).
     """
-    from .core import k_of
-
     if len(family) < 2:
         raise ValueError("family too short for a rescaling fit")
     s = kernel.grid.nodes
@@ -473,8 +471,7 @@ def blowup_rescale(family, kernel: BallKernel, p: float, alpha_w: float,
     lo, frac = fit_window
     m_exp = (4.0 + alpha_w) / (p - 1.0)
     if lo is None:
-        c_tail = k_of(kernel.N, p) ** (1.0 / (p - 1.0))
-        lo = 3.0 * c_tail ** (1.0 / m_exp)
+        lo = 3.0 * validate_params(kernel.N, p).c_p ** (1.0 / m_exp)
     hi = min(frac / r_k, 0.3 * amps[-1] ** (1.0 / m_exp))
     mask = (rho >= lo) & (rho <= hi) & (v > 0)
     if np.sum(mask) < 8:

@@ -13,8 +13,12 @@ solves the autonomous fourth-order equation
 
     ubar'''' + K3 ubar''' + K2 ubar'' + K1 ubar' + K0 ubar = ubar^p,
 
-whose coefficients K0..K3 are computed here from their printed closed forms
-(K0 coincides with k(p,N), which is used as a transcription cross-check).
+whose coefficients K0..K3 are the elementary symmetric functions of the four
+origin rates N-4-m, N-2-m, -m and -2-m, m = 4/(p-1): the characteristic
+polynomial is prod_g (mu + m + g) over g in {0, 2, 2-N, 4-N}, and K0 = k(p,N)
+= m(m+2)(N-2-m)(N-4-m).  Their agreement with the printed displays, and
+the signs of k, K3 and K1 on the window, are proved symbolically in
+tests/test_core.py.
 
 All routines are pure functions evaluated in double precision.
 """
@@ -34,6 +38,7 @@ __all__ = [
     "SpecialExponents",
     "serrin_exponent",
     "sobolev_exponent",
+    "origin_rates",
     "k_of",
     "validate_params",
     "emden_coeffs",
@@ -72,20 +77,29 @@ def sobolev_exponent(N: int) -> float:
     return (N + 4) / (N - 4)
 
 
-def k_of(N: int, p: float) -> float:
-    """Constant k(p,N) with c_p = k^{1/(p-1)} for the singular profile.
+def origin_rates(N: int, p: float) -> tuple[float, float, float, float]:
+    """Rates at the Emden-Fowler origin ubar = 0, the roots of the characteristic polynomial.
 
-    Evaluation is allowed outside the admissible window (scans need it);
-    only N >= 5 and p > 1 are required.  The bracket vanishes identically
-    at p = N/(N-4).
+    The slow and fast unstable rates N-4-m and N-2-m, then the stable pair
+    -m and -2-m, with m = 4/(p-1).
+    """
+    a = 4.0 / (p - 1.0)
+    return (N - 4.0 - a, N - 2.0 - a, -a, -2.0 - a)
+
+
+def k_of(N: int, p: float) -> float:
+    """Constant k(p,N) = m(m+2)(N-2-m)(N-4-m), m = 4/(p-1), with c_p = k^{1/(p-1)}.
+
+    The product of the four origin rates: it has no cancellation and is 0 at
+    p = N/(N-4).  Evaluation is allowed outside the admissible window; only
+    N >= 5 and p > 1 are required.
     """
     if N < 5:
         raise ValueError(f"dimension N={N} is below the minimum 5")
     if p <= 1:
         raise ValueError(f"exponent p={p} must exceed 1")
-    q = p - 1.0
-    bracket = N * N * q * q + 8.0 * p * (p + 1.0) + N * (2.0 + 4.0 * p - 6.0 * p * p)
-    return 8.0 * (p + 1.0) / q**4 * bracket
+    slow, fast, a, b = origin_rates(N, p)
+    return (slow * fast) * (a * b)
 
 
 @dataclass(frozen=True)
@@ -120,12 +134,12 @@ class Params:
     @property
     def slow_rate(self) -> float:
         """Slow unstable rate N - 4 - 4/(p-1) of the Emden-Fowler origin."""
-        return self.N - 4.0 - self.singular_rate
+        return origin_rates(self.N, self.p)[0]
 
     @property
     def fast_rate(self) -> float:
         """Fast unstable rate N - 2 - 4/(p-1)."""
-        return self.N - 2.0 - self.singular_rate
+        return origin_rates(self.N, self.p)[1]
 
 
 def validate_params(N: int, p: float) -> Params:
@@ -187,40 +201,16 @@ class EmdenCoeffs:
 
 
 def emden_coeffs(params: Params) -> EmdenCoeffs:
-    """Evaluate K0..K3 from the printed closed forms.
+    """K0..K3 as the elementary symmetric functions of the four origin rates.
 
-    K0 is computed from its own display and must reproduce k(p,N) to
-    relative 1e-12; a mismatch raises SolverError (stage "closed forms").
-    It means a transcription error, or cancellation in the two displays at
-    large N (from about N = 48).
+    The characteristic polynomial is formed as the product of the unstable
+    quadratic (mu - slow)(mu - fast) and the stable one (mu + m)(mu + m + 2);
+    K0 is k(p,N) itself.
     """
-    N, p, al = params.N, params.p, params.alpha_w
-    q = p - 1.0
-    a4 = 4.0 + al  # recurring combination 4 + alpha_w = (N-4)p - N
-    K0 = (a4 / q**4) * (
-        2.0 * (N - 2.0) * (N - 4.0) * q**3
-        + a4 * (N * N - 10.0 * N + 20.0) * q * q
-        - 2.0 * a4 * a4 * (N - 4.0) * q
-        + a4**3
-    )
-    K1 = (-2.0 / q**3) * (
-        (N - 2.0) * (N - 4.0) * q**3
-        + a4 * (N * N - 10.0 * N + 20.0) * q * q
-        - 3.0 * (al * al + 8.0 * al + 16.0) * (N - 4.0) * q
-        + 2.0 * al * (al * al + 12.0 * al + 48.0)
-        + 128.0
-    )
-    K2 = (1.0 / q**2) * (
-        (N * N - 10.0 * N + 20.0) * q * q
-        - 6.0 * a4 * (N - 4.0) * q
-        + 6.0 * al * (al + 8.0)
-        + 96.0
-    )
-    K3 = (2.0 / q) * ((N - 4.0) * q - 2.0 * a4)
-    if not abs(K0 - params.k_const) <= 1e-12 * abs(params.k_const):  # NaN fails too
-        raise SolverError("closed forms", f"K0={K0!r} disagrees with k(p,N)={params.k_const!r} "
-                                          "beyond 1e-12 relative")
-    return EmdenCoeffs(K0=K0, K1=K1, K2=K2, K3=K3)
+    slow, fast, a, b = origin_rates(params.N, params.p)
+    B, C = -(slow + fast), slow * fast
+    D, E = -(a + b), a * b
+    return EmdenCoeffs(K0=params.k_const, K1=B * E + C * D, K2=C + E + B * D, K3=B + D)
 
 
 def origin_spectrum(coeffs: EmdenCoeffs) -> np.ndarray:

@@ -64,7 +64,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial.polynomial import polyfromroots
 
-from .core import EmdenCoeffs, Params, ShootingError, emden_coeffs, equilibrium_spectrum
+from .core import (EmdenCoeffs, Params, ShootingError, emden_coeffs, equilibrium_spectrum,
+                   origin_rates)
 from .cutoff import annulus_bump
 from .radial import band_solver, bilap_radial, dlap_radial, lap_radial, simpson
 
@@ -97,12 +98,6 @@ def _eigvec(m: float) -> np.ndarray:
 def _eigbasis(rates) -> np.ndarray:
     """Columns v(lam) = (1, lam, lam^2, lam^3): the states of the modes e^{lam t}."""
     return np.column_stack([_eigvec(l) for l in rates])
-
-
-def _origin_rates(params: Params) -> np.ndarray:
-    """Rates at the origin: slow and fast (unstable), then the stable pair."""
-    a = params.singular_rate
-    return np.array([params.slow_rate, params.fast_rate, -a, -2.0 - a])
 
 
 def _exprel(x):
@@ -179,7 +174,7 @@ class RadialProfile:
         par = self.params
         s_lo, s_hi = float(self.t_grid[0]), float(self.t_grid[-1])
         # far field, in passes: the nonlinear term depends on the slow amplitude it corrects
-        rates = _origin_rates(par)
+        rates = np.array(origin_rates(par.N, par.p))
         a, b = par.p * rates[0], rates[1]
         q = np.prod(a - rates[[0, 2, 3]])
         y0, amp = self._sol(s_lo), 0.0
@@ -697,7 +692,7 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None, start
     mu_s = params.slow_rate
     xstar = np.array([cp, 0.0, 0.0, 0.0])
     K0, K1, K2, K3 = coeffs.as_tuple()
-    V0inv = np.linalg.inv(_eigbasis(_origin_rates(params)))
+    V0inv = np.linalg.inv(_eigbasis(origin_rates(params.N, params.p)))
     lam = equilibrium_spectrum(coeffs, p)
     iu = int(np.argmax(lam.real))
     w_u = np.linalg.inv(_eigbasis(lam))[iu].real

@@ -1,12 +1,24 @@
 import numpy as np
 import pytest
 
-from biharmlab.core import validate_params
+from biharmlab.core import serrin_exponent, sobolev_exponent, validate_params
 
 
 @pytest.fixture(scope="session")
 def params10():
     return validate_params(10, 2.0)
+
+
+@pytest.fixture(scope="session")
+def p_grid():
+    """n exponents evenly spaced over the admissible window at N, 2% in from each end."""
+
+    def grid(N: int, n: int) -> np.ndarray:
+        lo, hi = serrin_exponent(N), sobolev_exponent(N)
+        pad = 0.02 * (hi - lo)
+        return np.linspace(lo + pad, hi - pad, n)
+
+    return grid
 
 
 @pytest.fixture(scope="session")

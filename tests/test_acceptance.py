@@ -27,9 +27,7 @@ BUDGETS = {1: 1.0, 2: 5.0, 3: 5.0, 4: 60.0, 5: 30.0, 6: 5.0, 7: 120.0, 8: 120.0}
 
 # criterion -> the verify-all checks at (10, 2) it asserts; together every check
 CHECKS = {
-    1: ("constants.k_positive_K3_pos_K1_neg", "constants.A_p_monotone",
-        "constants.mode_estimate_bound", "constants.serrin_zero",
-        "constants.char_roots_match_infinity_indicial"),
+    1: ("constants.char_roots_match_infinity_indicial",),
     2: ("indicial.root_residuals", "indicial.ordering_chain", "indicial.weight_window",
         "indicial.branch_continuity"),
     4: ("delaunay.endpoint", "delaunay.ode_residual", "delaunay.positive", "delaunay.sup_bound",

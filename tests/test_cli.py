@@ -136,18 +136,17 @@ def test_verify_all_reports_a_failed_profile_solve(monkeypatch, tmp_path, capsys
     assert "FAIL glue.solver: collocation polish: singular Jacobian" in capsys.readouterr().err
 
 
-def test_closed_forms_disagreement_is_typed(tmp_path, capsys):
-    # at N = 48 the two displays of K0 part beyond 1e-12 relative at f = 0.02, which
-    # verify-all's constants grid reaches from f = 0.5: a SolverError, never an
-    # AssertionError (which python -O would skip)
-    assert run(["delaunay", "--N", "48", "--p", repr(_window_p(48, 0.02))]) == 3
-    assert "error: closed forms: K0=" in capsys.readouterr().err
+@pytest.mark.parametrize("N", [48, 100, 200])
+@pytest.mark.parametrize("f", [0.02, 0.5])
+def test_constants_at_large_dimension(N, f, tmp_path):
+    # no runtime cross-check of two closed-form displays and no p-grid scan: below the
+    # c_p overflow bound the constants report and suite exit 0 at any N
+    p = repr(_window_p(N, f))
+    assert run(["constants", "--N", str(N), "--p", p, "--out", str(tmp_path / "c.json")]) == 0
     out = tmp_path / "report.json"
-    assert run(["verify-all", "--N", "48", "--p", repr(_window_p(48, 0.5)), "--suites",
-                "constants", "--out", str(out)]) == 1
-    failed = [c for c in json.loads(out.read_text())["results"] if not c["ok"]]
-    assert [c["name"] for c in failed] == ["constants.solver"]
-    assert failed[0]["detail"].startswith("closed forms: K0=")
+    assert run(["verify-all", "--N", str(N), "--p", p, "--suites", "constants",
+                "--out", str(out)]) == 0
+    assert [c["ok"] for c in json.loads(out.read_text())["results"]] == [True]
 
 
 def test_c_p_overflow_is_a_usage_error(capsys):
@@ -409,9 +408,7 @@ def test_verify_all_across_the_window(N, p, tmp_path):
 
 
 # the checks that scan a domain: each scans the N it is asked about, and says so
-SCANS_AT_N = ("constants.k_positive_K3_pos_K1_neg", "constants.A_p_monotone",
-              "constants.mode_estimate_bound", "constants.serrin_zero",
-              "indicial.ordering_chain", "symbol.gamma2_identity", "modes.certificates")
+SCANS_AT_N = ("indicial.ordering_chain", "symbol.gamma2_identity", "modes.certificates")
 
 
 def test_verify_all_details_name_the_dimension_asked():

@@ -8,7 +8,6 @@ from biharmlab.core import serrin_exponent, sobolev_exponent, validate_params
 from biharmlab.indicial import (BRANCHES, indicial_polynomial, indicial_roots,
                                 indicial_roots_for, sphere_eigenvalue,
                                 verify_ordering, weight_window)
-from biharmlab.verify import _p_grid
 
 
 def test_sphere_eigenvalue():
@@ -93,10 +92,10 @@ def test_ordering_chain(params10):
     assert d.roots_at_zero[BRANCHES.index("++")].real > 2.0
 
 
-def test_ordering_chain_across_the_window():
+def test_ordering_chain_across_the_window(p_grid):
     # verify-all checks the chain at the (N, p) it is asked about; this is the window
     for N in range(5, 15):
-        for p in _p_grid(N, 20):
+        for p in p_grid(N, 20):
             rep = verify_ordering(validate_params(N, float(p)))
             assert rep.all_ok, (N, float(p), rep.failures())
 
