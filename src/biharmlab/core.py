@@ -164,6 +164,7 @@ def validate_params(N: int, p: float) -> Params:
         raise ValueError(
             f"p={p} rejected: must be below the Sobolev endpoint (N+4)/(N-4) = {hi} (excluded)"
         )
+    p = float(p)  # a numpy p would make k a numpy float, whose power overflows to inf
     k = k_of(N, p)
     if not k > 0:
         raise ValueError(f"k(p,N)={k} not positive for N={N}, p={p}")
@@ -175,7 +176,7 @@ def validate_params(N: int, p: float) -> Params:
                          "overflows floating-point range") from None
     return Params(
         N=N,
-        p=float(p),
+        p=p,
         alpha_w=alpha_w,
         k_const=k,
         c_p=c_p,

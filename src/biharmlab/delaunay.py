@@ -25,10 +25,10 @@ Solution strategy (one collocation boundary-value solve):
    component at c_p on the right;
 4. solve by the sixth-order collocation MIRK6 (Cash & Singhal), its Newton
    matrix ordered as the 3 left conditions, the residual rows of each
-   interval, the right condition: banded, O(nodes); refine the mesh on the
-   residual of the C2 quintic Hermite interpolant of the nodal values, which
-   is evaluated in numpy, bit for bit as scipy's PPoly evaluates it, so the
-   module loads scipy.linalg alone;
+   interval, the right condition: banded, O(nodes); refine the mesh, in one
+   step once Newton converges, on the residual of the C2 quintic Hermite
+   interpolant of the nodal values, which is evaluated in numpy, bit for bit
+   as scipy's PPoly evaluates it, so the module loads scipy.linalg alone;
 5. lengthen the pad until the two far-field errors (fast-mode content at
    the mesh start, the left tail's slow amplitude) fall below 0.9 tol.  The
    first mesh pass, Newton-converged but unrefined, already gives both to
@@ -397,6 +397,8 @@ _FAILURES = {1: "The maximum number of mesh nodes is exceeded.",
 _STOPPED = 4  # `stop` ended the solve after its first mesh pass
 _NEWTON_ITERATIONS, _NEWTON_JACOBIANS = 24, 12  # Newton's budget on one mesh
 _CONTRACTION = 0.2  # a chord step that shrinks the next one less than this refreshes the Jacobian
+_DEFECT_ORDER = 4.5  # the quintic's residual falls as h^5; refinement assumes h^4.5 as margin
+_MAX_PIECES = 64  # the most pieces one refinement splits an interval into
 
 
 class _Spline:
@@ -415,18 +417,11 @@ class _Spline:
         """Values (nu = 0) or first derivatives (nu = 1) at t, shape (4,) + t.shape."""
         t = np.asarray(t, dtype=float)
         k = np.searchsorted(self.x[1:-1], t, side="right")  # in [0, m-2], NaN at m-2
-        return self._sum(t - self.x[k], nu, k)
-
-    def per_interval(self, t, nu: int = 0):
-        """As __call__ at one point t[k] inside each interval k, with no search."""
-        return self._sum(t - self.x[:-1], nu)
-
-    def _sum(self, s, nu, k=None):
-        deg = self.c.shape[0] - 1
+        s, deg = t - self.x[k], self.c.shape[0] - 1
         res, z = 0.0, 1.0
         with np.errstate(all="ignore"):  # as PPoly's compiled loop; (5, 8.36) meets inf
             for j in range(nu, deg + 1):
-                cj = self.c[deg - j] if k is None else self.c[deg - j].take(k, axis=1)
+                cj = self.c[deg - j].take(k, axis=1)
                 res = res + (cj * z * j if nu else cj * z)
                 if j < deg:
                     z = z * s
@@ -616,20 +611,41 @@ def _quintic(x, h, y, f, a) -> _Spline:
                              (10 * A - 4 * B + 0.5 * C) / h**3, 0.5 * a0, f0, y0]), x)
 
 
+# The quintic Hermite basis on [0, 1], coefficients of s^0..s^5, for the data y, h f,
+# h^2 a at s = 0, then at s = 1; its values (_W0) and s-derivatives (_W1) at the
+# interior Lobatto nodes s = 1/2, 1/2 - r, 1/2 + r of the defect estimate, r^2 = 3/28.
+_HERMITE = np.array([[1, 0, 0, -10, 15, -6], [0, 1, 0, -6, 8, -3], [0, 0, 0.5, -1.5, 1.5, -0.5],
+                     [0, 0, 0, 10, -15, 6], [0, 0, 0, -4, 7, -3], [0, 0, 0, 0.5, -1, 0.5]])
+_LOBATTO = 0.5 + np.array([0.0, -1.0, 1.0]) * (3 / 28) ** 0.5
+_W0 = np.vander(_LOBATTO, 6, increasing=True) @ _HERMITE.T
+_W1 = np.vander(_LOBATTO, 5, increasing=True) * np.arange(1, 6) @ _HERMITE[:, 1:].T
+
+
+def _at_lobatto(h, y, f, a):
+    """The quintic of _quintic and its derivative at the interior Lobatto nodes of each
+    interval, tm, tm - r h, tm + r h in turn: two arrays of shape (4, 3 (m - 1))."""
+    ends = np.stack([y[:, :-1], h * f[:, :-1], h * h * a[:, :-1],
+                     y[:, 1:], h * f[:, 1:], h * h * a[:, 1:]])
+    return np.hstack(np.tensordot(_W0, ends, 1)), np.hstack(np.tensordot(_W1, ends, 1) / h)
+
+
 def _collocate(prob: _Gauged, x, y, tol, max_nodes, stop=None) -> _Collocation:
     """MIRK6 on a mesh refined on the quintic's residual, with bc_tol = tol.
 
     Each pass runs Newton on the mesh and interpolates its nodal states by the
     C2 quintic Hermite interpolant.  It estimates each interval's rms relative
     residual |q' - f(t, q)| / (1 + |f|) of that quintic q by 5-point Lobatto
-    quadrature (q' = f at the nodes), and inserts 1 node where
-    tol < rms < 100 tol and 2 where rms >= 100 tol, as solve_bvp does.  Newton
-    runs to convergence on each mesh, so the nodes follow the discretization
-    error; a pass that exhausts Newton's budget is refined from its last
-    iterate all the same, which is how the coarse first meshes near the
-    Sobolev end reach a mesh where Newton converges.  After a converged first
-    pass, stop(x, quintic) may end the solve there, unrefined, with status
-    _STOPPED.  A MemoryError names the mesh size it met.
+    quadrature (q' = f at the nodes), q and q' read from the Hermite data.
+    After a converged pass, each interval with rms > tol is split into
+    ceil((rms / tol)^(1 / _DEFECT_ORDER)) equal pieces, at most _MAX_PIECES:
+    the residual falls as h^5, so one refinement reaches the final mesh.
+    After a pass that exhausted Newton's budget, whose residual does not
+    follow the discretization error, 1 node is inserted where
+    tol < rms < 100 tol and 2 where rms >= 100 tol, as solve_bvp does; that is
+    how the coarse first meshes near the Sobolev end reach a mesh where
+    Newton converges.  After a converged first pass, stop(x, quintic) may end
+    the solve there, unrefined, with status _STOPPED.  A MemoryError names
+    the mesh size it met.
     """
     status, iteration = None, 0
     try:
@@ -637,26 +653,28 @@ def _collocate(prob: _Gauged, x, y, tol, max_nodes, stop=None) -> _Collocation:
             mesh = _mesh(x)
             y, singular, converged, st = _newton(prob, mesh, y, tol)
             iteration += 1
-            h = mesh.h
-            sol = _quintic(x, h, y, st.f, prob.accel(x, y, st.f))
-            # the interior Lobatto nodes lie inside interval k, so evaluated there with no search
-            s = 0.5 * h * (3 / 7) ** 0.5
-            xk = (mesh.tm, mesh.tm - s, mesh.tm + s)
-            fk = prob.fun(np.concatenate(xk), np.hstack([sol.per_interval(t) for t in xk]))
-            rk = np.hstack([sol.per_interval(t, 1) for t in xk]) - fk
-            r2 = np.sum((rk / (1 + np.abs(fk))) ** 2, axis=0).reshape(3, -1)
+            a = prob.accel(x, y, st.f)
+            sol = _quintic(x, mesh.h, y, st.f, a)
+            qk, dqk = _at_lobatto(mesh.h, y, st.f, a)
+            r = 0.5 * mesh.h * (3 / 7) ** 0.5
+            fk = prob.fun(np.concatenate([mesh.tm, mesh.tm - r, mesh.tm + r]), qk)
+            r2 = np.sum(((dqk - fk) / (1 + np.abs(fk))) ** 2, axis=0).reshape(3, -1)
             rms = (0.5 * (32 / 45 * r2[0] + 49 / 90 * (r2[1] + r2[2]))) ** 0.5
-            ins1 = np.nonzero((rms > tol) & (rms < 100 * tol))[0]
-            ins2 = np.nonzero(rms >= 100 * tol)[0]
+            if converged:
+                pieces = np.where(rms > tol, np.minimum(np.ceil((rms / tol) ** (1 / _DEFECT_ORDER)),
+                                                        _MAX_PIECES), 1).astype(int)
+            else:
+                pieces = 1 + (rms > tol) + (rms >= 100 * tol)
             if singular:
                 status = 2
             elif iteration == 1 and converged and stop is not None and stop(x, sol):
                 status = _STOPPED
-            elif x.size + ins1.size + 2 * ins2.size > max_nodes:
+            elif x.size + np.sum(pieces - 1) > max_nodes:
                 status = 1
-            elif ins1.size or ins2.size:
-                x = np.sort(np.hstack((x, 0.5 * (x[ins1] + x[ins1 + 1]),
-                                       (2 * x[ins2] + x[ins2 + 1]) / 3, (x[ins2] + 2 * x[ins2 + 1]) / 3)))
+            elif np.any(pieces > 1):
+                i = np.repeat(np.arange(pieces.size), pieces - 1)  # the interval of each new node
+                j = np.arange(i.size) - np.searchsorted(i, i) + 1  # its place in the interval
+                x = np.sort(np.hstack((x, ((pieces[i] - j) * x[i] + j * x[i + 1]) / pieces[i])))
                 y = sol(x)
             elif np.max(np.abs(prob.bc(y[:, 0], y[:, -1]))) <= tol:
                 status = 0

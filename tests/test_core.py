@@ -6,6 +6,7 @@ implementation; both give k = 192, A_p = 384, (K0, K1, K2, K3) =
 (192, -64, -28, 4).
 """
 
+import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -191,6 +192,19 @@ def test_validate_params_rejects_endpoints():
     # interior values fine for every N
     for N in range(5, 15):
         validate_params(N, 0.5 * (serrin_exponent(N) + sobolev_exponent(N)))
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_c_p_overflow_is_typed_for_every_float(kind):
+    # at N = 200, f = 0.108, c_p = k^(1/(p-1)) leaves floating-point range: a numpy p
+    # made k a numpy float, whose power returned inf with an overflow warning
+    p = kind(200 / 196 + 0.108 * 4 / 196)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows floating-point range"):
+            validate_params(200, p)
+        params = validate_params(10, kind(2.0))
+    assert type(params.p) is float and type(params.c_p) is float
 
 
 def test_emden_coeffs_frozen_values(params10):
