@@ -162,7 +162,7 @@ def _ring_terms(N: int, s: np.ndarray):
     return C, L
 
 
-def _boggio_ring(N: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _boggio_ring(N: int, r: np.ndarray, s: np.ndarray, *, C=None, L=None) -> np.ndarray:
     """Spherical average of the Boggio Green function, in closed form.
 
     K(r, s) = int_{S^{N-1}} G(r e1, s omega) dsigma(omega) with
@@ -183,12 +183,14 @@ def _boggio_ring(N: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
     r and s are the same ascending node vector (the two-grid call form is
     kept because bench/tracing.py wraps this function and reads both sizes).
+    A caller that already holds the generators (C, L) of s passes them.
     The upper triangle is mirrored, so the result is exactly symmetric, and
     the row and column at s = 1 are exactly 0, as G vanishes on the sphere.
     """
     if not np.array_equal(r, s):
         raise ValueError("_boggio_ring evaluates a square kernel: r and s must be one grid")
-    C, L = _ring_terms(N, s)
+    if C is None:
+        C, L = _ring_terms(N, s)
     upper = np.triu(C[None, :] - (s * s)[:, None] * L[None, :])
     return upper + np.triu(upper, 1).T
 
@@ -202,7 +204,7 @@ class BallKernel:
     f = 1 reproduces the exact clamped solution of Delta^2 u = 1 up to
     quadrature error.  K_origin and L are the generators C and L of
     _ring_terms, K[i, j] = C(s_hi) - s_lo^2 L(s_hi), kept for the banded
-    Newton step.
+    Newton step.  The measure s^{N-1} of the nodes is formed once, for apply.
     """
 
     N: int
@@ -210,13 +212,17 @@ class BallKernel:
     K: np.ndarray
     K_origin: np.ndarray
     L: np.ndarray
+    _measure: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._measure = self.grid.nodes ** (self.N - 1.0)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        dens = f * self.grid.nodes ** (self.N - 1.0) * self.grid.weights
+        dens = f * self._measure * self.grid.weights
         return self.K @ dens
 
     def apply_origin(self, f: np.ndarray) -> float:
-        dens = f * self.grid.nodes ** (self.N - 1.0) * self.grid.weights
+        dens = f * self._measure * self.grid.weights
         return float(self.K_origin @ dens)
 
 
@@ -238,7 +244,7 @@ def build_kernel(N: int, grid: RadialGrid, cache_dir: str | None = None) -> Ball
         raise ValueError(f"N={N} must be >= 5")
     r = grid.nodes
     C, L = _ring_terms(N, r)
-    kern = BallKernel(N=N, grid=grid, K=_boggio_ring(N, r, r), K_origin=C, L=L)
+    kern = BallKernel(N=N, grid=grid, K=_boggio_ring(N, r, r, C=C, L=L), K_origin=C, L=L)
     # the kernel's constant is exact, so the unit-load deviation is quadrature
     # error; gate it here so a degraded grid surfaces at build time, not
     # inside a solve

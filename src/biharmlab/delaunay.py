@@ -132,13 +132,38 @@ class _ModeTail:
         self.amp, self.a, self.b = amp, a, b
         self._V = _eigbasis(lam)
 
-    def __call__(self, s, deriv: bool = False) -> np.ndarray:
+    def __call__(self, s, slope: bool = False):
+        """The state at s and, with slope, (state, slope) from one exponential."""
         d = np.asarray(s) - self.s0
-        c = self.c * self.lam if deriv else self.c
-        y = (self._V @ (c[:, None] * np.exp(np.outer(self.lam, d)))).real
+        e = np.exp(np.outer(self.lam, d))
+        y = (self._V @ (self.c[:, None] * e)).real
+        dy = (self._V @ ((self.c * self.lam)[:, None] * e)).real if slope else None
         if self.amp:
-            y += self.amp * _divided_differences(self.a, self.b, d)[int(deriv):int(deriv) + 4]
-        return y if deriv else y + self.base[:, None]
+            dd = self.amp * _divided_differences(self.a, self.b, d)
+            y += dd[:4]
+            if slope:
+                dy += dd[1:]
+        y = y + self.base[:, None]
+        return (y, dy) if slope else y
+
+    def amplitude(self, t0: float) -> float:
+        """c_0 e^{-lam_0 t0}: the first mode's amplitude in a frame where the tail starts at t0."""
+        return float(self.c[0]) * math.exp(-float(self.lam[0]) * t0)
+
+
+def _left_tail(par: Params, s_lo: float, y0) -> _ModeTail:
+    """The origin's manifold through the state y0 at the mesh start s_lo.
+
+    Fitted in passes: the nonlinear term depends on the slow amplitude it corrects.
+    """
+    rates = np.array(origin_rates(par.N, par.p))
+    a, b = par.p * rates[0], rates[1]
+    q = np.prod(a - rates[[0, 2, 3]])
+    amp = 0.0
+    for _ in range(3):
+        c = np.linalg.solve(_eigbasis(rates), y0 - amp * _divided_differences(a, b, 0.0)[:4])
+        amp = abs(c[0]) ** (par.p - 1.0) * c[0] / q
+    return _ModeTail(s_lo, np.zeros(4), rates[:2], c[:2], amp, a, b)
 
 
 @dataclass(frozen=True)
@@ -158,8 +183,9 @@ class RadialProfile:
     realizes dilations (time translations), so `ubar(t)` evaluates the
     interpolant at t + t_shift.  beta is the slow-mode amplitude in the
     *current* frame: ubar(t) ~ beta e^{mu_slow t} as t -> -infinity.
-    `_sol(s, deriv)` interpolates the state (or its derivative) on the mesh
-    [t_lo, t_hi]; the tails beyond it are projected from its end states.
+    `_sol.jet(s, rows, slope)` interpolates rows of the state, and of its
+    slope, on the mesh [t_lo, t_hi]; the tails beyond it are projected from
+    its end states.
     """
 
     params: Params
@@ -173,15 +199,7 @@ class RadialProfile:
     def __post_init__(self):
         par = self.params
         s_lo, s_hi = float(self.t_grid[0]), float(self.t_grid[-1])
-        # far field, in passes: the nonlinear term depends on the slow amplitude it corrects
-        rates = np.array(origin_rates(par.N, par.p))
-        a, b = par.p * rates[0], rates[1]
-        q = np.prod(a - rates[[0, 2, 3]])
-        y0, amp = self._sol(s_lo), 0.0
-        for _ in range(3):
-            c = np.linalg.solve(_eigbasis(rates), y0 - amp * _divided_differences(a, b, 0.0)[:4])
-            amp = abs(c[0]) ** (par.p - 1.0) * c[0] / q
-        self._left = _ModeTail(s_lo, np.zeros(4), rates[:2], c[:2], amp, a, b)
+        self._left = _left_tail(par, s_lo, self._sol(s_lo))
         lam = equilibrium_spectrum(self.coeffs, par.p)
         xstar = np.array([par.c_p, 0.0, 0.0, 0.0])
         c = np.linalg.solve(_eigbasis(lam), self._sol(s_hi) - xstar)
@@ -213,28 +231,42 @@ class RadialProfile:
         return out
 
     # -- evaluation ---------------------------------------------------------
-    def _evaluate(self, t, deriv: bool) -> np.ndarray:
-        """State (or its derivative) at t; within 1e-9 of the mesh ends the spline holds."""
+    def _evaluate(self, t, rows=slice(None), slope=None):
+        """(rows of the state, rows `slope` of its derivative or None) at t, in one pass.
+
+        `slope` indexes the full state, so it needs rows = all.  Within 1e-9 of
+        the mesh ends the spline holds.
+        """
         s = np.asarray(t, dtype=float) + self.t_shift
         lo, hi = self.t_grid[0], self.t_grid[-1]
         eps = 1e-9 * (1.0 + abs(lo) + abs(hi))
-        out = np.asarray(self._sol(np.clip(s, lo - eps, hi + eps), deriv))
+        y, dy = self._sol.jet(np.clip(s, lo - eps, hi + eps), rows, slope)
         for beyond, tail in ((s < lo - eps, self._left), (s > hi + eps, self._right)):
-            if beyond.any():
-                out[..., beyond] = tail(s[beyond], deriv)
-        return out
+            if not beyond.any():
+                continue
+            if slope is None:
+                y[..., beyond] = tail(s[beyond])[rows]
+            else:
+                ty, tdy = tail(s[beyond], slope=True)
+                y[..., beyond], dy[..., beyond] = ty[rows], tdy[slope]
+        return y, dy
 
     def ubar_state(self, t) -> np.ndarray:
         """State (ubar, ubar', ubar'', ubar''') at Emden-Fowler times t, shape (4, m)."""
-        return self._evaluate(t, False)
+        return self._evaluate(t)[0]
 
     def ubar(self, t) -> np.ndarray:
-        return self.ubar_state(t)[0]
+        """ubar at t; only the state's first component is evaluated."""
+        return self._evaluate(t, slice(0, 1))[0][0]
 
     def scaled_residual(self, t) -> np.ndarray:
-        """|ubar'''' + K3 ubar''' + ... - ubar^p| / (1 + ubar^p) using the dense state."""
-        y = self._evaluate(t, False)
-        d4 = self._evaluate(t, True)[3]
+        """|ubar'''' + K3 ubar''' + ... - ubar^p| / (1 + ubar^p) using the dense state.
+
+        The state and ubar'''' come from one pass: the gauge and the quintic are
+        evaluated once, the quintic's derivative in the last component alone.
+        """
+        y, dy = self._evaluate(t, slope=slice(3, 4))
+        d4 = dy[0]
         K = self.coeffs
         u = y[0]
         res = d4 + K.K3 * y[3] + K.K2 * y[2] + K.K1 * y[1] + K.K0 * u - np.abs(u) ** (self.params.p - 1.0) * u
@@ -243,7 +275,7 @@ class RadialProfile:
     @property
     def far_field_beta(self) -> float:
         """Slow amplitude of the left tail: ubar(t) e^{-mu_slow t} as t -> -infinity."""
-        return float(self._left.c[0]) * math.exp(-self.params.slow_rate * self.t_lo)
+        return self._left.amplitude(self.t_lo)
 
     def plateau_decay(self) -> tuple[complex, complex]:
         """Slowest approach to c_p: (C, lam) with ubar(t) - c_p ~ Re(C e^{lam t}).
@@ -339,20 +371,19 @@ def shoot_once(params: Params, coeffs: EmdenCoeffs, amp_slow: float, s: float,
 # gauged collocation
 # ---------------------------------------------------------------------------
 
-def _expit(x):
-    """1/(1 + e^-x), formed from e^-|x| so that no argument overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _gauge(t, cp, w0, mu):
     """Logistic gauge D(t) = c_p w/(1+w), w = w0 e^{mu t}, in log space: (D, 1/(1+w)).
 
-    With x = log w0 + mu t, D = c_p expit(x) and 1/(1+w) = expit(-x), so no
-    power of w is formed and both stay finite on every mesh.
+    With x = log w0 + mu t, D = c_p expit(x) and 1/(1+w) = expit(-x).  Both
+    come from e = e^-|x|, so no argument overflows and no power of w is
+    formed: expit(x) is 1/(1+e) where x >= 0 and e/(1+e) elsewhere, and
+    expit(-x) picks the other of the two where x != 0.
     """
     x = math.log(w0) + mu * np.asarray(t, dtype=float)
-    return cp * _expit(x), _expit(-x)
+    e = np.exp(-np.abs(x))
+    one_e = 1.0 + e
+    big, small = 1.0 / one_e, e / one_e
+    return cp * np.where(x >= 0, big, small), np.where(x <= 0, big, small)
 
 
 class _ScaledSpline:
@@ -366,11 +397,18 @@ class _ScaledSpline:
         self._z, self._dz = zsol, zsol.derivative()
         self.cp, self.w0, self.mu = cp, w0, mu
 
-    def __call__(self, t, deriv: bool = False):
+    def __call__(self, t):
+        """The state y = D z at t."""
+        return _gauge(t, self.cp, self.w0, self.mu)[0] * self._z(t)
+
+    def jet(self, t, rows=slice(None), slope=None):
+        """(y[rows], y'[slope] or None) at t, y' = D mu g z + D z'; the gauge and z are
+        evaluated once, z' in the rows `slope` alone, which index the full state."""
         D, g = _gauge(t, self.cp, self.w0, self.mu)
-        if deriv:
-            return D * self.mu * g * self._z(t) + D * self._dz(t)
-        return D * self._z(t)
+        z = self._z(t, rows=rows)
+        if slope is None:
+            return D * z, None
+        return D * z, D * self.mu * g * z[slope] + D * self._dz(t, rows=slope)
 
 
 # The profile's collocation: the sixth-order, 5-stage mono-implicit Runge-Kutta
@@ -391,6 +429,7 @@ _X3, _X4 = (9 / 64, -3 / 64), (3 / 64, -9 / 64)  # X_31, X_32 and X_41, X_42
 _X5 = (-5 / 24, 5 / 24, 2 / 3, -2 / 3)          # X_51 .. X_54
 _B = (7 / 90, 16 / 45, 2 / 15)                   # b_1 = b_2, b_3 = b_4, b_5
 _KL, _KU = 6, 4
+_BLOCK_INTERVALS = 512  # intervals per pass of _blocks: larger work arrays page-fault afresh
 _FAILURES = {1: "The maximum number of mesh nodes is exceeded.",
              2: "A singular Jacobian encountered when solving the collocation system.",
              3: "The solver was unable to satisfy boundary conditions tolerance on iteration 10."}
@@ -399,6 +438,13 @@ _NEWTON_ITERATIONS, _NEWTON_JACOBIANS = 24, 12  # Newton's budget on one mesh
 _CONTRACTION = 0.2  # a chord step that shrinks the next one less than this refreshes the Jacobian
 _DEFECT_ORDER = 4.5  # the quintic's residual falls as h^5; refinement assumes h^4.5 as margin
 _MAX_PIECES = 64  # the most pieces one refinement splits an interval into
+
+
+# The blocks' coefficients by [stage, side]: stages Y_3, Y_4; sides node q, node q + 1
+_V34 = np.array([[27 / 32, 5 / 32], [5 / 32, 27 / 32]])[:, :, None]  # 1 - v_r, v_r
+_X34 = np.array([_X3, _X4])[:, :, None]                             # X_r1, X_r2
+_X5E = np.array(_X5[:2])[:, None]                                  # X_51, X_52 by side
+_SIGN = np.array([-1.0, 1.0])[:, None]                             # -I on node q, I on q + 1
 
 
 class _Spline:
@@ -413,19 +459,21 @@ class _Spline:
     def __init__(self, c, x):
         self.c, self.x = c, x
 
-    def __call__(self, t, nu: int = 0):
-        """Values (nu = 0) or first derivatives (nu = 1) at t, shape (4,) + t.shape."""
+    def __call__(self, t, nu: int = 0, rows=slice(None)):
+        """Values (nu = 0) or first derivatives (nu = 1) of the components `rows` (a slice)
+        at t, shape (number of rows,) + t.shape."""
         t = np.asarray(t, dtype=float)
         k = np.searchsorted(self.x[1:-1], t, side="right")  # in [0, m-2], NaN at m-2
         s, deg = t - self.x[k], self.c.shape[0] - 1
+        c = self.c[:, rows].take(k, axis=2)  # every coefficient at every t, in one gather
         res, z = 0.0, 1.0
         with np.errstate(all="ignore"):  # as PPoly's compiled loop; (5, 8.36) meets inf
             for j in range(nu, deg + 1):
-                cj = self.c[deg - j].take(k, axis=1)
+                cj = c[deg - j]
                 res = res + (cj * z * j if nu else cj * z)
                 if j < deg:
                     z = z * s
-        out = np.empty(s.shape + self.c.shape[1:2])  # PPoly's layout: components vary fastest
+        out = np.empty(s.shape + c.shape[1:2])  # PPoly's layout: components vary fastest
         np.moveaxis(out, -1, 0)[...] = res
         return np.moveaxis(out, -1, 0)
 
@@ -489,23 +537,27 @@ def _mirk6(fun, mesh: _Mesh, y):
     h, n = mesh.h, mesh.h.size
     f = fun(mesh.x, y)
     yl, yr, fl, fr = y[:, :-1], y[:, 1:], f[:, :-1], f[:, 1:]
-    y34 = np.hstack([27 / 32 * yl + 5 / 32 * yr + h * (_X3[0] * fl + _X3[1] * fr),
-                     5 / 32 * yl + 27 / 32 * yr + h * (_X4[0] * fl + _X4[1] * fr)])
+    y34 = np.empty((4, 2 * n))
+    np.add(27 / 32 * yl + 5 / 32 * yr, h * (_X3[0] * fl + _X3[1] * fr), out=y34[:, :n])
+    np.add(5 / 32 * yl + 27 / 32 * yr, h * (_X4[0] * fl + _X4[1] * fr), out=y34[:, n:])
     f34 = fun(mesh.t34, y34)
     f3, f4 = f34[:, :n], f34[:, n:]
-    y5 = 0.5 * (yl + yr) + h * (_X5[0] * fl + _X5[1] * fr + _X5[2] * f3 + _X5[3] * f4)
+    y5 = np.add(yl, yr)  # 0.5 (y_q + y_{q+1}) + h sum_j X_5j f_j, summed in place
+    y5 *= 0.5
+    acc = _X5[0] * fl
+    for x5, fj in zip(_X5[1:], (fr, f3, f4)):
+        acc += x5 * fj
+    acc *= h
+    y5 += acc
     f5 = fun(mesh.tm, y5)
-    res = yr - yl - h * (_B[0] * (fl + fr) + _B[1] * (f3 + f4) + _B[2] * f5)
+    res = np.subtract(yr, yl)  # y_{q+1} - y_q - h sum_r b_r f(Y_r)
+    np.add(fl, fr, out=acc)
+    acc *= _B[0]
+    acc += _B[1] * (f3 + f4)
+    acc += _B[2] * f5
+    acc *= h
+    res -= acc
     return res, _Stages(f, y34, y5, f5)
-
-
-def _jmul(d, a, k, M):
-    """J M at each node, node-last, for the companion J of (d, a, k) and M of shape (4, 4, n)."""
-    out = np.empty(M.shape)
-    for i in range(3):
-        np.add(d * M[i], M[i + 1], out=out[i])
-    out[3] = a * M[0] + k[0] * M[1] + k[1] * M[2] + (k[2] + d) * M[3]
-    return out
 
 
 def _newton_band(prob: _Gauged, mesh: _Mesh, y, st: _Stages):
@@ -513,33 +565,112 @@ def _newton_band(prob: _Gauged, mesh: _Mesh, y, st: _Stages):
 
     Row r, column c is at [c, 10 + r - c].  Rows r: left conditions 0..2,
     interval q's residual 3 + 4q + i, right condition 4m - 1; column
-    c = 4q + j is component j of node q.  Interval q's blocks are
-    -I - h sum_r b_r J_r dY_r/dy_q on node q and I - h sum_r b_r J_r dY_r/dy_{q+1}
-    on node q + 1, by the chain rule through the stages; each 4 x 4 block is
-    formed node-last, J_r applied in its companion form.  Only the written
-    entries are tested for finiteness; every other entry is 0.
+    c = 4q + j is component j of node q.  The interval blocks come from
+    _blocks, _BLOCK_INTERVALS intervals at a time, so that its work arrays
+    stay small and are reused from pass to pass.  Only the written entries
+    are tested for finiteness; every other entry is 0.
     """
-    m, n, h, k = mesh.x.size, mesh.h.size, mesh.h, prob.k
-    eye = np.broadcast_to(np.identity(4)[:, :, None], (4, 4, n))
+    m, n = mesh.x.size, mesh.h.size
     d, a = prob.jac(mesh.x, y)
-    d34, a34 = prob.jac(mesh.t34, st.y34)
+    d34, a34 = (v.reshape(2, n) for v in prob.jac(mesh.t34, st.y34))
     d5, a5 = prob.jac(mesh.tm, st.y5)
     ab = np.zeros((4 * m, 2 * _KL + _KU + 1))
     i, j = np.indices((4, 4))
     ab[j[:3], 10 + i[:3] - j[:3]] = prob.dya[:3]
     ab[np.arange(4) - 4, 13 - np.arange(4)] = prob.dyb[3]
     finite = np.isfinite(prob.dya[:3]).all() and np.isfinite(prob.dyb[3]).all()
-    # node q: dY_3 = 27/32 + h X_31 J_1, dY_4 = 5/32 + h X_41 J_1; node q + 1 likewise
-    for sign, node, v3, v4, e, row0, col0 in ((-1.0, slice(None, -1), 27 / 32, 5 / 32, 0, 0, 13),
-                                              (1.0, slice(1, None), 5 / 32, 27 / 32, 1, 4, 9)):
-        Je = h * _jmul(d[node], a[node], k, eye)  # h J at the end node
-        JS3 = _jmul(d34[:n], a34[:n], k, v3 * eye + _X3[e] * Je)
-        JS4 = _jmul(d34[n:], a34[n:], k, v4 * eye + _X4[e] * Je)
-        S5 = 0.5 * eye + _X5[e] * Je + h * (_X5[2] * JS3 + _X5[3] * JS4)
-        block = sign * eye - _B[0] * Je - h * (_B[1] * (JS3 + JS4) + _B[2] * _jmul(d5, a5, k, S5))
-        finite = finite and np.isfinite(block).all()
-        ab[row0:row0 + 4 * n].reshape(n, 4, -1)[:, j, col0 + i - j] = block.transpose(2, 0, 1)
-    return ab, finite
+    for lo in range(0, n, _BLOCK_INTERVALS):
+        hi = min(lo + _BLOCK_INTERVALS, n)
+        part = slice(lo, hi)
+        w = _blocks(mesh.h[part], d[lo:hi + 1], a[lo:hi + 1], d34[:, part], a34[:, part],
+                    d5[part], a5[part], prob.k)
+        finite = finite and np.isfinite(w).all()
+        for side, row0, col0 in ((0, 4 * lo, 13), (1, 4 * lo + 4, 9)):
+            ab[row0:row0 + 4 * (hi - lo)].reshape(hi - lo, 4, -1)[:, j, col0 + i - j] = (
+                w[:, :, side].transpose(2, 0, 1))
+    return ab, bool(finite)
+
+
+def _blocks(h, d, a, d3, a3, d5, a5, k):
+    """Interval q's two 4 x 4 blocks of the Newton matrix, [row, column, side, q].
+
+    They are -I - h sum_r b_r J_r dY_r/dy_q on node q (side 0) and
+    I - h sum_r b_r J_r dY_r/dy_{q+1} on node q + 1 (side 1), by the chain
+    rule through the stages.  J = (d, a, k) is given at the n + 1 nodes, at
+    the stages at 1/4 and 3/4 ([stage, q]) and at the midpoints.
+
+    Every factor is sparse in the companion form of J: h J_e at the side's
+    node is h d on the diagonal of rows 0..2 and h above it, with the last
+    row e3 = h (a, k0, k1, k2 + d).  So A_r = dY_r/dy_e = (1 - v_r or v_r) I
+    + X_re h J_e (r = 3, 4) is al on that diagonal, be above it and ga in the
+    last row, and J_r A_r and the midpoint stage S_5 are
+        [[P, Q, B, 0], [0, P, Q, B], [G0, G1, R, T], [q0, q1, q2, q3]]:
+    their rows 0 and 1 are one row shifted.  Each distinct entry is formed
+    once, node-last, for both sides (the `side` axis) and, up to S_5, both
+    quarter stages (the `stage` axis), as the nonzero terms of the dense
+    chain rule in its order of operations; identities and structural zeros
+    are never multiplied, so the blocks are the dense products to the bit,
+    but for the sign of a zero.
+    """
+    n = h.size
+    k0, k1, k2 = k
+    d, a = (np.stack((v[:-1], v[1:])) for v in (d, a))  # [side, q]
+    d3, a3 = d3[:, None], a3[:, None]  # [stage, 1, q]
+    hd = h * d  # h J_e [side]
+    e3 = np.empty((4, 2, n))
+    np.multiply(h, a, out=e3[0])
+    e3[1], e3[2] = h * k0, h * k1
+    np.multiply(h, k2 + d, out=e3[3])
+    # J_r A_r [entry, stage, side]: P, Q, B, G0, G1, R, T, q0..q3
+    js = np.empty((11, 2, 2, n))
+    al = _V34 + _X34 * hd
+    be = np.multiply(_X34, h, out=js[2])
+    ga = np.multiply(_X34, e3[:, None], out=js[3:7])  # A_r's last row; R and T replace ga2, ga3
+    ga[3] += _V34
+    q = js[7:]  # ((a A_0j + k0 A_1j) + k1 A_2j) + (k2 + d) A_3j over the nonzero A_ij
+    np.multiply(a3, al, out=q[0])
+    np.add(a3 * be, k0 * al, out=q[1])
+    np.add(k0 * be, k1 * al, out=q[2])
+    np.multiply(k1, be, out=q[3])
+    q += (k2 + d3) * ga
+    np.multiply(d3, al, out=js[0])
+    dbe = d3 * be
+    np.add(dbe, al, out=js[1])
+    js[5] += js[0]
+    js[6] += dbe
+    # S_5 = 0.5 I + X_5e h J_e + h (X_53 J_3 A_3 + X_54 J_4 A_4) [entry, side], as js
+    s = h * (_X5[2] * js[:, 0] + _X5[3] * js[:, 1])
+    s[0:6:5] += 0.5 + _X5E * hd
+    s[1:7:5] += _X5E * h
+    x5e3 = _X5E * e3
+    x5e3[3] += 0.5
+    s[7:] += x5e3
+    # w = J_5 S_5 [row, column, side], then the blocks in place
+    w = np.empty((4, 4, 2, n))
+    d5s = d5 * s[:3]
+    w[0, 0], w[0, 3], w[1, 0] = d5s[0], s[2], s[3]
+    np.add(d5s[1:], s[:2], out=w[0, 1:3])
+    np.add(d5s, s[4:7], out=w[1, 1:])
+    np.add(d5 * s[3:7], s[7:], out=w[2])
+    np.multiply(a5, s[:3], out=w[3, :3])
+    w[3, 1:3] += k0 * s[:2]
+    np.multiply(k0, s[2], out=w[3, 3])
+    w[3] += k1 * s[3:7]
+    w[3] += (k2 + d5) * s[7:]
+    # block = (sign I - b_1 h J_e) - h (b_3 (J_3 A_3 + J_4 A_4) + b_5 w)
+    jj = _B[1] * (js[:, 0] + js[:, 1])
+    w *= _B[2]
+    w[0, :3] += jj[:3]
+    w[1, 1:] += jj[:3]
+    w[2] += jj[3:7]
+    w[3] += jj[7:]
+    w *= h
+    block = np.negative(w, out=w).reshape(16, 2, n)
+    block[0:12:5] += _SIGN - _B[0] * hd
+    block[1:12:5] -= _B[0] * h
+    block[12:15] -= _B[0] * e3[:3]
+    block[15] += _SIGN - _B[0] * e3[3]
+    return w
 
 
 def _newton(prob: _Gauged, mesh: _Mesh, y, tol):
@@ -739,17 +870,19 @@ def _bvp_polish(params, coeffs, amp_anchor, pad, tail, tol_bvp, stop=None, start
         """D^(p-1) and mu_s/(1+w) at t, formed once per mesh and point set: the nodes,
         the stages at 1/4 and 3/4, the midpoints and the Lobatto samples differ in size."""
         hit = memo.get(t.size)
-        if hit is None or not np.array_equal(hit[0], t):
+        if hit is None or hit[0] is not t:  # each point set is one array, never written
             D, g = _gauge(t, cp, w0, mu_s)
-            hit = memo[t.size] = (t.copy(), D ** (p - 1.0), mu_s * g)
+            hit = memo[t.size] = (t, D ** (p - 1.0), mu_s * g)
         return hit[1:]
 
     def fun(t, z):
         Dp, dl = gauge_terms(t)
         z0, z1, z2, z3 = z
-        f4 = (Dp * np.abs(z0) ** (p - 1.0) * z0
-              - K3 * z3 - K2 * z2 - K1 * z1 - K0 * z0)
         f = np.empty((4, t.size))
+        f4 = np.multiply(Dp, np.abs(z0) ** (p - 1.0), out=f[3])  # f's last row, but for -dl z3
+        f4 *= z0
+        for K, zk in ((K3, z3), (K2, z2), (K1, z1), (K0, z0)):
+            f4 -= K * zk
         for k, z_next in enumerate((z1, z2, z3, f4)):
             np.subtract(z_next, dl * z[k], out=f[k])
         return f
@@ -825,19 +958,23 @@ def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4) -> Radi
     # in full, so the gate and its message always read a converged solution.
     rates = (params.fast_rate - params.slow_rate, (params.p - 1.0) * params.slow_rate)
 
-    def far_field(x, ysol):
-        """The profile on mesh x and its two far-field errors, relative to h."""
-        prof = RadialProfile(params=params, coeffs=coeffs, beta=h, t_grid=x, _sol=ysol)
-        t_l = float(x[0])
-        return prof, (abs(float(ysol(t_l)[0]) * math.exp(-params.slow_rate * t_l) / h - 1.0),
-                      abs(prof.far_field_beta / h - 1.0))
-
-    def misses(x, ysol):  # NaN does not stop: the full polish's gates name it
-        return float(np.max(far_field(x, ysol)[1])) > 0.9 * tol
+    def far_field(t_l, y_l, beta_l):
+        """The two far-field errors relative to h, from the state y_l at the mesh start
+        t_l and the left tail's slow amplitude beta_l (anchor frame)."""
+        return (abs(float(y_l[0]) * math.exp(-params.slow_rate * t_l) / h - 1.0),
+                abs(beta_l / h - 1.0))
 
     def polish():
         pad, start = 0.0, None
         for attempt in range(4):
+            first = []  # the first pass's far-field errors, as the stop test read them
+
+            def misses(x, ysol):  # NaN does not stop: the full polish's gates name it
+                t_l = float(x[0])
+                y_l = ysol(t_l)  # the left tail alone: no profile is built for the test
+                first.append(far_field(t_l, y_l, _left_tail(params, t_l, y_l).amplitude(t_l)))
+                return float(np.max(first[-1])) > 0.9 * tol
+
             res, t_arr, ysol = _bvp_polish(params, coeffs, h, pad, TAIL, BVP_TOL,
                                            misses if attempt < 3 else None, start)
             if res.status not in (0, _STOPPED):
@@ -845,7 +982,9 @@ def solve_singular(params: Params, beta: float = 1.0, tol: float = 1e-4) -> Radi
                 if not (grid_res <= 1e-7):
                     raise ShootingError("collocation polish",
                                         f"{_FAILURES[res.status]} (rms {grid_res:.2e})")
-            prof, errs = far_field(res.x, ysol)
+            prof = RadialProfile(params=params, coeffs=coeffs, beta=h, t_grid=res.x, _sol=ysol)
+            errs = (first[-1] if res.status == _STOPPED else
+                    far_field(prof.t_lo, ysol(prof.t_lo), prof.far_field_beta))
             beta_fit_rel = float(np.max(errs))  # NaN-propagating
             if beta_fit_rel <= 0.9 * tol:
                 return res, t_arr, ysol, prof, beta_fit_rel

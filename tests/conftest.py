@@ -138,3 +138,51 @@ def dense_newton_band(companion_jac):
         return ab
 
     return band
+
+
+@pytest.fixture(scope="session")
+def chain_rule_newton_band():
+    """Reference MIRK6 Newton band by the chain rule on full node-last 4 x 4 arrays.
+
+    Each side's block -I - h sum_r b_r J_r dY_r/dy_q (node q) or
+    I - h sum_r b_r J_r dY_r/dy_{q+1} (node q + 1) is formed as a (4, 4, n)
+    array, every product J M applied through the companion form of
+    J = (d, a, k) to all 16 entries of M, identities and zeros included.  This
+    is how `delaunay._newton_band` formed the band before it formed each
+    distinct entry once; the nonzero terms are summed in the same order, so
+    the two agree bit for bit wherever the band is finite.
+    """
+    from biharmlab.delaunay import _B, _KL, _KU, _X3, _X4, _X5
+
+    def jmul(d, a, k, M):  # J M at each node for the companion J of (d, a, k)
+        out = np.empty(M.shape)
+        for i in range(3):
+            np.add(d * M[i], M[i + 1], out=out[i])
+        out[3] = a * M[0] + k[0] * M[1] + k[1] * M[2] + (k[2] + d) * M[3]
+        return out
+
+    def band(prob, mesh, y, st):
+        m, n, h, k = mesh.x.size, mesh.h.size, mesh.h, prob.k
+        eye = np.broadcast_to(np.identity(4)[:, :, None], (4, 4, n))
+        d, a = prob.jac(mesh.x, y)
+        d34, a34 = prob.jac(mesh.t34, st.y34)
+        d5, a5 = prob.jac(mesh.tm, st.y5)
+        ab = np.zeros((4 * m, 2 * _KL + _KU + 1))
+        i, j = np.indices((4, 4))
+        ab[j[:3], 10 + i[:3] - j[:3]] = prob.dya[:3]
+        ab[np.arange(4) - 4, 13 - np.arange(4)] = prob.dyb[3]
+        finite = np.isfinite(prob.dya[:3]).all() and np.isfinite(prob.dyb[3]).all()
+        for sign, node, v3, v4, e, row0, col0 in (
+                (-1.0, slice(None, -1), 27 / 32, 5 / 32, 0, 0, 13),
+                (1.0, slice(1, None), 5 / 32, 27 / 32, 1, 4, 9)):
+            Je = h * jmul(d[node], a[node], k, eye)  # h J at the end node
+            JS3 = jmul(d34[:n], a34[:n], k, v3 * eye + _X3[e] * Je)
+            JS4 = jmul(d34[n:], a34[n:], k, v4 * eye + _X4[e] * Je)
+            S5 = 0.5 * eye + _X5[e] * Je + h * (_X5[2] * JS3 + _X5[3] * JS4)
+            block = (sign * eye - _B[0] * Je
+                     - h * (_B[1] * (JS3 + JS4) + _B[2] * jmul(d5, a5, k, S5)))
+            finite = finite and np.isfinite(block).all()
+            ab[row0:row0 + 4 * n].reshape(n, 4, -1)[:, j, col0 + i - j] = block.transpose(2, 0, 1)
+        return ab, finite
+
+    return band

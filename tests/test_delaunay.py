@@ -6,6 +6,7 @@ the whole orbit run on [T_LO, T_HI], past both mesh ends, so they cover the
 analytic tails with the tolerances the mesh meets.
 """
 
+import copy
 import dataclasses
 import math
 import os
@@ -425,8 +426,9 @@ def test_shift_keeps_the_fitted_tails(N):
     assert shifted._left is prof._left and shifted._right is prof._right
     assert refit._left is not prof._left
     t = np.linspace(shifted.t_lo - 20.0, shifted.t_hi + 20.0, 2001)
-    for deriv in (False, True):
-        assert _same_bits(shifted._evaluate(t, deriv), refit._evaluate(t, deriv))
+    for got, want in zip(shifted._evaluate(t, slope=slice(None)),
+                         refit._evaluate(t, slope=slice(None))):
+        assert _same_bits(got, want)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -736,6 +738,125 @@ def test_newton_band_counts_non_finite_as_the_dense_band_does(monkeypatch, param
         _, finite = delaunay._newton_band(prob, mesh, y, st)
         ref = dense_newton_band(prob, mesh, y, st)
     assert finite == np.isfinite(ref).all() == (where == "y3")
+
+
+def _solver_bands(monkeypatch, cases):
+    """The first Newton state on each mesh size named in `cases` ({(N, p): sizes}), as
+    the solves pass it to the band: {(N, p, size): (prob, mesh, y, stages)}."""
+    band, seen = delaunay._newton_band, {}
+
+    def record(prob, mesh, y, st):
+        seen.setdefault(mesh.x.size, (prob, mesh, y.copy(), st))
+        return band(prob, mesh, y, st)
+
+    out = {}
+    with monkeypatch.context() as m:
+        m.setattr(delaunay, "_newton_band", record)
+        for (N, p), sizes in cases.items():
+            seen.clear()
+            solve_singular(validate_params(N, p), beta=1.0, tol=1e-4)
+            out.update({(N, p, size): seen[size] for size in sizes})
+    return out
+
+
+def _interval_blocks(ab, n):
+    """Interval q's blocks read back from the band: node q's and node q + 1's, (n, 4, 4)."""
+    i, j = np.indices((4, 4))
+    return [ab[row0:row0 + 4 * n].reshape(n, 4, -1)[:, j, col0 + i - j]
+            for row0, col0 in ((0, 13), (4, 9))]
+
+
+def test_newton_band_matches_the_chain_rule_bit_for_bit(monkeypatch, chain_rule_newton_band):
+    # oracle: the chain rule on full 4 x 4 node-last arrays, identities and zeros
+    # multiplied out; the band forms each distinct entry once in the same order of
+    # operations, so it is the same to the bit: the first (500-node) and final meshes
+    # at (10, 2) and the final 1684-node mesh at (5, 0.75)
+    states = _solver_bands(monkeypatch, {(10, 2.0): (500, 597), (5, _window_p(5, 0.75)): (1684,)})
+    assert len(states) == 3
+    for prob, mesh, y, st in states.values():
+        ab, finite = delaunay._newton_band(prob, mesh, y, st)
+        ref, ref_finite = chain_rule_newton_band(prob, mesh, y, st)
+        assert finite and ref_finite
+        assert _same_bits(ab, ref)
+
+
+def test_newton_band_is_the_residual_jacobian_on_a_solver_mesh(monkeypatch):
+    # central differences of the MIRK6 residuals on the first (500-node) mesh at (10, 2):
+    # interval q's residual reads nodes q and q + 1 only, so perturbing component c at
+    # every other node gives a column of both blocks at once
+    (prob, mesh, y, st), = _solver_bands(monkeypatch, {(10, 2.0): (500,)}).values()
+    n = mesh.h.size
+    ab, finite = delaunay._newton_band(prob, mesh, y, st)
+    assert finite
+    left, right = _interval_blocks(ab, n)
+    worst, scale = 0.0, max(np.abs(left).max(), np.abs(right).max())
+    q = np.arange(n)
+    for parity in (0, 1):
+        for c in range(4):
+            e = np.zeros_like(y)
+            step = 1e-6 * (1.0 + np.abs(y[c]).max())
+            e[c, parity::2] = step
+            fd = (delaunay._mirk6(prob.fun, mesh, y + e)[0]
+                  - delaunay._mirk6(prob.fun, mesh, y - e)[0]) / (2.0 * step)
+            want = np.where(q % 2 == parity, left[:, :, c].T, right[:, :, c].T)
+            worst = max(worst, float(np.max(np.abs(fd - want))))
+    assert worst <= 1e-7 * scale
+
+
+def _per_call(prof, t, slope):
+    """The state (slope False) or its slope at t, evaluated alone, as the profile did
+    before it formed both in one pass: its own gauge (the logistic from expit(x) and
+    expit(-x)), the quintic and its derivative in every component, and the tails."""
+    sol, s = prof._sol, np.asarray(t, dtype=float) + prof.t_shift
+    lo, hi = prof.t_grid[0], prof.t_grid[-1]
+    eps = 1e-9 * (1.0 + abs(lo) + abs(hi))
+    sc = np.clip(s, lo - eps, hi + eps)
+
+    def expit(x):
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    x = math.log(sol.w0) + sol.mu * sc
+    D, g = sol.cp * expit(x), expit(-x)
+    out = D * sol.mu * g * sol._z(sc) + D * sol._dz(sc) if slope else D * sol._z(sc)
+    for beyond, tail in ((s < lo - eps, prof._left), (s > hi + eps, prof._right)):
+        if beyond.any():
+            d = s[beyond] - tail.s0
+            c = tail.c * tail.lam if slope else tail.c
+            y = (tail._V @ (c[:, None] * np.exp(np.outer(tail.lam, d)))).real
+            if tail.amp:
+                y += tail.amp * delaunay._divided_differences(tail.a, tail.b, d)[
+                    int(slope):int(slope) + 4]
+            out[..., beyond] = y if slope else y + tail.base[:, None]
+    return out
+
+
+def _bits_equal(got, want):
+    """The same values bit for bit, NaN and signed zero included, whatever the layout."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.37])
+def test_one_pass_evaluation_matches_per_call_evaluation(profile10, shift):
+    # the state, ubar, the scaled residual (state and slope) and the scaled derivatives
+    # each equal, bit for bit, the per-call evaluation of the state and its slope: inside
+    # the mesh, its ends included, on both tails past them, and on a shifted profile.
+    # A fresh instance: other tests patch methods on the session profile's instance
+    prof = dataclasses.replace(profile10).shifted(shift)
+    t = np.concatenate([np.linspace(prof.t_lo - 30.0, prof.t_lo - 1e-3, 200),
+                        np.linspace(prof.t_lo, prof.t_hi, 2001),
+                        np.linspace(prof.t_hi + 1e-3, prof.t_hi + 30.0, 200)])
+    y, dy = _per_call(prof, t, False), _per_call(prof, t, True)
+    assert _same_bits(prof.ubar_state(t), y)
+    assert _bits_equal(prof.ubar(t), y[0])
+    assert _bits_equal(prof.ubar(t[1200]), y[0, 1200])
+    K, p, u = prof.coeffs, prof.params.p, y[0]
+    res = dy[3] + K.K3 * y[3] + K.K2 * y[2] + K.K1 * y[1] + K.K0 * u - np.abs(u) ** (p - 1.0) * u
+    assert _bits_equal(prof.scaled_residual(t), np.abs(res) / (1.0 + np.abs(u) ** p))
+    per_call = copy.copy(prof)
+    per_call.ubar_state = lambda tt: _per_call(prof, tt, False)
+    assert _bits_equal(prof.scaled_derivs(t), per_call.scaled_derivs(t))
 
 
 def test_fun_jac_has_the_companion_pattern(monkeypatch, params10, companion_jac):
